@@ -14,14 +14,16 @@ Each builder also returns cluster-criterion parameters (a uniform y
 vector) under which the engine's resample count has explicit tail
 bounds whenever the color multiplicity and the copy count stay below
 the stated fraction of n.  Event sets reach the hundreds of thousands
-at contest sizes, so dependency is evaluated by rule (shared space and
-overlapping vertex support) rather than stored, and occurrence scans
-exploit the structures directly.
+at contest sizes, so no per-event table is built: an event index
+decodes in closed form (see ``_AppBundle``) into its copies and items,
+dependency is evaluated by rule (shared copy and overlapping vertex
+support), and occurrence scans exploit the structures directly.  A
+build costs one sorted list of same-colored pairs plus its position
+dict, not one entry per event.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -39,7 +41,9 @@ from .oracles import (
     sample_spanning_tree,
     tree_resample,
 )
-from .polynomials import CriterionParams, predicted_bound
+from .polynomials import CriterionParams, tail_bounds
+# Not called here; kept importable because bench/workloads.py wraps it.
+from .polynomials import predicted_bound  # noqa: F401
 
 #: Cluster-parameter constants: y = BETA * p for trees and transversals,
 #: valid while multiplicity and copy count stay below GAMMA * n.
@@ -227,89 +231,174 @@ def validate_disjoint_transversals(matrix: ColorMatrix, perms: Sequence) -> bool
 
 
 class _AppBundle:
-    """Shared plumbing for the three builders' bundles.
+    """t copies of one oracle family plus color- and copy-collision events.
 
-    Subclasses fill the parallel event tables (kind, payload, spaces,
-    support) plus index dictionaries for the occurrence scans.  The
-    dependency rule is uniform: two events interfere when they involve
-    a common space and their vertex supports intersect.
+    The state is a tuple of t structures (permutations or spanning
+    trees).  An item is what a structure may contain: a matrix cell or
+    an edge of K_n, and each item has a color.  Events are numbered in
+    closed form and decoded by arithmetic, never stored:
+
+      type 1, index i*P + k           copy i contains both items of pairs[k]
+      type 2, index n_type1 + c*N + pos
+                                      copy pair c, the c-th (i, j) with
+                                      i < j in lexicographic order, both
+                                      contain the item at position pos
+
+    pairs holds the P same-colored item pairs that fit in one structure,
+    sorted, and is shared by all copies; positions run over the N items
+    in sorted order.  The numbering is what run logs record.  Two events
+    interfere when they involve a common copy and their vertex supports
+    meet.
+
+    A family supplies its draw and conditioned redraw, the items of a
+    structure, an item's vertices and its position in closed form.
     """
 
-    kind = ""
+    #: Two items on a common vertex never sit in one structure together,
+    #: so such same-colored pairs carry no event.
+    exclusive = True
 
-    def __init__(self) -> None:
-        self.event_payload: list[tuple] = []
-        self.event_spaces: list[frozenset[int]] = []
-        self.event_support: list[frozenset[int]] = []
-        self.graph = None
-
-    def _finish_graph(self) -> None:
-        spaces = self.event_spaces
-        support = self.event_support
-
-        def rule(a: int, b: int) -> bool:
-            return bool(spaces[a] & spaces[b]) and bool(support[a] & support[b])
-
-        self.graph = RuleGraph(len(self.event_payload), rule)
+    def __init__(self, t: int, color_of: dict) -> None:
+        self.t = t
+        self.color_of = color_of
+        self.items = sorted(color_of)
+        classes: dict[int, list] = {}
+        for item in self.items:
+            classes.setdefault(color_of[item], []).append(item)
+        self.pairs = []
+        for group in classes.values():
+            for a, e in enumerate(group):
+                ve = set(self._vertices(e))
+                self.pairs.extend((e, f) for f in group[a + 1:]
+                                  if not self.exclusive or ve.isdisjoint(self._vertices(f)))
+        self.pairs.sort()
+        self.pair_pos = {pair: k for k, pair in enumerate(self.pairs)}
+        self.copy_pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
+        self.n_type1 = t * len(self.pairs)
+        self.n = self.n_type1 + len(self.copy_pairs) * len(self.items)
 
     @property
-    def n(self) -> int:
-        return len(self.event_payload)
+    def graph(self) -> RuleGraph:
+        # Made on each access: a stored graph whose rule is a bound method
+        # would form a reference cycle and keep a dropped bundle alive
+        # until the cyclic collector runs.
+        return RuleGraph(self.n, self._interferes)
 
-    def state_key(self, state):
-        return state
+    def _parts(self, idx: int) -> tuple[tuple, tuple]:
+        """(copies, items) of an event: every copy holds every item."""
+        if idx < self.n_type1:
+            i, k = divmod(idx, len(self.pairs))
+            return (i,), self.pairs[k]
+        c, pos = divmod(idx - self.n_type1, len(self.items))
+        return self.copy_pairs[c], (self.items[pos],)
+
+    def payload(self, idx: int) -> tuple:
+        """(i, e, f) for a type-1 event, (i, j, item) for a type-2 event."""
+        copies, items = self._parts(idx)
+        return copies + items
+
+    def index(self, payload: tuple) -> int:
+        """Inverse of payload; KeyError when the payload names no event."""
+        if isinstance(payload[1], int):
+            i, j, item = payload
+            c = i * (2 * self.t - i - 1) // 2 + j - i - 1
+            idx = self.n_type1 + c * len(self.items) + self._pos(item)
+        else:
+            i, e, f = payload
+            idx = i * len(self.pairs) + self.pair_pos[(e, f)]
+        if not 0 <= idx < self.n or self.payload(idx) != payload:
+            raise KeyError(payload)
+        return idx
+
+    def spaces(self, idx: int) -> frozenset[int]:
+        return frozenset(self._parts(idx)[0])
+
+    def support(self, idx: int) -> frozenset[int]:
+        return frozenset(v for item in self._parts(idx)[1] for v in self._vertices(item))
+
+    def _interferes(self, a: int, b: int) -> bool:
+        return bool(self.spaces(a) & self.spaces(b)) and bool(self.support(a) & self.support(b))
+
+    def _vertices(self, item) -> tuple[int, int]:
+        return item
+
+    def _contains(self, structure, item) -> bool:
+        return structure[item[0]] == item[1]
+
+    def sample(self, rng):
+        return tuple(self._draw(rng) for _ in range(self.t))
+
+    def holds(self, idx: int, state) -> bool:
+        copies, items = self._parts(idx)
+        contains = self._contains
+        return all(contains(state[i], item) for i in copies for item in items)
+
+    def resample(self, idx: int, state, rng):
+        copies, items = self._parts(idx)
+        structures = list(state)
+        for i in copies:
+            structures[i] = self._redraw(structures[i], items, rng)
+        return tuple(structures)
+
+    def occurring(self, state) -> list[int]:
+        out: list[int] = []
+        n_pairs, color_of, pair_pos = len(self.pairs), self.color_of, self.pair_pos
+        present = [self._items(structure) for structure in state]
+        for i, items in enumerate(present):
+            by_color: dict[int, list] = {}
+            for item in items:
+                by_color.setdefault(color_of[item], []).append(item)
+            for group in by_color.values():
+                if len(group) > 1:
+                    group.sort()
+                    for a, e in enumerate(group):
+                        for f in group[a + 1:]:
+                            out.append(i * n_pairs + pair_pos[(e, f)])
+        for c, (i, j) in enumerate(self.copy_pairs):
+            base = self.n_type1 + c * len(self.items)
+            for item in set(present[i]).intersection(present[j]):
+                out.append(base + self._pos(item))
+        return out
 
 
 class RainbowTreeBundle(_AppBundle):
     """t independent uniform spanning trees of K_n with collision events.
 
-    Type-1 events: two same-colored edges inside one tree.  Type-2
-    events: one edge present in two trees.  Type-1 events are indexed
-    first, each family in lexicographic order.
+    Type-1 events: two same-colored edges inside one tree (edges may
+    share a vertex).  Type-2 events: one edge present in two trees; an
+    edge's position is its rank among the sorted edges of K_n.
     """
 
     kind = "rainbow-tree"
+    exclusive = False
 
     def __init__(self, coloring: ColoredCompleteGraph, t: int) -> None:
-        super().__init__()
         if t < 1:
             raise ValueError("need at least one tree")
         self.coloring = coloring
-        self.t = t
-        n = coloring.n
-        self.size = n
+        self.size = coloring.n
+        super().__init__(t, coloring.color)
 
-        self.t1_index: dict[tuple, int] = {}
-        self.t2_index: dict[tuple, int] = {}
-        classes = coloring.classes()
-        pairs = [
-            (e, f)
-            for edges in classes.values()
-            for a, e in enumerate(edges)
-            for f in edges[a + 1:]
-        ]
-        pairs.sort()
-        for i in range(t):
-            for e, f in pairs:
-                self.t1_index[(i, e, f)] = len(self.event_payload)
-                self.event_payload.append((i, e, f))
-                self.event_spaces.append(frozenset((i,)))
-                self.event_support.append(frozenset(e) | frozenset(f))
-        all_edges = sorted(coloring.color)
-        for i in range(t):
-            for j in range(i + 1, t):
-                for e in all_edges:
-                    self.t2_index[(i, j, e)] = len(self.event_payload)
-                    self.event_payload.append((i, j, e))
-                    self.event_spaces.append(frozenset((i, j)))
-                    self.event_support.append(frozenset(e))
-        self.n_type1 = len(self.t1_index)
-        self._finish_graph()
+    def _pos(self, edge) -> int:
+        u, v = edge
+        return u * (2 * self.size - u - 1) // 2 + v - u - 1
+
+    def _items(self, tree):
+        return tree
+
+    def _contains(self, tree, edge) -> bool:
+        return edge in tree
+
+    def _draw(self, rng):
+        return sample_spanning_tree(self.size, rng)
+
+    def _redraw(self, tree, edges, rng):
+        return tree_resample(tree, edges, rng)
 
     def event_prob(self, idx: int) -> float:
         n = self.size
         if idx < self.n_type1:
-            _, e, f = self.event_payload[idx]
+            e, f = self.pairs[idx % len(self.pairs)]
             return (3 if len(set(e) | set(f)) == 3 else 4) / n**2
         return 4 / n**2
 
@@ -327,48 +416,6 @@ class RainbowTreeBundle(_AppBundle):
         p = 4 / n**2
         return p * (1 + (n - 1) * (t - 1) * y) ** 4 * (1 + (n - 1) * (q - 1) * y) ** 4 <= y
 
-    def sample(self, rng):
-        return tuple(sample_spanning_tree(self.size, rng) for _ in range(self.t))
-
-    def holds(self, idx: int, state) -> bool:
-        payload = self.event_payload[idx]
-        if idx < self.n_type1:
-            i, e, f = payload
-            return e in state[i] and f in state[i]
-        i, j, e = payload
-        return e in state[i] and e in state[j]
-
-    def resample(self, idx: int, state, rng):
-        payload = self.event_payload[idx]
-        trees = list(state)
-        if idx < self.n_type1:
-            i, e, f = payload
-            trees[i] = tree_resample(trees[i], (e, f), rng)
-        else:
-            i, j, e = payload
-            trees[i] = tree_resample(trees[i], (e,), rng)
-            trees[j] = tree_resample(trees[j], (e,), rng)
-        return tuple(trees)
-
-    def occurring(self, state) -> list[int]:
-        out: list[int] = []
-        color = self.coloring.color
-        for i, tree in enumerate(state):
-            by_color: dict[int, list] = {}
-            for e in tree:
-                by_color.setdefault(color[e], []).append(e)
-            for edges in by_color.values():
-                if len(edges) > 1:
-                    edges.sort()
-                    for a, e in enumerate(edges):
-                        for f in edges[a + 1:]:
-                            out.append(self.t1_index[(i, e, f)])
-        for i in range(self.t):
-            for j in range(i + 1, self.t):
-                for e in state[i] & state[j]:
-                    out.append(self.t2_index[(i, j, e)])
-        return out
-
     def validate_solution(self, state) -> bool:
         return validate_rainbow_trees(self.coloring, state)
 
@@ -379,34 +426,45 @@ class RainbowTreeBundle(_AppBundle):
 class RainbowMatchingBundle(_AppBundle):
     """Uniform perfect matching of an edge-colored K_{2n}.
 
-    One event per same-colored pair of vertex-disjoint edges; pairs
-    sharing a vertex can never sit in a matching together and carry no
-    event.  Events interfere whenever their vertex supports meet.
+    The single-space case: one copy, no type-2 events, and the state is
+    the partner tuple itself.  One event per same-colored pair of
+    vertex-disjoint edges, with payload (e, f); pairs sharing a vertex
+    can never sit in a matching together and carry no event.  Events
+    interfere whenever their vertex supports meet.
     """
 
     kind = "rainbow-matching"
 
     def __init__(self, coloring: ColoredCompleteGraph) -> None:
-        super().__init__()
         if coloring.n % 2:
             raise ValueError("perfect matchings need an even vertex count")
         self.coloring = coloring
         self.size = coloring.n
+        super().__init__(1, coloring.color)
 
-        self.pair_index: dict[tuple, int] = {}
-        pairs = []
-        for edges in coloring.classes().values():
-            for a, e in enumerate(edges):
-                for f in edges[a + 1:]:
-                    if not (set(e) & set(f)):
-                        pairs.append((e, f))
-        pairs.sort()
-        for e, f in pairs:
-            self.pair_index[(e, f)] = len(self.event_payload)
-            self.event_payload.append((e, f))
-            self.event_spaces.append(frozenset((0,)))
-            self.event_support.append(frozenset(e) | frozenset(f))
-        self._finish_graph()
+    def payload(self, idx: int) -> tuple:
+        return self.pairs[idx]
+
+    def index(self, payload: tuple) -> int:
+        return self.pair_pos[payload]
+
+    def _items(self, partner):
+        return matching_pairs(partner)
+
+    def _redraw(self, partner, edges, rng):
+        return matching_resample(partner, edges, rng)
+
+    def sample(self, rng):
+        return sample_perfect_matching(self.size, rng)
+
+    def holds(self, idx: int, state) -> bool:
+        return super().holds(idx, (state,))
+
+    def resample(self, idx: int, state, rng):
+        return super().resample(idx, (state,), rng)[0]
+
+    def occurring(self, state) -> list[int]:
+        return super().occurring((state,))
 
     def event_prob(self, idx: int) -> float:
         m = self.size
@@ -426,29 +484,6 @@ class RainbowMatchingBundle(_AppBundle):
         y = MATCHING_BETA * p
         return p * (1 + (q - 1) * (m - 1) * y) ** 4 <= y
 
-    def sample(self, rng):
-        return sample_perfect_matching(self.size, rng)
-
-    def holds(self, idx: int, state) -> bool:
-        e, f = self.event_payload[idx]
-        return state[e[0]] == e[1] and state[f[0]] == f[1]
-
-    def resample(self, idx: int, state, rng):
-        return matching_resample(state, self.event_payload[idx], rng)
-
-    def occurring(self, state) -> list[int]:
-        color = self.coloring.color
-        by_color: dict[int, list] = {}
-        for e in matching_pairs(state):
-            by_color.setdefault(color[e], []).append(e)
-        out: list[int] = []
-        for edges in by_color.values():
-            if len(edges) > 1:
-                for a, e in enumerate(edges):
-                    for f in edges[a + 1:]:
-                        out.append(self.pair_index[(e, f)])
-        return out
-
     def validate_solution(self, state) -> bool:
         return validate_rainbow_matching(self.coloring, state)
 
@@ -463,51 +498,35 @@ class LatinBundle(_AppBundle):
     row-node u and column-node n+v, and two cells intersect when they
     share a row or a column.  Type-1 events: one permutation picks two
     same-colored cells.  Type-2 events: two permutations pick the same
-    cell.
+    cell, at position u*n + v.
     """
 
     kind = "latin"
 
     def __init__(self, matrix: ColorMatrix, t: int) -> None:
-        super().__init__()
         if t < 1:
             raise ValueError("need at least one transversal")
         self.matrix = matrix
-        self.t = t
-        n = matrix.n
-        self.size = n
+        self.size = matrix.n
+        super().__init__(t, {(u, v): c for u, row in enumerate(matrix.rows)
+                             for v, c in enumerate(row)})
 
-        by_color: dict[int, list[tuple[int, int]]] = {}
-        for u in range(n):
-            for v in range(n):
-                by_color.setdefault(matrix.rows[u][v], []).append((u, v))
-        pairs = []
-        for cells in by_color.values():
-            for a, e in enumerate(cells):
-                for f in cells[a + 1:]:
-                    if e[0] != f[0] and e[1] != f[1]:
-                        pairs.append((e, f))
-        pairs.sort()
+    def _vertices(self, cell) -> tuple[int, int]:
+        return cell[0], self.size + cell[1]
 
-        self.t1_index: dict[tuple, int] = {}
-        self.t2_index: dict[tuple, int] = {}
-        for i in range(t):
-            for e, f in pairs:
-                self.t1_index[(i, e, f)] = len(self.event_payload)
-                self.event_payload.append((i, e, f))
-                self.event_spaces.append(frozenset((i,)))
-                self.event_support.append(frozenset((e[0], n + e[1], f[0], n + f[1])))
-        for i in range(t):
-            for j in range(i + 1, t):
-                for u in range(n):
-                    for v in range(n):
-                        e = (u, v)
-                        self.t2_index[(i, j, e)] = len(self.event_payload)
-                        self.event_payload.append((i, j, e))
-                        self.event_spaces.append(frozenset((i, j)))
-                        self.event_support.append(frozenset((u, n + v)))
-        self.n_type1 = len(self.t1_index)
-        self._finish_graph()
+    def _pos(self, cell) -> int:
+        return cell[0] * self.size + cell[1]
+
+    def _items(self, pi):
+        return list(enumerate(pi))
+
+    def _draw(self, rng):
+        pi = list(range(self.size))
+        rng.shuffle(pi)
+        return tuple(pi)
+
+    def _redraw(self, pi, cells, rng):
+        return permutation_resample(pi, PatternEvent(cells), rng)
 
     def event_prob(self, idx: int):
         n = self.size
@@ -528,57 +547,6 @@ class LatinBundle(_AppBundle):
         p = 1 / (n * (n - 1))
         y = BETA * p
         return p * (1 + n * (t - 1) * y) ** 4 * (1 + n * (q - 1) * y) ** 4 <= y
-
-    def sample(self, rng):
-        out = []
-        for _ in range(self.t):
-            pi = list(range(self.size))
-            rng.shuffle(pi)
-            out.append(tuple(pi))
-        return tuple(out)
-
-    def holds(self, idx: int, state) -> bool:
-        payload = self.event_payload[idx]
-        if idx < self.n_type1:
-            i, e, f = payload
-            return state[i][e[0]] == e[1] and state[i][f[0]] == f[1]
-        i, j, (u, v) = payload
-        return state[i][u] == v and state[j][u] == v
-
-    def resample(self, idx: int, state, rng):
-        payload = self.event_payload[idx]
-        perms = list(state)
-        if idx < self.n_type1:
-            i, e, f = payload
-            perms[i] = permutation_resample(perms[i], PatternEvent((e, f)), rng)
-        else:
-            i, j, e = payload
-            pattern = PatternEvent((e,))
-            perms[i] = permutation_resample(perms[i], pattern, rng)
-            perms[j] = permutation_resample(perms[j], pattern, rng)
-        return tuple(perms)
-
-    def occurring(self, state) -> list[int]:
-        out: list[int] = []
-        rows = self.matrix.rows
-        n = self.size
-        for i, pi in enumerate(state):
-            by_color: dict[int, list[tuple[int, int]]] = {}
-            for u in range(n):
-                cell = (u, pi[u])
-                by_color.setdefault(rows[u][pi[u]], []).append(cell)
-            for cells in by_color.values():
-                if len(cells) > 1:
-                    for a, e in enumerate(cells):
-                        for f in cells[a + 1:]:
-                            out.append(self.t1_index[(i, e, f)])
-        for i in range(self.t):
-            for j in range(i + 1, self.t):
-                pa, pb = state[i], state[j]
-                for u in range(n):
-                    if pa[u] == pb[u]:
-                        out.append(self.t2_index[(i, j, (u, pa[u]))])
-        return out
 
     def validate_solution(self, state) -> bool:
         return validate_disjoint_transversals(self.matrix, state)
@@ -653,10 +621,6 @@ def solve(bundle, params: CriterionParams, seed: int = 0,
     """
     state, log = maximal_set_resample(bundle, seed, budget)
     validated = bool(log.terminated and bundle.validate_solution(state))
-    bounds = {
-        "t=1": predicted_bound(params, 1.0),
-        "t=ln(1e4)": predicted_bound(params, math.log(1e4)),
-    }
     return SolutionReport(
         kind=bundle.kind,
         seed=seed,
@@ -664,7 +628,7 @@ def solve(bundle, params: CriterionParams, seed: int = 0,
         terminated=log.terminated,
         validated=validated,
         total_resamples=log.total_resamples,
-        predicted_bounds=bounds,
+        predicted_bounds=tail_bounds(params),
         solution=bundle.solution_json(state),
         log=log,
     )

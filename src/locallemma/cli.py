@@ -46,10 +46,10 @@ from .polynomials import (
     build_table,
     check_cll,
     check_gll,
-    predicted_bound,
     shearer_report,
     shearer_slack,
     singleton_ratio,
+    tail_bounds,
 )
 from .synth import ExplicitBundle, ExplicitSpace
 from .verify import (
@@ -66,9 +66,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_BUDGET = 2
 EXIT_INPUT = 3
-
-TAIL_POINTS = (("t=1", 1.0), ("t=ln(1e4)", math.log(1e4)))
-
 
 class InputError(Exception):
     """Bad instance file or inconsistent flags."""
@@ -227,24 +224,17 @@ def _criteria_report(graph: DependencyGraph, probs, params, exact: bool) -> dict
         report["singleton_ratios"] = [
             singleton_ratio(float_table, i) for i in range(graph.n)
         ]
-        bounds = {}
-        for label, t in TAIL_POINTS:
-            bounds[label] = predicted_bound(
-                CriterionParams(kind="shearer"), t, table=float_table
-            )
-        report["predicted_bounds"]["shearer"] = bounds
+        report["predicted_bounds"]["shearer"] = tail_bounds(
+            CriterionParams(kind="shearer"), float_table
+        )
     if params is not None and params.kind == "gll":
         report["gll"] = check_gll(graph, p_float, params.x)
         if report["gll"]:
-            report["predicted_bounds"]["gll"] = {
-                label: predicted_bound(params, t) for label, t in TAIL_POINTS
-            }
+            report["predicted_bounds"]["gll"] = tail_bounds(params)
     if params is not None and params.kind == "cll":
         report["cll"] = check_cll(graph, p_float, params.y)
         if report["cll"]:
-            report["predicted_bounds"]["cll"] = {
-                label: predicted_bound(params, t) for label, t in TAIL_POINTS
-            }
+            report["predicted_bounds"]["cll"] = tail_bounds(params)
     return report
 
 
@@ -270,9 +260,7 @@ def cmd_criteria(args, out) -> int:
             "kind": kind,
             "cll_clique_bound": bundle.cluster_criterion_ok(),
             "clique_size_bounds": bundle.clique_size_bounds(),
-            "predicted_bounds": {
-                "cll": {label: predicted_bound(params, t) for label, t in TAIL_POINTS}
-            },
+            "predicted_bounds": {"cll": tail_bounds(params)},
         }
         if bundle.n <= ENUMERATION_CAP:
             probs = [Fraction(bundle.event_prob(i)) for i in range(bundle.n)]
@@ -321,9 +309,7 @@ def _run_explicit(obj: dict, seed: int, budget: int) -> tuple[dict, int]:
     if "params" in obj:
         params = _parse_params(obj["params"], bundle.n)
         if params.kind != "shearer":
-            report["predicted_bounds"] = {
-                label: predicted_bound(params, t) for label, t in TAIL_POINTS
-            }
+            report["predicted_bounds"] = tail_bounds(params)
     code = EXIT_OK if validated else (EXIT_BUDGET if not log.terminated else EXIT_INVALID)
     return report, code
 
@@ -580,7 +566,8 @@ def main(argv=None) -> int:
                     )
             return cmd_app(args.command, args, out)
         raise InputError(f"unknown command {args.command!r}")
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
+        # a library ValueError is a bad input or flag value, not a crash
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

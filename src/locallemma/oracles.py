@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .graphs import DependencyGraph, RuleGraph
@@ -335,6 +336,11 @@ def uniform_spanning_tree(graph: Multigraph, rng) -> list[tuple[int, int]]:
     """
     if not graph.is_connected():
         raise ValueError("spanning tree of a disconnected graph")
+    return _wilson_walk(graph, rng)
+
+
+def _wilson_walk(graph: Multigraph, rng) -> list[tuple[int, int]]:
+    # The loop-erased walks of uniform_spanning_tree on a connected graph.
     n = graph.n
     succ = [-1] * n
     in_tree = [False] * n
@@ -381,11 +387,21 @@ def is_spanning_tree(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     return True
 
 
+@lru_cache(maxsize=1)
+def _complete_walk_graph(n: int) -> Multigraph:
+    # K_n with its walk tables, shared by the samples of one n and never
+    # mutated: building them costs far more than one walk.  One size is
+    # kept, so the memory held is what a single sample needs anyway.
+    return complete_multigraph(n)
+
+
 def sample_spanning_tree(n: int, rng) -> frozenset[tuple[int, int]]:
-    """Uniform spanning tree of the complete graph on [n]."""
-    return frozenset(
-        normalize_edge(e) for e in uniform_spanning_tree(complete_multigraph(n), rng)
-    )
+    """Uniform spanning tree of the complete graph on [n].
+
+    Consumes the same random stream as
+    ``uniform_spanning_tree(complete_multigraph(n), rng)``.
+    """
+    return frozenset(normalize_edge(e) for e in _wilson_walk(_complete_walk_graph(n), rng))
 
 
 def tree_resample(tree: frozenset, event_edges: Iterable, rng) -> frozenset:
@@ -574,6 +590,16 @@ class PermutationBundle:
         return {p: pr for p in perms}
 
 
+def _edge_events(n: int, events: Sequence[Iterable]) -> list[tuple[tuple[int, int], ...]]:
+    """Normalized edge-set events; ValueError when an edge leaves K_n."""
+    out = [tuple(sorted({normalize_edge(e) for e in ev})) for ev in events]
+    for ev in out:
+        for u, v in ev:
+            if u < 0 or v >= n:
+                raise ValueError(f"event edge ({u},{v}) is not an edge of K_{n}")
+    return out
+
+
 class MatchingBundle:
     """Uniform perfect matching of K_n (n even) with edge-set events.
 
@@ -585,7 +611,7 @@ class MatchingBundle:
         if n % 2:
             raise ValueError("perfect matchings need an even vertex count")
         self.size = n
-        self.events = [tuple(sorted({normalize_edge(e) for e in ev})) for ev in events]
+        self.events = _edge_events(n, events)
         g = DependencyGraph(len(self.events))
         for i in range(len(self.events)):
             for j in range(i + 1, len(self.events)):
@@ -625,7 +651,7 @@ class TreeBundle:
 
     def __init__(self, n: int, events: Sequence[Iterable]) -> None:
         self.size = n
-        self.events = [tuple(sorted({normalize_edge(e) for e in ev})) for ev in events]
+        self.events = _edge_events(n, events)
         g = DependencyGraph(len(self.events))
         verts = [frozenset(v for e in ev for v in e) for ev in self.events]
         for i in range(len(self.events)):

@@ -274,6 +274,10 @@ def singleton_ratio(table: PolynomialTable, i: int) -> float:
     return float(table.q[1 << i] / table.q0)
 
 
+#: The tail points every report carries: (label, t) with Pr[more] <= e^-t.
+TAIL_POINTS = (("t=1", 1.0), ("t=ln(1e4)", math.log(1e4)))
+
+
 def predicted_bound(params: CriterionParams, t: float,
                     table: PolynomialTable | None = None) -> float:
     """Resample count s such that Pr[more than s resamples] <= e^-t.
@@ -290,21 +294,34 @@ def predicted_bound(params: CriterionParams, t: float,
 
     The shearer forms need the table; a kind/vector mismatch raises.
     """
+    return predicted_bounds(params, (t,), table)[0]
+
+
+def predicted_bounds(params: CriterionParams, ts: Sequence[float],
+                     table: PolynomialTable | None = None) -> list[float]:
+    """predicted_bound at each t in ts, one pass over the vectors.
+
+    The sums that do not depend on t are taken once, in the same order
+    as a single call takes them, so every value equals predicted_bound's
+    bit for bit.
+    """
     eps = params.epsilon
     if params.kind == "gll":
         if params.x is None:
             raise ValueError("gll bound requires the x vector")
         log_sum = sum(math.log(1 / (1 - xi)) for xi in params.x)
         if eps > 0:
-            return (t + log_sum) / eps
-        return 4 * sum(xi / (1 - xi) for xi in params.x) * (log_sum + 1 + t)
+            return [(t + log_sum) / eps for t in ts]
+        scale = 4 * sum(xi / (1 - xi) for xi in params.x)
+        return [scale * (log_sum + 1 + t) for t in ts]
     if params.kind == "cll":
         if params.y is None:
             raise ValueError("cll bound requires the y vector")
         log_sum = sum(math.log1p(yi) for yi in params.y)
         if eps > 0:
-            return 2 * (log_sum + t) / eps
-        return 4 * sum(params.y) * (log_sum + 1 + t)
+            return [2 * (log_sum + t) / eps for t in ts]
+        scale = 4 * sum(params.y)
+        return [scale * (log_sum + 1 + t) for t in ts]
     # shearer
     if table is None:
         raise ValueError("shearer bound requires the polynomial table")
@@ -312,9 +329,19 @@ def predicted_bound(params: CriterionParams, t: float,
         scaled = build_table(table.graph, [float(pi) * (1 + eps) for pi in table.p])
         if not in_shearer_region(scaled):
             raise ValueError("claimed slack leaves the region")
-        return 2 * (math.log(1 / float(scaled.q0)) + t) / eps
+        log_q0 = math.log(1 / float(scaled.q0))
+        return [2 * (log_q0 + t) / eps for t in ts]
     ratios = [singleton_ratio(table, i) for i in range(table.n)]
-    return 4 * sum(ratios) * (sum(math.log1p(r) for r in ratios) + 1 + t)
+    scale = 4 * sum(ratios)
+    log_sum = sum(math.log1p(r) for r in ratios)
+    return [scale * (log_sum + 1 + t) for t in ts]
+
+
+def tail_bounds(params: CriterionParams,
+                table: PolynomialTable | None = None) -> dict[str, float]:
+    """predicted_bounds at TAIL_POINTS, keyed by label."""
+    values = predicted_bounds(params, [t for _, t in TAIL_POINTS], table)
+    return {label: value for (label, _), value in zip(TAIL_POINTS, values)}
 
 
 def sequence_mass(graph: DependencyGraph, p: Sequence[float], start: Iterable[int],

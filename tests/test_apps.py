@@ -159,7 +159,7 @@ def test_tree_edge_collision_probability():
     # e lands in both independent trees with probability (2/n)^2
     g = rainbow_edge_coloring(5)
     bundle = RainbowTreeBundle(g, 2)
-    idx = bundle.t2_index[(0, 1, (0, 1))]
+    idx = bundle.index((0, 1, (0, 1)))
     hits = sum(
         1
         for ta in K5_TREES
@@ -192,7 +192,7 @@ def test_latin_cell_pair_probability():
     bundle = LatinBundle(ColorMatrix(rows), 1)
     # the one repeated color sits at cells (0,0) and (1,1)
     assert bundle.n == 1
-    assert bundle.event_payload[0] == (0, (0, 0), (1, 1))
+    assert bundle.payload(0) == (0, (0, 0), (1, 1))
     perms = list(itertools.permutations(range(4)))
     hits = sum(1 for p in perms if bundle.holds(0, (p,)))
     assert Fraction(hits, 24) == Fraction(1, 12)
@@ -201,7 +201,7 @@ def test_latin_cell_pair_probability():
 
 def test_latin_shared_cell_probability():
     bundle = LatinBundle(distinct_color_matrix(4), 2)
-    idx = bundle.t2_index[(0, 1, (2, 3))]
+    idx = bundle.index((0, 1, (2, 3)))
     perms = list(itertools.permutations(range(4)))
     hits = sum(
         1 for pa in perms for pb in perms if bundle.holds(idx, (pa, pb))
@@ -232,7 +232,7 @@ def test_tree_event_order_type1_first_lexicographic():
     expected = [(i, e, f) for i in range(2) for e, f in pairs]
     edges = sorted(g.color)
     expected += [(0, 1, e) for e in edges]
-    assert bundle.event_payload == expected
+    assert [bundle.payload(i) for i in range(bundle.n)] == expected
     assert bundle.n_type1 == 2 * len(pairs)
 
 
@@ -246,22 +246,22 @@ def test_latin_event_order():
         for u in range(3)
         for v in range(3)
     ]
-    assert bundle.event_payload == expected
+    assert [bundle.payload(i) for i in range(bundle.n)] == expected
 
 
 def test_tree_dependency_rules():
     g = coloring_with_pair(6, (0, 1), (2, 3))
     bundle = RainbowTreeBundle(g, 3)
-    a = bundle.t1_index[(0, (0, 1), (2, 3))]
-    b = bundle.t1_index[(1, (0, 1), (2, 3))]
-    t2_01 = bundle.t2_index[(0, 1, (0, 4))]
-    t2_12 = bundle.t2_index[(1, 2, (3, 5))]
+    a = bundle.index((0, (0, 1), (2, 3)))
+    b = bundle.index((1, (0, 1), (2, 3)))
+    t2_01 = bundle.index((0, 1, (0, 4)))
+    t2_12 = bundle.index((1, 2, (3, 5)))
     g_ = bundle.graph
     assert not g_.adjacent(a, b)        # same pair, different trees
     assert g_.adjacent(a, t2_01)        # tree 0 shared, vertex 0 shared
     assert not g_.adjacent(a, t2_12)    # no shared tree
     assert not g_.adjacent(t2_01, t2_12)  # share tree 1, no shared vertex
-    assert g_.adjacent(t2_01, bundle.t2_index[(1, 2, (0, 5))])
+    assert g_.adjacent(t2_01, bundle.index((1, 2, (0, 5))))
 
 
 def test_matching_dependency_unless_four_disjoint_edges():
@@ -271,9 +271,9 @@ def test_matching_dependency_unless_four_disjoint_edges():
     color[(0, 5)] = color[(1, 4)]
     g = ColoredCompleteGraph(8, color)
     bundle = RainbowMatchingBundle(g)
-    a = bundle.pair_index[((0, 1), (2, 3))]
-    b = bundle.pair_index[((4, 5), (6, 7))]
-    c = bundle.pair_index[((0, 5), (1, 4))]
+    a = bundle.index(((0, 1), (2, 3)))
+    b = bundle.index(((4, 5), (6, 7)))
+    c = bundle.index(((0, 5), (1, 4)))
     assert not bundle.graph.adjacent(a, b)  # four disjoint edges
     assert bundle.graph.adjacent(a, c)      # vertices 0 and 1 shared
     assert bundle.graph.adjacent(b, c)      # vertices 4 and 5 shared
@@ -281,9 +281,9 @@ def test_matching_dependency_unless_four_disjoint_edges():
 
 def test_latin_dependency_by_row_and_column():
     bundle = LatinBundle(distinct_color_matrix(4), 2)
-    same_row = (bundle.t2_index[(0, 1, (1, 0))], bundle.t2_index[(0, 1, (1, 3))])
-    same_col = (bundle.t2_index[(0, 1, (0, 2))], bundle.t2_index[(0, 1, (3, 2))])
-    apart = (bundle.t2_index[(0, 1, (0, 0))], bundle.t2_index[(0, 1, (1, 1))])
+    same_row = (bundle.index((0, 1, (1, 0))), bundle.index((0, 1, (1, 3))))
+    same_col = (bundle.index((0, 1, (0, 2))), bundle.index((0, 1, (3, 2))))
+    apart = (bundle.index((0, 1, (0, 0))), bundle.index((0, 1, (1, 1))))
     assert bundle.graph.adjacent(*same_row)
     assert bundle.graph.adjacent(*same_col)
     assert not bundle.graph.adjacent(*apart)
@@ -296,15 +296,15 @@ def neighborhood_clique_cover(bundle, idx, same_bound, cross_bound):
     size, giving at most 4 + 4 cliques in total.
     """
     g = bundle.graph
-    support = bundle.event_support[idx]
-    spaces = bundle.event_spaces[idx]
+    support = bundle.support(idx)
+    spaces = bundle.spaces(idx)
     groups: dict[tuple, list[int]] = {}
     for j in range(bundle.n):
         if j == idx or not g.adjacent(idx, j):
             continue
-        shared = sorted(bundle.event_support[j] & support)
+        shared = sorted(bundle.support(j) & support)
         assert shared, "adjacency without a shared vertex"
-        same = bundle.event_spaces[j] <= spaces
+        same = bundle.spaces(j) <= spaces
         groups.setdefault((shared[0], same), []).append(j)
     assert sum(1 for _, same in groups if same) <= 4
     assert sum(1 for _, same in groups if not same) <= 4

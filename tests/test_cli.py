@@ -362,6 +362,25 @@ def test_verify_oracle_bad_event(capsys):
     assert "out of range" in err
 
 
+def test_library_value_error_exits_with_input_error():
+    cmd = [sys.executable, "-m", "locallemma.cli", "rainbow-matching",
+           "--n", "12", "--multiplicity", "2", "--budget", "0"]
+    result = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ")
+
+
+def test_tree_event_outside_the_graph_is_an_input_error():
+    # the default event (0, 1) does not exist on K_1; sampling a state in
+    # which it holds used to spin through the whole rejection budget
+    cmd = [sys.executable, "-m", "locallemma.cli", "verify-oracle", "tree",
+           "--size", "1", "--samples", "10", "--trials", "10"]
+    result = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+
+
 def test_unknown_family_exits_with_input_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify-oracle", "quantum"])

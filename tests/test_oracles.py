@@ -23,6 +23,7 @@ from locallemma.oracles import (
     TreeBundle,
     VariableBundle,
     VariableEvent,
+    complete_multigraph,
     enumerate_perfect_matchings,
     enumerate_spanning_trees,
     is_perfect_matching,
@@ -237,6 +238,21 @@ def test_tree_resample_conditional_uniformity():
     assert report.passed, report.to_json()
 
 
+def test_sample_spanning_tree_matches_a_fresh_complete_graph_walk():
+    # repeated calls reuse one K_n per n; the trees and the random stream
+    # must be those of a walk on a freshly built K_n
+    for n in (1, 2, 5, 9, 40):
+        for seed in range(4):
+            fast, fresh = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                expected = frozenset(
+                    tuple(sorted(e))
+                    for e in uniform_spanning_tree(complete_multigraph(n), fresh)
+                )
+                assert sample_spanning_tree(n, fast) == expected
+            assert fast.getstate() == fresh.getstate()
+
+
 def test_tree_edge_marginal():
     # any fixed edge of K_n lies in 2/n of all spanning trees
     rng = random.Random(21)
@@ -434,3 +450,14 @@ def test_r2_disjoint_matching_edges():
 def test_r2_disjoint_tree_edges():
     bundle = TreeBundle(5, [((0, 1),), ((2, 3),)])
     assert check_r2(bundle, 0, trials=10_000, seed=5) == 0
+
+
+@pytest.mark.parametrize("make, n, event", [
+    (TreeBundle, 1, ((0, 1),)),
+    (TreeBundle, 4, ((2, 3), (3, 4))),
+    (TreeBundle, 4, ((-1, 2),)),
+    (MatchingBundle, 4, ((0, 4),)),
+])
+def test_edge_bundles_reject_edges_outside_the_graph(make, n, event):
+    with pytest.raises(ValueError, match="not an edge"):
+        make(n, [event])

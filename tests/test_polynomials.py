@@ -22,6 +22,7 @@ from locallemma.polynomials import (
     in_shearer_region,
     partition_function,
     predicted_bound,
+    predicted_bounds,
     sequence_mass,
     shearer_report,
     shearer_slack,
@@ -355,6 +356,42 @@ def test_bounds_increase_with_t():
         CriterionParams(kind="cll", y=(0.5, 0.1), epsilon=0.2),
     ):
         assert predicted_bound(params, 5.0) > predicted_bound(params, 1.0)
+
+
+def single_bound(params, t, table=None):
+    """One tail bound by the formulas in predicted_bound's docstring, written out."""
+    eps = params.epsilon
+    if params.kind == "gll":
+        log_sum = sum(math.log(1 / (1 - xi)) for xi in params.x)
+        if eps > 0:
+            return (t + log_sum) / eps
+        return 4 * sum(xi / (1 - xi) for xi in params.x) * (log_sum + 1 + t)
+    if params.kind == "cll":
+        log_sum = sum(math.log1p(yi) for yi in params.y)
+        if eps > 0:
+            return 2 * (log_sum + t) / eps
+        return 4 * sum(params.y) * (log_sum + 1 + t)
+    if eps > 0:
+        scaled = build_table(table.graph, [float(pi) * (1 + eps) for pi in table.p])
+        return 2 * (math.log(1 / float(scaled.q0)) + t) / eps
+    ratios = [singleton_ratio(table, i) for i in range(table.n)]
+    return 4 * sum(ratios) * (sum(math.log1p(r) for r in ratios) + 1 + t)
+
+
+def test_predicted_bounds_equal_single_bounds_exactly():
+    rng = random.Random(17)
+    g = random_graph(8, rng)
+    table = build_table(g, [rng.uniform(0.01, 0.05) for _ in range(8)])
+    x = tuple(rng.uniform(0.05, 0.4) for _ in range(300))
+    y = tuple(rng.uniform(1e-6, 0.3) for _ in range(300))
+    ts = (1.0, math.log(1e4), 0.0, 7.25)
+    cases = [(CriterionParams(kind=kind, x=x if kind == "gll" else None,
+                              y=y if kind == "cll" else None, epsilon=eps), table)
+             for kind in ("gll", "cll", "shearer") for eps in (0.0, 0.05)]
+    for params, tab in cases:
+        values = predicted_bounds(params, ts, table=tab)
+        assert values == [single_bound(params, t, tab) for t in ts], params.kind
+        assert values == [predicted_bound(params, t, table=tab) for t in ts]
 
 
 def test_params_validation():
