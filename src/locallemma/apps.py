@@ -16,10 +16,10 @@ bounds whenever the color multiplicity and the copy count stay below
 the stated fraction of n.  Event sets reach the hundreds of thousands
 at contest sizes, so no per-event table is built: an event index
 decodes in closed form (see ``_AppBundle``) into its copies and items,
-dependency is evaluated by rule (shared copy and overlapping vertex
-support), and occurrence scans exploit the structures directly.  A
-build costs one sorted list of same-colored pairs plus its position
-dict, not one entry per event.
+dependency is read off (copy, vertex) conflict keys (shared copy and
+overlapping vertex support), and occurrence scans exploit the
+structures directly.  A build costs one sorted list of same-colored
+pairs plus its position dict, not one entry per event.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .engine import RunLog, maximal_set_resample
-from .graphs import RuleGraph
+from .graphs import KeyGraph
 from .oracles import (
     PatternEvent,
     is_perfect_matching,
@@ -248,7 +248,7 @@ class _AppBundle:
     sorted, and is shared by all copies; positions run over the N items
     in sorted order.  The numbering is what run logs record.  Two events
     interfere when they involve a common copy and their vertex supports
-    meet.
+    meet, that is when their (copy, vertex) conflict keys meet.
 
     A family supplies its draw and conditioned redraw, the items of a
     structure, an item's vertices and its position in closed form.
@@ -278,11 +278,11 @@ class _AppBundle:
         self.n = self.n_type1 + len(self.copy_pairs) * len(self.items)
 
     @property
-    def graph(self) -> RuleGraph:
-        # Made on each access: a stored graph whose rule is a bound method
+    def graph(self) -> KeyGraph:
+        # Made on each access: a stored graph whose keys are a bound method
         # would form a reference cycle and keep a dropped bundle alive
         # until the cyclic collector runs.
-        return RuleGraph(self.n, self._interferes)
+        return KeyGraph(self.n, self._keys)
 
     def _parts(self, idx: int) -> tuple[tuple, tuple]:
         """(copies, items) of an event: every copy holds every item."""
@@ -316,8 +316,10 @@ class _AppBundle:
     def support(self, idx: int) -> frozenset[int]:
         return frozenset(v for item in self._parts(idx)[1] for v in self._vertices(item))
 
-    def _interferes(self, a: int, b: int) -> bool:
-        return bool(self.spaces(a) & self.spaces(b)) and bool(self.support(a) & self.support(b))
+    def _keys(self, idx: int) -> list[tuple[int, int]]:
+        """(copy, vertex) for every copy and vertex of the event."""
+        copies, items = self._parts(idx)
+        return [(i, v) for item in items for v in self._vertices(item) for i in copies]
 
     def _vertices(self, item) -> tuple[int, int]:
         return item

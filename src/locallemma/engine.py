@@ -1,26 +1,35 @@
 """The maximal-set resampling engine.
 
 Each iteration greedily builds an independent set of occurring events:
-repeatedly take the minimum-index event that occurs and is not blocked
-by the closed neighborhood of the events already picked this iteration,
-and resample it.  The run ends when an iteration picks nothing.
+walk the events that occur at the top of the iteration (every event,
+when the bundle has no occurrence scan) in ascending index order, and
+resample each one that still occurs and is not adjacent to an event
+already picked this iteration.  The run ends when
+an iteration picks nothing.
 
 The engine works against any object satisfying the bundle interface::
 
     bundle.n                       number of events
-    bundle.graph                   has adjacent(i, j)
+    bundle.graph.keys(i)           conflict keys of event i: two distinct
+                                   events are adjacent exactly when their
+                                   keys meet
+    bundle.graph.adjacent(i, j)    the same relation, for the verification
+                                   and polynomial layers
     bundle.sample(rng)             fresh state from the product measure
     bundle.holds(i, state)         does event i occur in state
     bundle.resample(i, state, rng) resampling oracle for event i
     bundle.occurring(state)        optional: indices of occurring events
 
-Oracles are assumed to satisfy the two resampling-oracle properties
-(conditioned resampling restores the measure; non-neighbors cannot be
-made to occur).  Under the second property, no event outside the closed
-neighborhood of the picks can start occurring mid-iteration, so the
-candidate pool computed at the top of an iteration only ever shrinks;
-the engine exploits that instead of rescanning every event after each
-resample.
+Blocking is by keys: the keys of every pick join one set, and a
+candidate whose keys meet it is skipped, so each candidate is looked at
+once per iteration and no pair is ever tested.  Oracles are assumed to
+satisfy the two resampling-oracle properties (conditioned resampling
+restores the measure; non-neighbors cannot be made to occur).  Under
+the second property an event that is not adjacent to any pick and
+occurs now has occurred at every state of the iteration so far, so one
+``holds`` test at the moment the walk reaches it picks exactly what
+re-testing every remaining candidate after every resample would pick,
+with the same random stream.
 """
 
 from __future__ import annotations
@@ -80,30 +89,27 @@ def maximal_set_resample(bundle, seed: int = 0,
     rng = random.Random(seed)
     holds = bundle.holds
     resample = bundle.resample
-    adjacent = bundle.graph.adjacent
+    keys = bundle.graph.keys
     occurring = getattr(bundle, "occurring", None)
 
     state = bundle.sample(rng)
     iterations: list[list[int]] = []
     total = 0
     while True:
-        if occurring is not None:
-            candidates = sorted(occurring(state))
-        else:
-            candidates = [i for i in range(bundle.n) if holds(i, state)]
+        candidates = sorted(occurring(state)) if occurring is not None else range(bundle.n)
         picked: list[int] = []
-        while candidates:
-            i = candidates[0]
+        blocked: set = set()
+        for i in candidates:
+            conflict = keys(i)
+            if not blocked.isdisjoint(conflict) or not holds(i, state):
+                continue
             if total >= max_resamples:
                 iterations.append(picked)
                 return state, RunLog(seed, iterations, total, False)
             state = resample(i, state, rng)
             total += 1
             picked.append(i)
-            candidates = [
-                j for j in candidates[1:]
-                if not adjacent(i, j) and holds(j, state)
-            ]
+            blocked.update(conflict)
         iterations.append(picked)
         if not picked:
             return state, RunLog(seed, iterations, total, True)

@@ -1,25 +1,53 @@
 """Dependency graphs, independent sets, and stable set sequences.
 
 Events are indexed 0..n-1.  A dependency graph records which pairs of
-events may interfere; everything downstream (the resampling engine, the
-independence polynomials, the convergence criteria) only ever asks two
-questions of it: how many events there are, and whether two events are
-adjacent.  ``DependencyGraph`` stores adjacency explicitly and suits
-desk-scale work; ``RuleGraph`` evaluates adjacency through a predicate
-and suits application instances whose edge sets are far too large to
-materialize.
+events may interfere.  The independence polynomials, the convergence
+criteria and the oracle checks ask two questions of it: how many events
+there are, and whether two events are adjacent.  The resampling engine
+asks which conflict keys an event carries, two distinct events being
+adjacent exactly when their keys meet.  ``DependencyGraph`` stores
+adjacency explicitly (its keys are edge ids) and suits desk-scale work
+and relations that keys cannot express; ``KeyGraph`` reads adjacency
+off the keys alone and suits application instances whose edge sets are
+far too large to materialize.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Hashable, Iterable
 
 #: Largest n for which exhaustive independent-set enumeration is allowed.
 ENUMERATION_CAP = 25
 
 
-class DependencyGraph:
+class _Graph:
+    """Set queries shared by both graph kinds, through neighbors and adjacent."""
+
+    __slots__ = ()
+
+    def closed_neighborhood(self, subset: Iterable[int]) -> frozenset[int]:
+        """Gamma^+ of a set: the set itself plus every neighbor."""
+        out: set[int] = set()
+        for i in subset:
+            out.add(i)
+            out.update(self.neighbors(i))
+        return frozenset(out)
+
+    def is_independent(self, subset: Iterable[int]) -> bool:
+        items = list(subset)
+        for a_pos, a in enumerate(items):
+            for b in items[a_pos + 1:]:
+                if a == b or self.adjacent(a, b):
+                    return False
+        return True
+
+    def adjacency_masks(self) -> list[int]:
+        """Per-vertex neighbor bitmasks (vertex itself excluded)."""
+        return [sum(1 << j for j in self.neighbors(i)) for i in range(self.n)]
+
+
+class DependencyGraph(_Graph):
     """Undirected simple graph on event indices 0..n-1."""
 
     __slots__ = ("n", "_adj")
@@ -46,34 +74,12 @@ class DependencyGraph:
     def adjacent(self, i: int, j: int) -> bool:
         return j in self._adj[i]
 
-    def closed_neighborhood(self, subset: Iterable[int]) -> frozenset[int]:
-        """Gamma^+ of a set: the set itself plus every neighbor."""
-        out: set[int] = set()
-        for i in subset:
-            out.add(i)
-            out.update(self._adj[i])
-        return frozenset(out)
-
-    def is_independent(self, subset: Iterable[int]) -> bool:
-        items = list(subset)
-        for a_pos, a in enumerate(items):
-            for b in items[a_pos + 1:]:
-                if a == b or b in self._adj[a]:
-                    return False
-        return True
+    def keys(self, i: int) -> list[tuple[int, int]]:
+        """Conflict keys: the (min, max) ids of the edges at i."""
+        return [(i, j) if i < j else (j, i) for j in self._adj[i]]
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]
-
-    def adjacency_masks(self) -> list[int]:
-        """Per-vertex neighbor bitmasks (vertex itself excluded)."""
-        masks = []
-        for i in range(self.n):
-            m = 0
-            for j in self._adj[i]:
-                m |= 1 << j
-            masks.append(m)
-        return masks
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [[u, v] for u, v in self.edges()]}
@@ -86,52 +92,27 @@ class DependencyGraph:
         return f"DependencyGraph(n={self.n}, edges={self.edges()!r})"
 
 
-class RuleGraph:
-    """Dependency graph whose adjacency is computed by a rule.
+class KeyGraph(_Graph):
+    """Dependency graph read off per-event conflict keys.
 
-    Used when the event set is too large for stored adjacency.  The rule
-    is only consulted for distinct indices; irreflexivity is enforced
-    here.
+    keys(i) returns a small collection of hashable keys; two distinct
+    events are adjacent exactly when their keys meet.  Suits instances
+    whose edge sets are far too large to materialize: nothing is stored
+    per pair, and the engine blocks on keys without asking adjacent.
     """
 
-    __slots__ = ("n", "_rule")
+    __slots__ = ("n", "keys")
 
-    def __init__(self, n: int, rule: Callable[[int, int], bool]) -> None:
+    def __init__(self, n: int, keys: Callable[[int], Iterable[Hashable]]) -> None:
         self.n = n
-        self._rule = rule
+        self.keys = keys
 
     def adjacent(self, i: int, j: int) -> bool:
-        return i != j and self._rule(i, j)
+        return i != j and not set(self.keys(i)).isdisjoint(self.keys(j))
 
     def neighbors(self, i: int) -> frozenset[int]:
         # Linear scan; acceptable only at verification scale.
         return frozenset(j for j in range(self.n) if self.adjacent(i, j))
-
-    def closed_neighborhood(self, subset: Iterable[int]) -> frozenset[int]:
-        out: set[int] = set()
-        for i in subset:
-            out.add(i)
-            out.update(self.neighbors(i))
-        return frozenset(out)
-
-    def is_independent(self, subset: Iterable[int]) -> bool:
-        items = list(subset)
-        for a_pos, a in enumerate(items):
-            for b in items[a_pos + 1:]:
-                if a == b or self.adjacent(a, b):
-                    return False
-        return True
-
-    def adjacency_masks(self) -> list[int]:
-        """Materialized neighbor bitmasks; quadratic in n, small graphs only."""
-        masks = []
-        for i in range(self.n):
-            m = 0
-            for j in range(self.n):
-                if self.adjacent(i, j):
-                    m |= 1 << j
-            masks.append(m)
-        return masks
 
 
 def independent_set_masks(graph: DependencyGraph, cap: int = ENUMERATION_CAP) -> list[int]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .graphs import DependencyGraph, RuleGraph
+from .graphs import DependencyGraph, KeyGraph
 
 
 class OracleEventError(ValueError):
@@ -502,13 +502,7 @@ class VariableBundle:
             for values, weights in dists
         )
         self.events = list(events)
-        g = DependencyGraph(len(events))
-        for i in range(len(events)):
-            vi = set(events[i].variables)
-            for j in range(i + 1, len(events)):
-                if vi & set(events[j].variables):
-                    g.add_edge(i, j)
-        self.graph = g
+        self.graph = KeyGraph(len(self.events), [ev.variables for ev in self.events].__getitem__)
 
     @property
     def n(self) -> int:
@@ -556,13 +550,9 @@ class PermutationBundle:
     def __init__(self, n: int, events: Sequence[PatternEvent]) -> None:
         self.size = n
         self.events = list(events)
-        g = DependencyGraph(len(events))
-        for i in range(len(events)):
-            for j in range(i + 1, len(events)):
-                if (events[i].domain & events[j].domain
-                        or events[i].range & events[j].range):
-                    g.add_edge(i, j)
-        self.graph = g
+        keys = [tuple(k for x, y in ev.pairs for k in (("x", x), ("y", y)))
+                for ev in self.events]
+        self.graph = KeyGraph(len(self.events), keys.__getitem__)
 
     @property
     def n(self) -> int:
@@ -612,13 +602,27 @@ class MatchingBundle:
             raise ValueError("perfect matchings need an even vertex count")
         self.size = n
         self.events = _edge_events(n, events)
+        # Events sharing an edge need not interfere, which meeting keys
+        # cannot say, so the exact relation is stored.  The union of two
+        # matchings fails to be one exactly when some vertex carries a
+        # different edge in each, so only events sharing a vertex are
+        # compared; an event that is no matching itself meets every other.
         g = DependencyGraph(len(self.events))
-        for i in range(len(self.events)):
-            for j in range(i + 1, len(self.events)):
-                union = set(self.events[i]) | set(self.events[j])
-                used = [v for e in union for v in e]
-                if len(used) != len(set(used)):
-                    g.add_edge(i, j)
+        at_vertex: dict[int, list[tuple[tuple[int, int], int]]] = {}
+        for i, ev in enumerate(self.events):
+            if len({v for e in ev for v in e}) < 2 * len(ev):
+                for j in range(len(self.events)):
+                    if j != i:
+                        g.add_edge(i, j)
+                continue
+            for e in ev:
+                for v in e:
+                    at_vertex.setdefault(v, []).append((e, i))
+        for bucket in at_vertex.values():
+            for a, (e, i) in enumerate(bucket):
+                for f, j in bucket[a + 1:]:
+                    if e != f:
+                        g.add_edge(i, j)
         self.graph = g
 
     @property
@@ -652,13 +656,8 @@ class TreeBundle:
     def __init__(self, n: int, events: Sequence[Iterable]) -> None:
         self.size = n
         self.events = _edge_events(n, events)
-        g = DependencyGraph(len(self.events))
-        verts = [frozenset(v for e in ev for v in e) for ev in self.events]
-        for i in range(len(self.events)):
-            for j in range(i + 1, len(self.events)):
-                if verts[i] & verts[j]:
-                    g.add_edge(i, j)
-        self.graph = g
+        verts = [tuple({v for e in ev for v in e}) for ev in self.events]
+        self.graph = KeyGraph(len(self.events), verts.__getitem__)
 
     @property
     def n(self) -> int:
@@ -706,19 +705,16 @@ class ProductBundle:
                 raise ValueError("joint event must involve at least one space")
             normalized.append(parts)
         self.events = normalized
-        self.graph = RuleGraph(len(normalized), self._interferes)
-
-    def _interferes(self, i: int, j: int) -> bool:
         # Sharing an identical constituent is not interference: a
         # constituent of the other event that currently fails cannot be
-        # flipped on by resampling a non-neighbor on its space.
-        a = dict(self.events[i])
-        b = dict(self.events[j])
-        for s, e in a.items():
-            other = b.get(s)
-            if other is not None and self.spaces[s].graph.adjacent(e, other):
-                return True
-        return False
+        # flipped on by resampling a non-neighbor on its space.  Keys
+        # cannot say that, so the relation is stored, once, pair by pair.
+        parts = [dict(ev) for ev in normalized]
+        self.graph = DependencyGraph(len(normalized), [
+            (i, j) for i in range(len(parts)) for j in range(i + 1, len(parts))
+            if any(s in parts[j] and self.spaces[s].graph.adjacent(e, parts[j][s])
+                   for s, e in parts[i].items())
+        ])
 
     @property
     def n(self) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -48,6 +49,23 @@ class CriterionParams:
             raise ValueError(f"unknown criterion kind {self.kind!r}")
         if self.epsilon < 0:
             raise ValueError("slack must be nonnegative")
+
+    @cached_property
+    def bound_sums(self) -> tuple[float, float]:
+        """(log_sum, scale) of the gll and cll bounds, summed once per object.
+
+        gll: sum_i ln 1/(1-x_i) and 4 * sum_i x_i/(1-x_i);
+        cll: sum_i ln(1+y_i) and 4 * sum_i y_i.  Every solve that reuses
+        the params reads the sums here instead of summing the vector again.
+        """
+        if self.kind == "gll":
+            if self.x is None:
+                raise ValueError("gll bound requires the x vector")
+            return (sum(math.log(1 / (1 - xi)) for xi in self.x),
+                    4 * sum(xi / (1 - xi) for xi in self.x))
+        if self.y is None:
+            raise ValueError("cll bound requires the y vector")
+        return sum(math.log1p(yi) for yi in self.y), 4 * sum(self.y)
 
 
 class PolynomialTable:
@@ -301,26 +319,17 @@ def predicted_bounds(params: CriterionParams, ts: Sequence[float],
                      table: PolynomialTable | None = None) -> list[float]:
     """predicted_bound at each t in ts, one pass over the vectors.
 
-    The sums that do not depend on t are taken once, in the same order
-    as a single call takes them, so every value equals predicted_bound's
-    bit for bit.
+    The sums that do not depend on t are taken once per params object
+    (``CriterionParams.bound_sums``), in the same order as a single call
+    takes them, so every value equals predicted_bound's bit for bit.
     """
     eps = params.epsilon
-    if params.kind == "gll":
-        if params.x is None:
-            raise ValueError("gll bound requires the x vector")
-        log_sum = sum(math.log(1 / (1 - xi)) for xi in params.x)
-        if eps > 0:
+    if params.kind in ("gll", "cll"):
+        log_sum, scale = params.bound_sums
+        if eps > 0 and params.kind == "gll":
             return [(t + log_sum) / eps for t in ts]
-        scale = 4 * sum(xi / (1 - xi) for xi in params.x)
-        return [scale * (log_sum + 1 + t) for t in ts]
-    if params.kind == "cll":
-        if params.y is None:
-            raise ValueError("cll bound requires the y vector")
-        log_sum = sum(math.log1p(yi) for yi in params.y)
         if eps > 0:
             return [2 * (log_sum + t) / eps for t in ts]
-        scale = 4 * sum(params.y)
         return [scale * (log_sum + 1 + t) for t in ts]
     # shearer
     if table is None:

@@ -21,10 +21,10 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from scipy.stats import chi2
+from scipy.special import chdtri
 
 from .engine import maximal_set_resample
-from .graphs import RuleGraph
+from .graphs import KeyGraph
 from .oracles import OracleEventError
 
 DEFAULT_SIGNIFICANCE = 1e-6
@@ -110,7 +110,9 @@ def test_r1(bundle, event: int, samples: int, seed: int = 0,
             stat += (observed - expected) ** 2 / expected
         max_dev = max(max_dev, abs(observed / samples - prob))
     df = max(len(exact) - 1, 1)
-    threshold = float(chi2.ppf(1 - significance, df))
+    # chi2.ppf(1 - s, df) evaluates chdtri(df, 1 - (1 - s)); calling it
+    # directly gives the same float without importing scipy.stats.
+    threshold = float(chdtri(df, 1 - (1 - significance)))
     return DistributionTestReport(
         event=event,
         samples=samples,
@@ -205,14 +207,9 @@ class AppendixABundle:
         self.w_slot = k + k * l + k
         self.n_vars = self.w_slot + 1
         self.eprime = k + k * l    # event index of E'
-        self.graph = RuleGraph(self.eprime + 1, self._rule)
-
-    def _rule(self, a: int, b: int) -> bool:
-        if a >= self.eprime or b >= self.eprime:
-            return False
-        ca = a if a < self.k else (a - self.k) // self.l
-        cb = b if b < self.k else (b - self.k) // self.l
-        return ca == cb
+        # Conflict keys: the cluster id, and a cluster of its own for E'.
+        clusters = [*range(k), *(c for c in range(k) for _ in range(l)), k]
+        self.graph = KeyGraph(self.eprime + 1, [(c,) for c in clusters].__getitem__)
 
     @property
     def n(self) -> int:

@@ -191,3 +191,50 @@ def reference_resample_run(bundle, seed=0, max_resamples=1_000_000):
         iterations.append(picked)
         if not picked:
             return state, iterations, total, True
+
+
+# Pairwise dependency rules, as the bundles evaluated them before they
+# carried conflict keys.  Each takes two distinct event indices.
+
+
+def variable_interferes(bundle, i, j):
+    return bool(set(bundle.events[i].variables) & set(bundle.events[j].variables))
+
+
+def permutation_interferes(bundle, i, j):
+    a, b = bundle.events[i], bundle.events[j]
+    return bool(a.domain & b.domain or a.range & b.range)
+
+
+def matching_interferes(bundle, i, j):
+    union = set(bundle.events[i]) | set(bundle.events[j])
+    used = [v for e in union for v in e]
+    return len(used) != len(set(used))
+
+
+def tree_interferes(bundle, i, j):
+    verts = [frozenset(v for e in bundle.events[k] for v in e) for k in (i, j)]
+    return bool(verts[0] & verts[1])
+
+
+def product_interferes(bundle, i, j):
+    a = dict(bundle.events[i])
+    b = dict(bundle.events[j])
+    for s, e in a.items():
+        other = b.get(s)
+        if other is not None and bundle.spaces[s].graph.adjacent(e, other):
+            return True
+    return False
+
+
+def appendix_a_interferes(bundle, a, b):
+    if a >= bundle.eprime or b >= bundle.eprime:
+        return False
+    ca = a if a < bundle.k else (a - bundle.k) // bundle.l
+    cb = b if b < bundle.k else (b - bundle.k) // bundle.l
+    return ca == cb
+
+
+def app_interferes(bundle, a, b):
+    return (bool(bundle.spaces(a) & bundle.spaces(b))
+            and bool(bundle.support(a) & bundle.support(b)))

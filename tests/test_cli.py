@@ -381,6 +381,16 @@ def test_tree_event_outside_the_graph_is_an_input_error():
     assert "Traceback" not in result.stderr
 
 
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats alone takes most of a second to import; the R1 threshold
+    # comes from scipy.special instead
+    cmd = [sys.executable, "-c",
+           "import locallemma.cli, sys; print('scipy.stats' in sys.modules)"]
+    result = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_unknown_family_exits_with_input_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify-oracle", "quantum"])

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from locallemma.graphs import (
     DependencyGraph,
-    RuleGraph,
+    KeyGraph,
     StableSetSequence,
     enumerate_independent_sets,
     independent_set_masks,
@@ -65,7 +65,7 @@ def test_empty_graph_all_subsets_independent():
     assert len(enumerate_independent_sets(g)) == 8
 
 
-def test_rule_graph_matches_explicit():
+def test_key_graph_matches_explicit():
     rng = random.Random(17)
     for _ in range(20):
         n = rng.randrange(1, 8)
@@ -74,19 +74,22 @@ def test_rule_graph_matches_explicit():
             for v in range(u + 1, n):
                 if rng.random() < 0.4:
                     g.add_edge(u, v)
-        rg = RuleGraph(n, g.adjacent)
+        kg = KeyGraph(n, g.keys)
         for u in range(n):
-            assert rg.neighbors(u) == g.neighbors(u)
+            assert kg.neighbors(u) == g.neighbors(u)
             for v in range(n):
-                assert rg.adjacent(u, v) == g.adjacent(u, v)
+                assert kg.adjacent(u, v) == g.adjacent(u, v)
+        assert kg.adjacency_masks() == g.adjacency_masks()
         for _ in range(10):
             s = [v for v in range(n) if rng.random() < 0.5]
-            assert rg.is_independent(s) == g.is_independent(s)
+            assert kg.is_independent(s) == g.is_independent(s)
+            assert kg.closed_neighborhood(s) == g.closed_neighborhood(s)
 
 
-def test_rule_graph_never_self_adjacent():
-    rg = RuleGraph(4, lambda a, b: True)
-    assert not rg.adjacent(2, 2)
+def test_key_graph_never_self_adjacent():
+    kg = KeyGraph(4, lambda i: ("shared",))
+    assert not kg.adjacent(2, 2)
+    assert kg.adjacent(1, 2)
 
 
 def test_json_round_trip():

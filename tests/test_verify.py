@@ -90,6 +90,18 @@ class _StuckOracle:
         return {(a, b): 0.25 for a in (0, 1) for b in (0, 1)}
 
 
+@pytest.mark.parametrize("significance", [1e-6, 1e-3, 0.01, 0.05])
+def test_r1_threshold_equals_the_chi_square_quantile(significance):
+    from scipy.stats import chi2
+    from scipy.special import chdtri
+
+    for df in range(1, 300):
+        expected = float(chi2.ppf(1 - significance, df))
+        assert float(chdtri(df, 1 - (1 - significance))) == expected, df
+    report = run_r1(coin_pair_bundle(), 0, samples=10, significance=significance)
+    assert report.threshold == float(chi2.ppf(1 - significance, report.support_size - 1))
+
+
 def test_r1_flags_distribution_drift():
     report = run_r1(_StuckOracle(), 0, samples=4_000, seed=1)
     assert not report.passed
