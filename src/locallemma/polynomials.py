@@ -22,6 +22,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .graphs import DependencyGraph, ENUMERATION_CAP, independent_set_masks
 
 #: Magnitudes below this are reported as boundary diagnostics rather than
@@ -71,8 +73,10 @@ class CriterionParams:
 class PolynomialTable:
     """Dense table of breve_q over all 2^n subsets plus q over independent sets.
 
-    Built by :func:`build_table`.  Subsets are addressed by bitmask; the
-    helpers accept either a bitmask or an iterable of indices.
+    Built by :func:`build_table`.  breve is a numpy array indexed by
+    subset bitmask (float64, or object holding Fractions when exact);
+    q maps each independent set's bitmask to a Python float or Fraction.
+    The helpers accept either a bitmask or an iterable of indices.
     """
 
     __slots__ = ("graph", "p", "breve", "ind_masks", "q", "exact", "_gamma_plus")
@@ -126,9 +130,13 @@ def build_table(graph: DependencyGraph, p: Sequence, exact: bool = False,
 
         breve_q(S) = breve_q(S - a) - p_a * breve_q(S minus Gamma^+(a))
 
-    evaluated over ascending masks so both operands are already known.
-    With exact=True all arithmetic is in Fraction (p entries are
-    converted exactly).
+    The subsets whose lowest bit is a form the strided slice
+    ``breve[1<<a :: 2<<a]``, and both operands have no bit at or below a,
+    so the classes are filled for a = n-1 down to 0, one array step each.
+    Every entry gets the same two IEEE operations on the same operands
+    as a scalar pass over ascending masks, so the table is identical to
+    the bit.  breve is a float64 array, or an object array of Fraction
+    when exact=True (p entries are converted exactly).
     """
     n = graph.n
     if n > cap:
@@ -148,10 +156,11 @@ def build_table(graph: DependencyGraph, p: Sequence, exact: bool = False,
     adj = graph.adjacency_masks()
     gamma_plus = [adj[i] | (1 << i) for i in range(n)]
 
-    breve = [one] * (1 << n)
-    for mask in range(1, 1 << n):
-        a = (mask & -mask).bit_length() - 1
-        breve[mask] = breve[mask ^ (1 << a)] - pv[a] * breve[mask & ~gamma_plus[a]]
+    breve = np.full(1 << n, one, dtype=object if exact else np.float64)
+    for a in range(n - 1, -1, -1):
+        step = 2 << a
+        rest = np.arange(0, 1 << n, step, dtype=np.int64)
+        breve[1 << a::step] = breve[::step] - pv[a] * breve[rest & ~gamma_plus[a]]
 
     ind_masks = independent_set_masks(graph, cap)
     full = (1 << n) - 1
@@ -165,14 +174,14 @@ def build_table(graph: DependencyGraph, p: Sequence, exact: bool = False,
             weight *= pv[i]
             gp |= gamma_plus[i]
             m &= m - 1
-        q[mask] = weight * breve[full & ~gp]
+        q[mask] = weight * breve.item(full & ~gp)
 
     return PolynomialTable(graph, tuple(pv), breve, ind_masks, q, exact, gamma_plus)
 
 
 def in_shearer_region(table: PolynomialTable) -> bool:
     """Strict positivity of breve_q on every subset."""
-    return all(v > 0 for v in table.breve)
+    return bool((table.breve > 0).all())
 
 
 def shearer_report(table: PolynomialTable) -> dict:
@@ -181,7 +190,7 @@ def shearer_report(table: PolynomialTable) -> dict:
     A minimum within BOUNDARY_TOLERANCE of zero means the instance sits
     too close to the boundary for float signs to be conclusive.
     """
-    lo = min(table.breve)
+    lo = table.breve.min()
     return {
         "in_region": bool(lo > 0),
         "min_breve_q": float(lo),

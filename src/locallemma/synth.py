@@ -11,13 +11,16 @@ where it holds.
 Such a kernel exists exactly when a transportation problem is feasible:
 ship the conditioned mass of each source state u to target states w
 whose satisfied non-neighbor events are a subset of u's.  Feasibility
-is decided by exact-rational max-flow; infeasibility yields a Hall-type
-certificate, a set of source states whose conditioned mass exceeds the
-total mass of every target they may reach.
+is decided by an exact max-flow over the rational masses scaled to
+integers; infeasibility yields a Hall-type certificate, a set of source
+states whose conditioned mass exceeds the total mass of every target
+they may reach.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,48 +140,57 @@ def _signature(space: ExplicitSpace, free: Sequence[int], state: int) -> frozens
 
 
 class _FlowNetwork:
-    """Edmonds-Karp max flow with exact Fraction capacities."""
+    """Edmonds-Karp max flow over integer capacities."""
 
     def __init__(self, n: int) -> None:
         self.adj: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
-        self.cap: list[Fraction] = []
+        self.cap: list[int] = []
 
-    def add(self, u: int, v: int, cap: Fraction) -> None:
+    def add(self, u: int, v: int, cap: int) -> None:
         self.adj[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(cap)
         self.adj[v].append(len(self.to))
         self.to.append(u)
-        self.cap.append(Fraction(0))
+        self.cap.append(0)
 
-    def max_flow(self, s: int, t: int) -> Fraction:
-        total = Fraction(0)
+    def max_flow(self, s: int, t: int) -> int:
+        adj, to, cap = self.adj, self.to, self.cap
+        # the edge from each node into t (one at most in the transport
+        # network).  The search dequeues nodes in the order it finds
+        # them, so the first node found with residual capacity into t
+        # is the one whose scan would reach t: the search stops there,
+        # on the path a full breadth-first search would take.
+        into_t = {to[eid]: eid ^ 1 for eid in adj[t]}
+        total = 0
         while True:
-            prev_edge = [-1] * len(self.adj)
+            prev_edge = [-1] * len(adj)
             prev_edge[s] = -2
+            last = s if s in into_t and cap[into_t[s]] > 0 else -1
             queue = deque([s])
-            while queue and prev_edge[t] == -1:
+            while queue and last == -1:
                 u = queue.popleft()
-                for eid in self.adj[u]:
-                    v = self.to[eid]
-                    if prev_edge[v] == -1 and self.cap[eid] > 0:
+                for eid in adj[u]:
+                    v = to[eid]
+                    if prev_edge[v] == -1 and cap[eid] > 0:
                         prev_edge[v] = eid
+                        if v in into_t and cap[into_t[v]] > 0:
+                            last = v
+                            break
                         queue.append(v)
-            if prev_edge[t] == -1:
+            if last == -1:
                 return total
-            bottleneck = None
-            v = t
+            path = [into_t[last]]
+            v = last
             while v != s:
                 eid = prev_edge[v]
-                bottleneck = self.cap[eid] if bottleneck is None else min(bottleneck, self.cap[eid])
-                v = self.to[eid ^ 1]
-            v = t
-            while v != s:
-                eid = prev_edge[v]
-                self.cap[eid] -= bottleneck
-                self.cap[eid ^ 1] += bottleneck
-                v = self.to[eid ^ 1]
+                path.append(eid)
+                v = to[eid ^ 1]
+            bottleneck = min(cap[eid] for eid in path)
+            for eid in path:
+                cap[eid] -= bottleneck
+                cap[eid ^ 1] += bottleneck
             total += bottleneck
 
     def reachable(self, s: int) -> set[int]:
@@ -202,6 +214,12 @@ def synthesize(space: ExplicitSpace, i: int):
     when u satisfies every non-neighbor event that w satisfies.  The
     kernel exists iff the max flow saturates, and then row u is the
     flow out of u normalized by its source mass.
+
+    The flow runs on integers: every mass is scaled by D, the lcm of the
+    masses' denominators, and the inner edges get capacity 2*D.  A
+    positive scale changes no test ``cap > 0`` and no bottleneck choice,
+    so the augmenting paths, and hence the rows Fraction(flow, D) / mass,
+    are those of the same flow over Fractions.
     """
     if space.n_states > SYNTH_STATE_CAP:
         raise ValueError(f"synthesis refused beyond {SYNTH_STATE_CAP} states")
@@ -221,22 +239,25 @@ def synthesize(space: ExplicitSpace, i: int):
     sig_u = {u: _signature(space, free, u) for u in sources}
     sig_w = {w: _signature(space, free, w) for w in targets}
 
+    source_mass = {u: space.probs[u] / pe for u in sources}
+    scale = math.lcm(*(source_mass[u].denominator for u in sources),
+                     *(space.probs[w].denominator for w in targets))
     source_id = {u: 2 + k for k, u in enumerate(sources)}
     target_id = {w: 2 + len(sources) + k for k, w in enumerate(targets)}
     net = _FlowNetwork(2 + len(sources) + len(targets))
     for u in sources:
-        net.add(0, source_id[u], space.probs[u] / pe)
+        net.add(0, source_id[u], int(source_mass[u] * scale))
     for w in targets:
-        net.add(target_id[w], 1, space.probs[w])
+        net.add(target_id[w], 1, int(space.probs[w] * scale))
     allowed: dict[int, list[int]] = {}
     for u in sources:
         row = [w for w in targets if sig_w[w] <= sig_u[u]]
         allowed[u] = row
         for w in row:
-            net.add(source_id[u], target_id[w], Fraction(2))
+            net.add(source_id[u], target_id[w], 2 * scale)
 
     value = net.max_flow(0, 1)
-    if value != 1:
+    if value != scale:
         cut = net.reachable(0)
         blocked = tuple(u for u in sources if source_id[u] in cut)
         reach = {w for u in blocked for w in allowed[u]}
@@ -249,14 +270,14 @@ def synthesize(space: ExplicitSpace, i: int):
 
     rows: dict[int, tuple[tuple[int, Fraction], ...]] = {}
     for u in sources:
-        mass = space.probs[u] / pe
+        mass = source_mass[u]
         row = []
         for eid in net.adj[source_id[u]]:
             v = net.to[eid]
             # flow on a forward edge equals the residual on its twin
             if v != 0 and eid % 2 == 0 and net.cap[eid ^ 1] > 0:
                 w = targets[v - 2 - len(sources)]
-                row.append((w, net.cap[eid ^ 1] / mass))
+                row.append((w, Fraction(net.cap[eid ^ 1], scale) / mass))
         row.sort()
         rows[u] = tuple(row)
     return SynthesizedOracle(event=i, rows=rows)
@@ -336,11 +357,7 @@ class ExplicitBundle:
         return self.space.n_events
 
     def sample(self, rng) -> int:
-        r = rng.random()
-        for s, acc in enumerate(self._cum):
-            if r < acc:
-                return s
-        return len(self._cum) - 1
+        return min(bisect_right(self._cum, rng.random()), len(self._cum) - 1)
 
     def holds(self, i: int, state: int) -> bool:
         return state in self.space.events[i]
@@ -350,11 +367,7 @@ class ExplicitBundle:
         if row is None:
             raise OracleEventError(f"event {i} does not hold in state {state}")
         cum, states = row
-        r = rng.random()
-        for k, acc in enumerate(cum):
-            if r < acc:
-                return states[k]
-        return states[-1]
+        return states[min(bisect_right(cum, rng.random()), len(cum) - 1)]
 
     def state_key(self, state: int) -> int:
         return state

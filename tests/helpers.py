@@ -7,6 +7,7 @@ but obviously correct.
 """
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -238,3 +239,163 @@ def appendix_a_interferes(bundle, a, b):
 def app_interferes(bundle, a, b):
     return (bool(bundle.spaces(a) & bundle.spaces(b))
             and bool(bundle.support(a) & bundle.support(b)))
+
+
+# Scalar and exact-rational kernels as the package computed them before
+# the table recurrence ran on arrays and the transport flow on integers.
+# Their outputs are the reference the fast kernels must equal exactly.
+
+
+def scalar_build_table(graph, p, exact=False):
+    """(breve, q): breve_q as a list over ascending masks, q by mask."""
+    from locallemma.graphs import independent_set_masks
+
+    n = graph.n
+    if exact:
+        pv = [v if isinstance(v, Fraction) else Fraction(v) for v in p]
+        one = Fraction(1)
+    else:
+        pv = [float(v) for v in p]
+        one = 1.0
+    adj = graph.adjacency_masks()
+    gamma_plus = [adj[i] | (1 << i) for i in range(n)]
+
+    breve = [one] * (1 << n)
+    for mask in range(1, 1 << n):
+        a = (mask & -mask).bit_length() - 1
+        breve[mask] = breve[mask ^ (1 << a)] - pv[a] * breve[mask & ~gamma_plus[a]]
+
+    full = (1 << n) - 1
+    q = {}
+    for mask in independent_set_masks(graph):
+        weight = one
+        gp = 0
+        m = mask
+        while m:
+            i = (m & -m).bit_length() - 1
+            weight *= pv[i]
+            gp |= gamma_plus[i]
+            m &= m - 1
+        q[mask] = weight * breve[full & ~gp]
+    return breve, q
+
+
+class _FractionFlowNetwork:
+    """Edmonds-Karp max flow with exact Fraction capacities."""
+
+    def __init__(self, n):
+        self.adj = [[] for _ in range(n)]
+        self.to = []
+        self.cap = []
+
+    def add(self, u, v, cap):
+        self.adj[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(cap)
+        self.adj[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(Fraction(0))
+
+    def max_flow(self, s, t):
+        total = Fraction(0)
+        while True:
+            prev_edge = [-1] * len(self.adj)
+            prev_edge[s] = -2
+            queue = deque([s])
+            while queue and prev_edge[t] == -1:
+                u = queue.popleft()
+                for eid in self.adj[u]:
+                    v = self.to[eid]
+                    if prev_edge[v] == -1 and self.cap[eid] > 0:
+                        prev_edge[v] = eid
+                        queue.append(v)
+            if prev_edge[t] == -1:
+                return total
+            bottleneck = None
+            v = t
+            while v != s:
+                eid = prev_edge[v]
+                bottleneck = self.cap[eid] if bottleneck is None else min(bottleneck, self.cap[eid])
+                v = self.to[eid ^ 1]
+            v = t
+            while v != s:
+                eid = prev_edge[v]
+                self.cap[eid] -= bottleneck
+                self.cap[eid ^ 1] += bottleneck
+                v = self.to[eid ^ 1]
+            total += bottleneck
+
+    def reachable(self, s):
+        seen = {s}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for eid in self.adj[u]:
+                v = self.to[eid]
+                if v not in seen and self.cap[eid] > 0:
+                    seen.add(v)
+                    queue.append(v)
+        return seen
+
+
+def fraction_synthesize(space, i):
+    """synthesize over a Fraction flow network, full search per path."""
+    from locallemma.synth import (HallCertificate, SynthesizedOracle,
+                                  _free_events, _signature)
+
+    pe = space.event_prob(i)
+    free = _free_events(space, i)
+    sources = [u for u in sorted(space.events[i]) if space.probs[u] > 0]
+    targets = [w for w in range(space.n_states) if space.probs[w] > 0]
+    if not free:
+        fresh = tuple((w, space.probs[w]) for w in targets)
+        return SynthesizedOracle(event=i, rows={u: fresh for u in sources})
+    sig_u = {u: _signature(space, free, u) for u in sources}
+    sig_w = {w: _signature(space, free, w) for w in targets}
+
+    source_id = {u: 2 + k for k, u in enumerate(sources)}
+    target_id = {w: 2 + len(sources) + k for k, w in enumerate(targets)}
+    net = _FractionFlowNetwork(2 + len(sources) + len(targets))
+    for u in sources:
+        net.add(0, source_id[u], space.probs[u] / pe)
+    for w in targets:
+        net.add(target_id[w], 1, space.probs[w])
+    allowed = {}
+    for u in sources:
+        row = [w for w in targets if sig_w[w] <= sig_u[u]]
+        allowed[u] = row
+        for w in row:
+            net.add(source_id[u], target_id[w], Fraction(2))
+
+    value = net.max_flow(0, 1)
+    if value != 1:
+        cut = net.reachable(0)
+        blocked = tuple(u for u in sources if source_id[u] in cut)
+        reach = {w for u in blocked for w in allowed[u]}
+        return HallCertificate(
+            event=i,
+            states=blocked,
+            source_mass=sum((space.probs[u] for u in blocked), Fraction(0)) / pe,
+            reachable_mass=sum((space.probs[w] for w in reach), Fraction(0)),
+        )
+
+    rows = {}
+    for u in sources:
+        mass = space.probs[u] / pe
+        row = []
+        for eid in net.adj[source_id[u]]:
+            v = net.to[eid]
+            if v != 0 and eid % 2 == 0 and net.cap[eid ^ 1] > 0:
+                w = targets[v - 2 - len(sources)]
+                row.append((w, net.cap[eid ^ 1] / mass))
+        row.sort()
+        rows[u] = tuple(row)
+    return SynthesizedOracle(event=i, rows=rows)
+
+
+def linear_scan(cum, r):
+    """First index whose cumulative value exceeds r, else the last index."""
+    for k, acc in enumerate(cum):
+        if r < acc:
+            return k
+    return len(cum) - 1

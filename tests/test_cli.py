@@ -1,9 +1,12 @@
 """End-to-end command-line checks: exit codes, output shapes, determinism."""
 
+import hashlib
 import json
+import random
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -435,3 +438,88 @@ def test_console_entry_point_determinism(tmp_path):
     second = subprocess.run(cmd, capture_output=True, timeout=120)
     assert first.returncode == 0
     assert first.stdout == second.stdout
+
+
+# ---------------------------------------------------------------------------
+# pinned offline outputs
+
+
+def custom_graph_pin_instance():
+    """14 events on a random graph, rational p under a gll witness x."""
+    rng = random.Random(2024)
+    n = 14
+    nbrs = [set() for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.3:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+    x = [Fraction(rng.randint(5, 30), 100) for _ in range(n)]
+    p = []
+    for i in range(n):
+        bound = x[i]
+        for j in nbrs[i]:
+            bound *= 1 - x[j]
+        p.append(Fraction(int(bound * 4096), 4096))
+    return {
+        "kind": "custom-graph",
+        "graph": {"n": n, "edges": [[u, v] for u in range(n) for v in sorted(nbrs[u]) if u < v]},
+        "p": [str(v) for v in p],
+        "params": {"kind": "gll", "x": [str(v) for v in x]},
+    }
+
+
+def explicit_space_pin_instance():
+    """Six biased bits; event i is "bits i and i+1 (mod 6) are 0", a 6-cycle."""
+    rng = random.Random(2025)
+    bits = 6
+    zero = [Fraction(rng.randint(4, 12), 16) for _ in range(bits)]
+    probs = []
+    for s in range(1 << bits):
+        pr = Fraction(1)
+        for b in range(bits):
+            pr *= zero[b] if not s >> b & 1 else 1 - zero[b]
+        probs.append(pr)
+    events = [sorted(s for s in range(1 << bits)
+                     if not s >> i & 1 and not s >> (i + 1) % bits & 1)
+              for i in range(bits)]
+    edges = [sorted((i, (i + 1) % bits)) for i in range(bits)]
+    return {
+        "kind": "explicit-space",
+        "space": {"states": 1 << bits, "prob": [str(v) for v in probs],
+                  "events": events, "graph": {"n": bits, "edges": edges}},
+    }
+
+
+#: sha256 of what ``locallemma.cli.main`` prints for each argv, captured
+#: before the tables ran on arrays and the transport flow on integers.
+PINNED_OFFLINE_RUNS = [
+    pytest.param("graph", ["criteria"],
+                 "acf61a265aa00d8cb811e8dc5ac5bd23e51faccf8187a6be6ca0a21d16d4b73b",
+                 id="criteria-graph"),
+    pytest.param("graph", ["criteria", "--exact"],
+                 "0984e2cbce76e1cc6c345658773d973fd623d5884df561a413b4a6d1ce43b968",
+                 id="criteria-exact-graph"),
+    pytest.param("space", ["criteria"],
+                 "2dcfb65bdfbd1aafbd40ca61e63a2f42c499862a67ba120f1cb197cba54367cb",
+                 id="criteria-space"),
+    pytest.param("space", ["criteria", "--exact"],
+                 "2dcfb65bdfbd1aafbd40ca61e63a2f42c499862a67ba120f1cb197cba54367cb",
+                 id="criteria-exact-space"),
+    pytest.param("space", ["verify-oracle", "synthesized", "--event", "2", "--samples",
+                           "3000", "--trials", "500", "--seed", "5", "--instance"],
+                 "a0446db5fdf75e6e234bfb495103e323954ef405a448c2a1498d9d0b2baeb14f",
+                 id="verify-oracle-synthesized"),
+    pytest.param("space", ["run", "--seed", "7"],
+                 "96da8120477081a64d4c7ffcf54c8779ea382bf1a6798a97095781549c3d71d2",
+                 id="run-space"),
+]
+
+
+@pytest.mark.parametrize("fixture, argv, digest", PINNED_OFFLINE_RUNS)
+def test_offline_output_is_pinned(fixture, argv, digest, tmp_path, capsys):
+    instance = {"graph": custom_graph_pin_instance,
+                "space": explicit_space_pin_instance}[fixture]()
+    code, out, _ = run_cli(argv + [write_instance(tmp_path, instance)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -9,10 +9,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_breve, brute_q, subsets
+from helpers import brute_breve, brute_q, scalar_build_table, subsets
 from locallemma.graphs import DependencyGraph, enumerate_independent_sets
 from locallemma.polynomials import (
     CriterionParams,
@@ -114,6 +115,65 @@ def test_brute_force_agreement_exact(n, edge_bits, pseed):
     for combo in subsets(range(n)):
         if g.is_independent(combo):
             assert table.q_of(combo) == brute_q(g, p, combo)
+
+
+def witness_instance(n, rng):
+    """Random graph with p under an x-witness bound, hence inside the region."""
+    density = rng.uniform(0.2, 0.4)
+    g = random_graph(n, rng, density)
+    x = [rng.uniform(0.05, 0.3) for _ in range(n)]
+    scale = rng.uniform(0.4, 1.0)
+    p = []
+    for i in range(n):
+        bound = scale * x[i]
+        for j in g.neighbors(i):
+            bound *= 1 - x[j]
+        p.append(bound)
+    return g, p
+
+
+def test_table_equals_the_scalar_recurrence_bit_for_bit():
+    rng = random.Random(404)
+    cases = []
+    for _ in range(50):
+        n = rng.randrange(0, 15)
+        g = random_graph(n, rng, density=rng.uniform(0.1, 0.6))
+        # some entries zero, some instances outside the region
+        p = [rng.choice([0.0, rng.uniform(0.0, 0.5)]) for _ in range(n)]
+        cases.append((g, p))
+    cases.append(witness_instance(20, random.Random(41)))
+    outside = 0
+    for g, p in cases:
+        table = build_table(g, p)
+        breve, q = scalar_build_table(g, p)
+        assert table.breve.dtype == np.float64
+        assert [v.hex() for v in table.breve.tolist()] == [v.hex() for v in breve]
+        assert table.q.keys() == q.keys()
+        assert all(table.q[m].hex() == q[m].hex() for m in q)
+        lo = min(breve)
+        assert in_shearer_region(table) == all(v > 0 for v in breve)
+        assert shearer_report(table) == {
+            "in_region": lo > 0, "min_breve_q": lo, "boundary": abs(lo) <= 1e-12}
+        outside += lo <= 0
+    assert 0 < outside < len(cases)
+
+
+def test_exact_table_equals_the_scalar_recurrence():
+    rng = random.Random(405)
+    for _ in range(20):
+        n = rng.randrange(0, 9)
+        g = random_graph(n, rng)
+        p = [Fraction(rng.randrange(0, 60), 100) for _ in range(n)]
+        table = build_table(g, p, exact=True)
+        breve, q = scalar_build_table(g, p, exact=True)
+        assert table.breve.dtype == object
+        assert table.breve.tolist() == breve
+        assert all(type(v) is Fraction for v in table.breve.tolist())
+        assert table.q == q
+        lo = min(breve)
+        assert shearer_report(table) == {
+            "in_region": lo > 0, "min_breve_q": float(lo),
+            "boundary": abs(lo) <= 1e-12}
 
 
 def test_probability_validation():

@@ -1,10 +1,13 @@
 """Oracle synthesis on explicit finite spaces: feasibility, exactness, certificates."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from helpers import fraction_synthesize, linear_scan
 from locallemma.engine import maximal_set_resample
 from locallemma.graphs import DependencyGraph
 from locallemma.oracles import OracleEventError
@@ -283,6 +286,63 @@ def test_product_spaces_are_always_feasible():
             assert check_lopsided_association(space, i)
 
 
+def random_graph_space(seed):
+    """Random weights (some zero) on 6-12 states, 4 events, a random graph."""
+    rng = random.Random(seed)
+    m = rng.randrange(6, 13)
+    weights = [rng.choice([0, 1, 2, 3, 5, 7]) for _ in range(m)]
+    weights[0] += 1
+    total = sum(weights)
+    probs = tuple(Fraction(w, total) for w in weights)
+    events = tuple(frozenset(s for s in range(m) if rng.random() < 0.4) | {rng.randrange(m)}
+                   for _ in range(4))
+    edges = [(i, j) for i in range(4) for j in range(i + 1, 4) if rng.random() < 0.3]
+    return ExplicitSpace(probs, events, DependencyGraph(4, edges))
+
+
+def ring_space(seed):
+    """256 states: 8 independent bits with P(bit=0) drawn from {4/16..12/16}.
+
+    Event i (of 4) is "bits 2i, 2i+1, 2i+2 (mod 8) are all 0", so the
+    events sharing a bit form a 4-cycle.
+    """
+    rng = random.Random(seed)
+    zero = [Fraction(rng.randint(4, 12), 16) for _ in range(8)]
+    probs = []
+    for s in range(256):
+        p = Fraction(1)
+        for b in range(8):
+            p *= zero[b] if not s >> b & 1 else 1 - zero[b]
+        probs.append(p)
+    bits = [{(2 * i + d) % 8 for d in range(3)} for i in range(4)]
+    events = tuple(frozenset(s for s in range(256) if all(not s >> b & 1 for b in bs))
+                   for bs in bits)
+    edges = [(i, j) for i in range(4) for j in range(i + 1, 4) if bits[i] & bits[j]]
+    return ExplicitSpace(tuple(probs), events, DependencyGraph(4, edges))
+
+
+def test_kernels_and_certificates_equal_the_fraction_flow():
+    spaces = [random_space(seed) for seed in range(300)]
+    spaces += [random_graph_space(seed) for seed in range(60)]
+    spaces += [lopsided_but_not_associated_space(), ring_space(0), ring_space(1)]
+    seen = {SynthesizedOracle: 0, HallCertificate: 0}
+    for space in spaces:
+        for i in range(space.n_events):
+            if space.event_prob(i) == 0:
+                continue
+            got, want = synthesize(space, i), fraction_synthesize(space, i)
+            assert type(got) is type(want)
+            if isinstance(want, HallCertificate):
+                assert got.event == want.event
+                assert got.states == want.states
+                assert got.source_mass == want.source_mass
+                assert got.reachable_mass == want.reachable_mass
+            else:
+                assert got.rows == want.rows
+            seen[type(want)] += 1
+    assert seen[SynthesizedOracle] > 100 and seen[HallCertificate] > 100
+
+
 # ---------------------------------------------------------------------------
 # exact oracle properties of synthesized kernels
 
@@ -381,3 +441,42 @@ def test_bundle_sampler_matches_measure():
     for s, p in enumerate(probs):
         se = (float(p) * (1 - float(p)) / n) ** 0.5
         assert abs(counts[s] / n - float(p)) < 5 * se
+
+
+class FixedDraw:
+    """rng stand-in whose every random() returns r."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
+def draws_around(cum):
+    """Each cumulative value, its float neighbours, the ends of [0, 1)."""
+    out = [0.0, 1.0 - 2.0**-53, 0.5]
+    for acc in cum:
+        out += [acc, math.nextafter(acc, 0.0), math.nextafter(acc, 1.0)]
+    return out
+
+
+def test_bundle_draws_match_a_linear_scan():
+    # thirds do not sum to one in floats, and zero-mass states repeat a
+    # cumulative value, so both the clamp and ties are exercised
+    space = ExplicitSpace((Fraction(1, 3), Fraction(0), Fraction(1, 3), Fraction(1, 6),
+                           Fraction(0), Fraction(1, 6)),
+                          (frozenset({0, 1, 3}), frozenset({2, 3})),
+                          DependencyGraph(2, [(0, 1)]))
+    bundles = [ExplicitBundle(space), ExplicitBundle(ring_space(3))]
+    rng = random.Random(11)
+    for bundle in bundles:
+        cum = list(itertools.accumulate(float(p) for p in bundle.space.probs))
+        for r in draws_around(cum) + [rng.random() for _ in range(2000)]:
+            assert bundle.sample(FixedDraw(r)) == linear_scan(cum, r)
+        for kernel in bundle.kernels:
+            for u, row in kernel.rows.items():
+                cum = list(itertools.accumulate(float(f) for _, f in row))
+                for r in draws_around(cum) + [rng.random() for _ in range(50)]:
+                    got = bundle.resample(kernel.event, u, FixedDraw(r))
+                    assert got == row[linear_scan(cum, r)][0]
