@@ -18,14 +18,21 @@ at contest sizes, so no per-event table is built: an event index
 decodes in closed form (see ``_AppBundle``) into its copies and items,
 dependency is read off (copy, vertex) conflict keys (shared copy and
 overlapping vertex support), and occurrence scans exploit the
-structures directly.  A build costs one sorted list of same-colored
-pairs plus its position dict, not one entry per event.
+structures directly.  A build costs a few int64 arrays over the N
+items (their colors, their order by color and one prefix count of
+same-colored partners), computed with numpy, not one entry per event
+or per same-colored pair.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .engine import RunLog, maximal_set_resample
 from .graphs import KeyGraph
@@ -68,6 +75,8 @@ class ColoredCompleteGraph:
             raise ValueError(
                 f"coloring covers {len(self.color)} edges, K_{n} has {expected}"
             )
+        if self.color and (min(self.color)[0] < 0 or max(v for _, v in self.color) >= n):
+            raise ValueError(f"coloring has an edge outside K_{n}")
 
     @property
     def multiplicity(self) -> int:
@@ -230,52 +239,84 @@ def validate_disjoint_transversals(matrix: ColorMatrix, perms: Sequence) -> bool
 # application bundles
 
 
+def _dense_ids(colors: Iterable[int]) -> np.ndarray:
+    """Color ids relabeled 0, 1, ... in order of first appearance.
+
+    Ids are arbitrary ints (a JSON file may hold ones past int64); ranks
+    only need equal ids to stay equal and distinct ones distinct.
+    """
+    ids: dict[int, int] = {}
+    return np.array([ids.setdefault(c, len(ids)) for c in colors], dtype=np.int64)
+
+
+def _int64(values) -> array:
+    """Compact int64 copy whose elements read back as Python ints."""
+    return array("q", np.asarray(values, dtype=np.int64).tobytes())
+
+
 class _AppBundle:
     """t copies of one oracle family plus color- and copy-collision events.
 
     The state is a tuple of t structures (permutations or spanning
     trees).  An item is what a structure may contain: a matrix cell or
-    an edge of K_n, and each item has a color.  Events are numbered in
-    closed form and decoded by arithmetic, never stored:
+    an edge of K_n.  Its rank is its position among the N items in
+    sorted order, and each item has a color and two vertices.  Events
+    are numbered in closed form and decoded by arithmetic, never stored:
 
-      type 1, index i*P + k           copy i contains both items of pairs[k]
-      type 2, index n_type1 + c*N + pos
+      type 1, index i*P + k           copy i contains both items of the
+                                      k-th same-colored pair
+      type 2, index n_type1 + c*N + r
                                       copy pair c, the c-th (i, j) with
                                       i < j in lexicographic order, both
-                                      contain the item at position pos
+                                      contain the item of rank r
 
-    pairs holds the P same-colored item pairs that fit in one structure,
-    sorted, and is shared by all copies; positions run over the N items
-    in sorted order.  The numbering is what run logs record.  Two events
-    interfere when they involve a common copy and their vertex supports
-    meet, that is when their (copy, vertex) conflict keys meet.
+    The P same-colored pairs (e, f), e < f, that fit in one structure
+    are numbered in sorted order and shared by all copies.  Call f a
+    partner of e when (e, f) is such a pair, and let later[e] count
+    them; pair k is then e's (k - start[e])-th partner, where
+    start = [0] + cumsum(later) and e is the last rank with
+    start[e] <= k.  Walking e's color class upward in rank order finds
+    the partner, so a build stores only int64 arrays over ranks: the
+    color, the two vertices, the class order (items stably sorted by
+    color), its inverse and start.  The numbering is what run logs
+    record.  Two events interfere when they involve a common copy and
+    their vertex supports meet, that is when their (copy, vertex)
+    conflict keys meet.
 
-    A family supplies its draw and conditioned redraw, the items of a
-    structure, an item's vertices and its position in closed form.
+    A family supplies its draw and conditioned redraw, the ranks of the
+    items in a structure, and an item's vertices, rank and item-of-rank
+    in closed form; the defaults here are those of an edge (u, v),
+    u < v, of K_n.
     """
 
     #: Two items on a common vertex never sit in one structure together,
     #: so such same-colored pairs carry no event.
     exclusive = True
 
-    def __init__(self, t: int, color_of: dict) -> None:
+    def __init__(self, t: int, color: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+        """color (dense ids), x and y: each item's color and vertices, in rank order."""
         self.t = t
-        self.color_of = color_of
-        self.items = sorted(color_of)
-        classes: dict[int, list] = {}
-        for item in self.items:
-            classes.setdefault(color_of[item], []).append(item)
-        self.pairs = []
-        for group in classes.values():
-            for a, e in enumerate(group):
-                ve = set(self._vertices(e))
-                self.pairs.extend((e, f) for f in group[a + 1:]
-                                  if not self.exclusive or ve.isdisjoint(self._vertices(f)))
-        self.pairs.sort()
-        self.pair_pos = {pair: k for k, pair in enumerate(self.pairs)}
+        order = np.argsort(color, kind="stable")
+        later = np.zeros(len(color), dtype=np.int64)
+        # Same-colored ranks are adjacent in class order, so the partners
+        # of the item at class position j sit at positions j + d, d < q.
+        for d in range(1, int(np.bincount(color).max(initial=0))):
+            a, b = order[:-d], order[d:]
+            fits = color[a] == color[b]
+            if self.exclusive:
+                xa, ya, xb, yb = x[a], y[a], x[b], y[b]
+                fits &= (xa != xb) & (xa != yb) & (ya != xb) & (ya != yb)
+            later[a] += fits
+        where = np.empty_like(order)
+        where[order] = np.arange(len(order))
+        self._color, self._order, self._where = _int64(color), _int64(order), _int64(where)
+        self._x, self._y = _int64(x), _int64(y)
+        self._start = _int64(np.concatenate(([0], np.cumsum(later))))
+        self.n_items = len(color)
+        self.n_pairs = self._start[-1]
         self.copy_pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
-        self.n_type1 = t * len(self.pairs)
-        self.n = self.n_type1 + len(self.copy_pairs) * len(self.items)
+        self.n_type1 = t * self.n_pairs
+        self.n = self.n_type1 + len(self.copy_pairs) * self.n_items
 
     @property
     def graph(self) -> KeyGraph:
@@ -284,13 +325,39 @@ class _AppBundle:
         # until the cyclic collector runs.
         return KeyGraph(self.n, self._keys)
 
+    def _partners(self, e: int):
+        """The partners of rank e in increasing rank: the rest of its class
+        in class order, less the items on a vertex of e when exclusive."""
+        color, order, x, y = self._color, self._order, self._x, self._y
+        c, xe, ye = color[e], x[e], y[e]
+        for j in range(self._where[e] + 1, self.n_items):
+            f = order[j]
+            if color[f] != c:
+                return
+            if not self.exclusive or (xe != x[f] and xe != y[f] and ye != x[f] and ye != y[f]):
+                yield f
+
+    def _pair(self, k: int) -> tuple[int, int]:
+        """Ranks (e, f) of same-colored pair k."""
+        e = bisect_right(self._start, k) - 1
+        return e, next(islice(self._partners(e), k - self._start[e], None))
+
+    def _pair_index(self, e: int, f: int) -> int:
+        """Inverse of _pair; KeyError when ranks (e, f) form no pair."""
+        if 0 <= e < self.n_items:
+            for j, g in enumerate(self._partners(e)):
+                if g == f:
+                    return self._start[e] + j
+        raise KeyError((e, f))
+
     def _parts(self, idx: int) -> tuple[tuple, tuple]:
         """(copies, items) of an event: every copy holds every item."""
         if idx < self.n_type1:
-            i, k = divmod(idx, len(self.pairs))
-            return (i,), self.pairs[k]
-        c, pos = divmod(idx - self.n_type1, len(self.items))
-        return self.copy_pairs[c], (self.items[pos],)
+            i, k = divmod(idx, self.n_pairs)
+            e, f = self._pair(k)
+            return (i,), (self._item(e), self._item(f))
+        c, r = divmod(idx - self.n_type1, self.n_items)
+        return self.copy_pairs[c], (self._item(r),)
 
     def payload(self, idx: int) -> tuple:
         """(i, e, f) for a type-1 event, (i, j, item) for a type-2 event."""
@@ -302,11 +369,11 @@ class _AppBundle:
         if isinstance(payload[1], int):
             i, j, item = payload
             c = i * (2 * self.t - i - 1) // 2 + j - i - 1
-            idx = self.n_type1 + c * len(self.items) + self._pos(item)
+            idx = self.n_type1 + c * self.n_items + self._pos(item)
         else:
             i, e, f = payload
-            idx = i * len(self.pairs) + self.pair_pos[(e, f)]
-        if not 0 <= idx < self.n or self.payload(idx) != payload:
+            idx = i * self.n_pairs + self._pair_index(self._pos(e), self._pos(f))
+        if not 0 <= idx < self.n or _AppBundle.payload(self, idx) != payload:
             raise KeyError(payload)
         return idx
 
@@ -323,6 +390,13 @@ class _AppBundle:
 
     def _vertices(self, item) -> tuple[int, int]:
         return item
+
+    def _pos(self, edge) -> int:
+        u, v = edge
+        return u * (2 * self.size - u - 1) // 2 + v - u - 1
+
+    def _item(self, rank: int) -> tuple[int, int]:
+        return self._x[rank], self._y[rank]
 
     def _contains(self, structure, item) -> bool:
         return structure[item[0]] == item[1]
@@ -344,23 +418,34 @@ class _AppBundle:
 
     def occurring(self, state) -> list[int]:
         out: list[int] = []
-        n_pairs, color_of, pair_pos = len(self.pairs), self.color_of, self.pair_pos
-        present = [self._items(structure) for structure in state]
-        for i, items in enumerate(present):
-            by_color: dict[int, list] = {}
-            for item in items:
-                by_color.setdefault(color_of[item], []).append(item)
+        n_pairs, color = self.n_pairs, self._color
+        present = [self._ranks(structure) for structure in state]
+        for i, ranks in enumerate(present):
+            by_color: dict[int, list[int]] = {}
+            for r in ranks:
+                by_color.setdefault(color[r], []).append(r)
             for group in by_color.values():
                 if len(group) > 1:
                     group.sort()
                     for a, e in enumerate(group):
                         for f in group[a + 1:]:
-                            out.append(i * n_pairs + pair_pos[(e, f)])
+                            out.append(i * n_pairs + self._pair_index(e, f))
         for c, (i, j) in enumerate(self.copy_pairs):
-            base = self.n_type1 + c * len(self.items)
-            for item in set(present[i]).intersection(present[j]):
-                out.append(base + self._pos(item))
+            base = self.n_type1 + c * self.n_items
+            out.extend(base + r for r in set(present[i]).intersection(present[j]))
         return out
+
+
+def _edge_ranks(coloring: ColoredCompleteGraph) -> tuple:
+    """(dense color ids, u, v) of the edges of K_n in rank order, and the
+    offset of each vertex u: the rank of edge (u, v) is offset[u] + v."""
+    n, m = coloring.n, len(coloring.color)
+    offset = [u * (2 * n - u - 1) // 2 - u - 1 for u in range(n)]
+    u, v = np.fromiter(chain.from_iterable(coloring.color), np.int64, 2 * m).reshape(m, 2).T
+    colors = np.empty(m, dtype=np.int64)
+    colors[np.array(offset, dtype=np.int64)[u] + v] = _dense_ids(coloring.color.values())
+    x, y = np.triu_indices(n, 1)
+    return colors, x, y, offset
 
 
 class RainbowTreeBundle(_AppBundle):
@@ -377,16 +462,16 @@ class RainbowTreeBundle(_AppBundle):
     def __init__(self, coloring: ColoredCompleteGraph, t: int) -> None:
         if t < 1:
             raise ValueError("need at least one tree")
+        if coloring.n < 1:
+            raise ValueError("spanning trees need at least one vertex")
         self.coloring = coloring
         self.size = coloring.n
-        super().__init__(t, coloring.color)
+        colors, x, y, self._offset = _edge_ranks(coloring)
+        super().__init__(t, colors, x, y)
 
-    def _pos(self, edge) -> int:
-        u, v = edge
-        return u * (2 * self.size - u - 1) // 2 + v - u - 1
-
-    def _items(self, tree):
-        return tree
+    def _ranks(self, tree) -> list[int]:
+        offset = self._offset
+        return [offset[u] + v for u, v in tree]
 
     def _contains(self, tree, edge) -> bool:
         return edge in tree
@@ -400,7 +485,7 @@ class RainbowTreeBundle(_AppBundle):
     def event_prob(self, idx: int) -> float:
         n = self.size
         if idx < self.n_type1:
-            e, f = self.pairs[idx % len(self.pairs)]
+            e, f = self._parts(idx)[1]
             return (3 if len(set(e) | set(f)) == 3 else 4) / n**2
         return 4 / n**2
 
@@ -442,16 +527,18 @@ class RainbowMatchingBundle(_AppBundle):
             raise ValueError("perfect matchings need an even vertex count")
         self.coloring = coloring
         self.size = coloring.n
-        super().__init__(1, coloring.color)
+        colors, x, y, self._offset = _edge_ranks(coloring)
+        super().__init__(1, colors, x, y)
 
     def payload(self, idx: int) -> tuple:
-        return self.pairs[idx]
+        return super().payload(idx)[1:]
 
     def index(self, payload: tuple) -> int:
-        return self.pair_pos[payload]
+        return super().index((0, *payload))
 
-    def _items(self, partner):
-        return matching_pairs(partner)
+    def _ranks(self, partner) -> list[int]:
+        offset = self._offset
+        return [offset[u] + v for u, v in enumerate(partner) if u < v]
 
     def _redraw(self, partner, edges, rng):
         return matching_resample(partner, edges, rng)
@@ -508,10 +595,14 @@ class LatinBundle(_AppBundle):
     def __init__(self, matrix: ColorMatrix, t: int) -> None:
         if t < 1:
             raise ValueError("need at least one transversal")
+        n = matrix.n
+        if n < 2:
+            raise ValueError("transversal events need a matrix of size at least 2")
         self.matrix = matrix
-        self.size = matrix.n
-        super().__init__(t, {(u, v): c for u, row in enumerate(matrix.rows)
-                             for v, c in enumerate(row)})
+        self.size = n
+        ranks = np.arange(n * n)
+        super().__init__(t, _dense_ids(chain.from_iterable(matrix.rows)),
+                         ranks // n, n + ranks % n)
 
     def _vertices(self, cell) -> tuple[int, int]:
         return cell[0], self.size + cell[1]
@@ -519,8 +610,12 @@ class LatinBundle(_AppBundle):
     def _pos(self, cell) -> int:
         return cell[0] * self.size + cell[1]
 
-    def _items(self, pi):
-        return list(enumerate(pi))
+    def _item(self, rank: int) -> tuple[int, int]:
+        return divmod(rank, self.size)
+
+    def _ranks(self, pi) -> list[int]:
+        n = self.size
+        return [u * n + v for u, v in enumerate(pi)]
 
     def _draw(self, rng):
         pi = list(range(self.size))

@@ -133,8 +133,8 @@ def _parse_params(obj, n: int) -> CriterionParams:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("params must be an object with a 'kind' field")
     kind = obj["kind"]
-    eps = float(obj.get("epsilon", 0.0))
     try:
+        eps = float(obj.get("epsilon", 0.0))
         if kind == "gll":
             x = tuple(float(_parse_number(v)) for v in obj["x"])
             if len(x) != n:
@@ -149,8 +149,8 @@ def _parse_params(obj, n: int) -> CriterionParams:
             return CriterionParams(kind="shearer", epsilon=eps)
     except KeyError as exc:
         raise InputError(f"params missing field {exc}") from exc
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad params: {exc}") from exc
     raise InputError(f"unknown params kind {kind!r}")
 
 
@@ -164,9 +164,8 @@ def _graph_from_json(obj) -> DependencyGraph:
 def _build_app_instance(obj: dict):
     """Instance file payload -> (bundle, params) for the three solvers."""
     kind = obj.get("kind")
-    seed = int(obj.get("generator", {}).get("seed", 0))
-    rng = random.Random(seed)
     try:
+        rng = random.Random(int(obj.get("generator", {}).get("seed", 0)))
         if kind == "latin":
             t = int(obj["t"])
             if "matrix" in obj:
@@ -190,7 +189,7 @@ def _build_app_instance(obj: dict):
                 gen = obj["generator"]
                 coloring = random_edge_coloring(int(gen["n"]), int(gen["multiplicity"]), rng)
             return build_rainbow_tree_instance(coloring, t)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad {kind} instance: {exc}") from exc
     raise InputError(f"unknown instance kind {kind!r}")
 
@@ -243,7 +242,10 @@ def cmd_criteria(args, out) -> int:
     kind = obj.get("kind")
     if kind == "custom-graph":
         graph = _graph_from_json(obj.get("graph"))
-        probs = [_parse_number(v) for v in obj.get("p", [])]
+        probs = obj.get("p", [])
+        if not isinstance(probs, list):
+            raise InputError("p must be a list of probabilities")
+        probs = [_parse_number(v) for v in probs]
         if len(probs) != graph.n:
             raise InputError(f"p has length {len(probs)}, expected {graph.n}")
         params = _parse_params(obj["params"], graph.n) if "params" in obj else None

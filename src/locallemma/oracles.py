@@ -550,6 +550,9 @@ class PermutationBundle:
     def __init__(self, n: int, events: Sequence[PatternEvent]) -> None:
         self.size = n
         self.events = list(events)
+        for ev in self.events:
+            if any(not (0 <= x < n and 0 <= y < n) for x, y in ev.pairs):
+                raise ValueError(f"pattern {ev.pairs} does not fit a permutation of [{n}]")
         keys = [tuple(k for x, y in ev.pairs for k in (("x", x), ("y", y)))
                 for ev in self.events]
         self.graph = KeyGraph(len(self.events), keys.__getitem__)

@@ -67,7 +67,7 @@ class CriterionParams:
                     4 * sum(xi / (1 - xi) for xi in self.x))
         if self.y is None:
             raise ValueError("cll bound requires the y vector")
-        return sum(math.log1p(yi) for yi in self.y), 4 * sum(self.y)
+        return sum(map(math.log1p, self.y)), 4 * sum(self.y)
 
 
 class PolynomialTable:

@@ -89,6 +89,8 @@ def test_r1(bundle, event: int, samples: int, seed: int = 0,
     below the upper quantile at the given significance and no output
     fell outside the exact support.
     """
+    if samples < 1:
+        raise ValueError("the distribution test needs at least one sample")
     exact = bundle.exact_distribution()
     key = getattr(bundle, "state_key", None)
     rng = random.Random(seed)
@@ -235,19 +237,25 @@ class AppendixABundle:
         return out
 
     def resample(self, i: int, state, rng) -> tuple[int, ...]:
-        if not self.holds(i, state):
-            raise OracleEventError(f"event {i} does not hold")
+        # Each branch first tests the one slot its event reads, as holds does.
         vals = list(state)
         if i < self.k:
+            if vals[i] != 0:
+                raise OracleEventError(f"event {i} does not hold")
             vals[i] = rng.getrandbits(1)
         elif i < self.eprime:
-            cluster, slot = divmod(i - self.k, self.l)
+            cluster = (i - self.k) // self.l
             zi = self.z_offset + cluster
+            yi = self.y_offset + (i - self.k)
+            if vals[yi] != 0:
+                raise OracleEventError(f"event {i} does not hold")
             x = vals[cluster]
             vals[cluster] = vals[zi]
-            vals[self.y_offset + (i - self.k)] = rng.getrandbits(1)
+            vals[yi] = rng.getrandbits(1)
             vals[zi] = x
         else:
+            if vals[self.w_slot] != 1:
+                raise OracleEventError(f"event {i} does not hold")
             zo = self.z_offset
             vals[self.w_slot] = vals[zo]
             for t in range(self.k - 1):
@@ -309,6 +317,8 @@ def longest_streak(iterations, event: int) -> int:
 def measure_consecutive_runs(bundle: AppendixABundle, runs: int, seed: int = 0,
                              max_resamples: int = 1_000_000) -> StreakReport:
     """Run the engine repeatedly and histogram the E'-streak lengths."""
+    if runs < 1:
+        raise ValueError("need at least one run")
     counts: dict[int, int] = {}
     exhausted = 0
     for r in range(runs):

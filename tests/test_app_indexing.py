@@ -2,8 +2,10 @@
 
 The bundles decode an event index by arithmetic instead of storing one
 table row per event.  The enumerations below build those rows the long
-way, one loop per event family in index order, and every accessor must
-agree with them.  The pinned digests fix the full CLI output at one
+way, one loop per event family in index order, and every accessor and
+occurrence scan must agree with them, on fixed instances and on random
+small ones (color multiplicity 1 to 5, color ids negative or past
+int64).  The pinned digests fix the full CLI output at one
 acceptance-size seed per app, so a change to the numbering (which the
 run logs record) cannot pass unnoticed.
 """
@@ -13,8 +15,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locallemma.apps import (
+    ColoredCompleteGraph,
+    ColorMatrix,
     LatinBundle,
     RainbowMatchingBundle,
     RainbowTreeBundle,
@@ -90,9 +95,8 @@ def cases():
     ]
 
 
-@pytest.mark.parametrize("bundle, events", cases())
-def test_accessors_match_explicit_enumeration(bundle, events):
-    assert bundle.n == len(events) > 0
+def assert_accessors_match(bundle, events):
+    assert bundle.n == len(events)
     assert bundle.n_type1 == sum(1 for _, spaces, _, _ in events if len(spaces) == 1)
     for idx, (payload, spaces, support, prob) in enumerate(events):
         assert bundle.payload(idx) == payload, idx
@@ -101,6 +105,65 @@ def test_accessors_match_explicit_enumeration(bundle, events):
         assert bundle.support(idx) == support, idx
         assert bundle.event_prob(idx) == prob, idx
     assert len(bundle.params().y) == len(events)
+
+
+def explicit_occurring(events, structures, contains):
+    """Indices of the events whose copies all contain all their items."""
+    return [
+        idx for idx, (payload, spaces, _, _) in enumerate(events)
+        if all(contains(structures[i], item)
+               for i in spaces for item in payload if isinstance(item, tuple))
+    ]
+
+
+@pytest.mark.parametrize("bundle, events", cases())
+def test_accessors_match_explicit_enumeration(bundle, events):
+    assert len(events) > 0
+    assert_accessors_match(bundle, events)
+
+
+#: Color ids as a JSON file may hold them: small, negative, past int64.
+COLOR_IDS = st.one_of(st.integers(-8, 8), st.integers(2**63 - 2, 2**64 + 2),
+                      st.integers(-(2**70), -(2**63) - 1))
+
+
+@st.composite
+def app_instances(draw):
+    """(bundle, events, contains) of a small app instance, colors capped at q."""
+    kind = draw(st.sampled_from(["latin", "tree", "matching"]))
+    q = draw(st.integers(1, 5))
+    if kind == "latin":
+        n = draw(st.integers(2, 5))
+        items = [(u, v) for u in range(n) for v in range(n)]
+    else:
+        n = draw(st.sampled_from([2, 4, 6, 8]) if kind == "matching" else st.integers(2, 7))
+        items = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    ids = draw(st.lists(COLOR_IDS, min_size=len(items), max_size=len(items), unique=True))
+    random.Random(draw(st.integers(0, 2**32))).shuffle(items)
+    color = {item: ids[k // q] for k, item in enumerate(items)}
+    t = draw(st.integers(1, 3))
+    if kind == "latin":
+        matrix = ColorMatrix([[color[(u, v)] for v in range(n)] for u in range(n)])
+        return LatinBundle(matrix, t), latin_events(matrix, t), lambda pi, c: pi[c[0]] == c[1]
+    coloring = ColoredCompleteGraph(n, color)
+    if kind == "tree":
+        return RainbowTreeBundle(coloring, t), tree_events(coloring, t), frozenset.__contains__
+    return (RainbowMatchingBundle(coloring), matching_events(coloring),
+            lambda partner, e: partner[e[0]] == e[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(app_instances(), st.integers(0, 2**32))
+def test_random_instances_match_explicit_enumeration(instance, seed):
+    bundle, events, contains = instance
+    assert_accessors_match(bundle, events)
+    rng = random.Random(seed)
+    for _ in range(3):
+        state = bundle.sample(rng)
+        structures = (state,) if isinstance(bundle, RainbowMatchingBundle) else state
+        expected = explicit_occurring(events, structures, contains)
+        assert sorted(bundle.occurring(state)) == expected
+        assert [idx for idx in range(bundle.n) if bundle.holds(idx, state)] == expected
 
 
 @pytest.mark.parametrize("bundle, events", cases())

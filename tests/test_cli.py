@@ -1,16 +1,21 @@
 """End-to-end command-line checks: exit codes, output shapes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import subprocess
 import sys
-import warnings
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
+from referencing import Registry, Resource
+from referencing.jsonschema import DRAFT7
 
 from locallemma.apps import distinct_color_matrix, rainbow_edge_coloring
 from locallemma.cli import main
@@ -29,14 +34,16 @@ def load_schemas():
 SCHEMAS = load_schemas()
 
 
+#: Every schema under its $id, so a $ref to another file or to a local
+#: definition resolves against the file it appears in.
+REGISTRY = Registry().with_resources(
+    (schema_id, Resource.from_contents(schema, default_specification=DRAFT7))
+    for schema_id, schema in SCHEMAS.items()
+)
+
+
 def schema_check(obj, schema_id):
-    schema = SCHEMAS[schema_id]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        resolver = jsonschema.RefResolver(
-            base_uri=schema_id, referrer=schema, store=SCHEMAS
-        )
-        jsonschema.Draft7Validator(schema, resolver=resolver).validate(obj)
+    jsonschema.Draft7Validator(SCHEMAS[schema_id], registry=REGISTRY).validate(obj)
 
 
 def write_instance(tmp_path, obj, name="instance.json"):
@@ -227,6 +234,23 @@ def test_run_latin_generator_instant(tmp_path, capsys):
     assert len(report["solution"]["transversals"]) == 1
 
 
+def test_custom_graph_instances_match_the_schema():
+    schema_check({"kind": "custom-graph", "graph": {"n": 1, "edges": []}, "p": [0.5]},
+                 "instance.schema.json")
+    schema_check({
+        "kind": "custom-graph",
+        "graph": {"n": 2, "edges": [[0, 1]]},
+        "p": ["1/4", 0.25],
+        "params": {"kind": "cll", "y": ["1/3", 0.5]},
+    }, "instance.schema.json")
+    with pytest.raises(jsonschema.ValidationError):  # a negative probability
+        schema_check({"kind": "custom-graph", "graph": {"n": 1, "edges": []}, "p": ["-1/2"]},
+                     "instance.schema.json")
+    with pytest.raises(jsonschema.ValidationError):  # the graph's own schema applies
+        schema_check({"kind": "custom-graph", "graph": {"n": -1, "edges": []}, "p": []},
+                     "instance.schema.json")
+
+
 def test_run_rejects_criteria_only_kind(tmp_path, capsys):
     path = write_instance(tmp_path, {
         "kind": "custom-graph",
@@ -363,6 +387,22 @@ def test_verify_oracle_bad_event(capsys):
     )
     assert code == 3
     assert "out of range" in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify-oracle", "permutation", "--size", "-3"], id="negative-size"),
+    pytest.param(["verify-oracle", "appendix-a", "--k", "2", "--l", "1", "--runs", "0"],
+                 id="no-streak-runs"),
+    pytest.param(["verify-oracle", "permutation", "--samples", "0", "--trials", "0"],
+                 id="no-samples"),
+    pytest.param(["latin", "--n", "0", "--multiplicity", "1", "--t", "1"], id="latin-n0"),
+    pytest.param(["latin", "--n", "1", "--multiplicity", "1", "--t", "2"], id="latin-n1"),
+])
+def test_degenerate_sizes_exit_with_input_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_library_value_error_exits_with_input_error():
@@ -523,3 +563,137 @@ def test_offline_output_is_pinned(fixture, argv, digest, tmp_path, capsys):
     code, out, _ = run_cli(argv + [write_instance(tmp_path, instance)], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every input ends in an exit code, never in a traceback
+
+
+#: Values a hand-written file may hold where something else was expected.
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.floats(-1, 2),
+                 st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=3),
+                 st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2))
+NUMBER = st.one_of(st.floats(-0.5, 1.5), st.sampled_from(["1/2", "1/3", "0.2", "2/0", "x"]),
+                   JUNK)
+COLOR = st.one_of(st.integers(-3, 3), st.sampled_from([2**63, -(2**64), 2**70]))
+
+
+def maybe(values):
+    return st.one_of(values, JUNK)
+
+
+def full_colorings():
+    def colors(n):
+        m = n * (n - 1) // 2
+        return st.lists(COLOR, min_size=m, max_size=m).map(lambda cs: {
+            "n": n,
+            "colors": [[u, v, c] for (u, v), c in zip(
+                [(u, v) for u in range(n) for v in range(u + 1, n)], cs)],
+        })
+    return st.integers(1, 6).flatmap(colors)
+
+
+GRAPHS = st.fixed_dictionaries({
+    "n": maybe(st.integers(-1, 4)),
+    "edges": maybe(st.lists(st.lists(maybe(st.integers(-1, 4)), max_size=3), max_size=4)),
+})
+GENERATORS = maybe(st.fixed_dictionaries({
+    "n": maybe(st.integers(-1, 8)),
+    "multiplicity": maybe(st.integers(-1, 5)),
+    "seed": maybe(st.integers(0, 3)),
+}))
+PARAMS = maybe(st.fixed_dictionaries({
+    "kind": st.sampled_from(["gll", "cll", "shearer", "lll"]),
+}, optional={
+    "x": maybe(st.lists(NUMBER, max_size=5)),
+    "y": maybe(st.lists(NUMBER, max_size=5)),
+    "epsilon": maybe(st.floats(-1, 1)),
+}))
+
+
+@st.composite
+def instances(draw):
+    """Instance objects of every kind, each field valid or junk."""
+    kind = draw(st.sampled_from(["custom-graph", "explicit-space", "latin",
+                                 "rainbow-matching", "rainbow-tree", "other"]))
+    obj = {"kind": kind}
+    if kind == "custom-graph":
+        obj["graph"] = draw(maybe(GRAPHS))
+        obj["p"] = draw(maybe(st.lists(NUMBER, max_size=5)))
+    elif kind == "explicit-space":
+        obj["space"] = draw(maybe(st.fixed_dictionaries({
+            "states": maybe(st.integers(-1, 6)),
+            "prob": maybe(st.lists(NUMBER, max_size=6)),
+            "events": maybe(st.lists(maybe(st.lists(st.integers(-1, 6), max_size=4)),
+                                     max_size=3)),
+            "graph": maybe(GRAPHS),
+        })))
+    elif kind == "latin":
+        obj["t"] = draw(maybe(st.integers(-1, 3)))
+        if draw(st.booleans()):
+            obj["matrix"] = draw(maybe(st.lists(maybe(st.lists(COLOR, max_size=4)),
+                                                max_size=4)))
+        else:
+            obj["generator"] = draw(GENERATORS)
+    elif kind.startswith("rainbow"):
+        if kind == "rainbow-tree":
+            obj["t"] = draw(maybe(st.integers(-1, 3)))
+        if draw(st.booleans()):
+            obj["coloring"] = draw(maybe(full_colorings()))
+        else:
+            obj["generator"] = draw(GENERATORS)
+    if draw(st.booleans()):
+        obj["params"] = draw(PARAMS)
+    return obj
+
+
+@st.composite
+def flag_argvs(draw):
+    """Subcommand flags from small, zero and negative values; slow defaults
+    (samples, trials, runs, budget) are always given."""
+    command = draw(st.sampled_from(["latin", "rainbow-matching", "rainbow-tree",
+                                    "verify-oracle"]))
+    argv = [command]
+    if command == "verify-oracle":
+        argv.append(draw(st.sampled_from(["variable", "permutation", "matching", "tree",
+                                          "synthesized", "appendix-a"])))
+        optional = {"--size": st.integers(-3, 6), "--event": st.integers(-2, 4),
+                    "--k": st.integers(-1, 4), "--l": st.integers(-1, 3)}
+        for name, values in (("--samples", st.integers(-1, 30)),
+                             ("--trials", st.integers(-1, 30)), ("--runs", st.integers(-1, 4))):
+            argv += [name, str(draw(values))]
+    else:
+        optional = {"--n": st.integers(-2, 9), "--multiplicity": st.integers(-1, 6),
+                    "--jobs": st.integers(-1, 3), "--instance-seed": st.integers(0, 3)}
+        if command != "rainbow-matching":
+            optional["--t"] = st.integers(-1, 3)
+    optional.update({"--seed": st.integers(0, 3), "--format": st.sampled_from(["json", "text"])})
+    for name, values in optional.items():
+        if draw(st.booleans()):
+            argv += [name, str(draw(values))]
+    return argv + ["--budget", str(draw(st.integers(-1, 300)))]
+
+
+def exit_code(argv):
+    """main's exit code, with output discarded; any other exception escapes."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=150, deadline=None)
+@given(flag_argvs())
+def test_fuzzed_flags_end_in_an_exit_code(argv):
+    assert exit_code(argv) in (0, 1, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.sampled_from([["criteria"], ["criteria", "--exact"],
+                                     ["run", "--budget", "40"],
+                                     ["run", "--budget", "40", "--jobs", "2"]]))
+def test_fuzzed_instances_end_in_an_exit_code(obj, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_instance(Path(tmp), obj)
+        assert exit_code([command[0], path, *command[1:]]) in (0, 1, 2, 3)

@@ -243,6 +243,16 @@ def test_streak_oracle_requires_occurring_event():
     for i in range(b.n):
         with pytest.raises(OracleEventError):
             b.resample(i, state, _BitFeed([0, 0, 0]))
+    # on every state, the oracle refuses exactly the events that are off
+    b = AppendixABundle(2, 2)
+    for code in range(1 << b.n_vars):
+        state = tuple(code >> t & 1 for t in range(b.n_vars))
+        for i in range(b.n):
+            if b.holds(i, state):
+                b.resample(i, state, _BitFeed([0, 0, 0]))
+            else:
+                with pytest.raises(OracleEventError):
+                    b.resample(i, state, _BitFeed([0, 0, 0]))
 
 
 def test_streak_bundle_exact_distribution_cap():
