@@ -49,6 +49,7 @@ from .oracles import (
     tree_resample,
 )
 from .polynomials import CriterionParams, tail_bounds
+from .streams import shuffle
 # Not called here; kept importable because bench/workloads.py wraps it.
 from .polynomials import predicted_bound  # noqa: F401
 
@@ -69,7 +70,10 @@ class ColoredCompleteGraph:
 
     def __init__(self, n: int, color: dict) -> None:
         self.n = n
-        self.color = {normalize_edge(e): int(c) for e, c in color.items()}
+        # Edges given as (u, v) with u < v, as the generators make them,
+        # are kept as they are; the rest go through normalize_edge.
+        self.color = {(u, v) if u < v else normalize_edge((u, v)): int(c)
+                      for (u, v), c in color.items()}
         expected = n * (n - 1) // 2
         if len(self.color) != expected:
             raise ValueError(
@@ -144,7 +148,7 @@ def random_edge_coloring(n: int, multiplicity: int, rng) -> ColoredCompleteGraph
     if multiplicity < 1:
         raise ValueError("multiplicity must be at least 1")
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    rng.shuffle(edges)
+    shuffle(edges, rng)
     return ColoredCompleteGraph(n, _chunk_coloring(edges, multiplicity))
 
 
@@ -178,7 +182,7 @@ def random_color_matrix(n: int, multiplicity: int, rng) -> ColorMatrix:
     if multiplicity < 1:
         raise ValueError("multiplicity must be at least 1")
     cells = [(u, v) for u in range(n) for v in range(n)]
-    rng.shuffle(cells)
+    shuffle(cells, rng)
     coloring = _chunk_coloring(cells, multiplicity)
     rows = [[0] * n for _ in range(n)]
     for (u, v), c in coloring.items():
@@ -619,7 +623,7 @@ class LatinBundle(_AppBundle):
 
     def _draw(self, rng):
         pi = list(range(self.size))
-        rng.shuffle(pi)
+        shuffle(pi, rng)
         return tuple(pi)
 
     def _redraw(self, pi, cells, rng):

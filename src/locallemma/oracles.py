@@ -20,10 +20,10 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .graphs import DependencyGraph, KeyGraph
+from .streams import below, seqsum, shuffle
 
 
 class OracleEventError(ValueError):
@@ -53,8 +53,8 @@ class VariableState:
 def _draw(dist, rng):
     values, weights = dist
     if weights is None:
-        return values[rng.randrange(len(values))]
-    total = sum(weights)
+        return values[below(len(values), rng)]
+    total = seqsum(weights)
     r = rng.random() * total
     acc = 0.0
     for value, w in zip(values, weights):
@@ -134,7 +134,7 @@ def permutation_resample(pi: Sequence[int], event: PatternEvent, rng) -> tuple[i
     out = list(pi)
     for idx in range(len(xs) - 1, -1, -1):
         pool = xs[idx:] + rest
-        z = pool[rng.randrange(len(pool))]
+        z = pool[below(len(pool), rng)]
         x = xs[idx]
         out[x], out[z] = out[z], out[x]
     return tuple(out)
@@ -169,7 +169,7 @@ def sample_perfect_matching(n: int, rng) -> tuple[int, ...]:
     if n % 2:
         raise ValueError("perfect matchings need an even vertex count")
     verts = list(range(n))
-    rng.shuffle(verts)
+    shuffle(verts, rng)
     partner = [0] * n
     for k in range(0, n, 2):
         u, v = verts[k], verts[k + 1]
@@ -214,7 +214,7 @@ def matching_resample(partner: Sequence[int], event_edges: Iterable, rng) -> tup
         if m == 0:
             free_add((u, v))
             continue
-        x, y = free[rng.randrange(m)]
+        x, y = free[below(m, rng)]
         if rng.getrandbits(1):
             x, y = y, x
         if rng.random() < 1 - 1 / (2 * m + 1):
@@ -225,7 +225,6 @@ def matching_resample(partner: Sequence[int], event_edges: Iterable, rng) -> tup
             free_add(normalize_edge((v, x)))
         else:
             free_add((u, v))
-    assert is_perfect_matching(par)
     return tuple(par)
 
 
@@ -250,111 +249,6 @@ def enumerate_perfect_matchings(n: int) -> list[tuple[int, ...]]:
 
     build(list(range(n)), [-1] * n)
     return out
-
-
-# ---------------------------------------------------------------------------
-# multigraphs and uniform spanning trees
-
-
-class Multigraph:
-    """Undirected multigraph with integer edge multiplicities."""
-
-    def __init__(self, n: int) -> None:
-        if n <= 0:
-            raise ValueError("multigraph needs at least one vertex")
-        self.n = n
-        self._weight: list[dict[int, int]] = [dict() for _ in range(n)]
-        self._walk_cache: list[tuple[list[int], list[int]]] | None = None
-
-    def add_edge(self, u: int, v: int, mult: int = 1) -> None:
-        if u == v:
-            raise ValueError("self-loops are not allowed")
-        if mult < 1:
-            raise ValueError("multiplicity must be positive")
-        self._weight[u][v] = self._weight[u].get(v, 0) + mult
-        self._weight[v][u] = self._weight[v].get(u, 0) + mult
-        self._walk_cache = None
-
-    def multiplicity(self, u: int, v: int) -> int:
-        return self._weight[u].get(v, 0)
-
-    def neighbors(self, u: int) -> list[tuple[int, int]]:
-        return sorted(self._weight[u].items())
-
-    def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self._weight[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
-
-    def _walk_tables(self):
-        if self._walk_cache is None:
-            tables = []
-            for u in range(self.n):
-                nbrs = []
-                cum = []
-                acc = 0
-                for v, w in sorted(self._weight[u].items()):
-                    nbrs.append(v)
-                    acc += w
-                    cum.append(acc)
-                tables.append((nbrs, cum))
-            self._walk_cache = tables
-        return self._walk_cache
-
-    def step(self, u: int, rng) -> int:
-        """One step of the multiplicity-weighted random walk from u."""
-        nbrs, cum = self._walk_tables()[u]
-        if not nbrs:
-            raise ValueError(f"vertex {u} is isolated")
-        r = rng.random() * cum[-1]
-        return nbrs[bisect_right(cum, r)]
-
-
-def complete_multigraph(n: int) -> Multigraph:
-    g = Multigraph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            g.add_edge(u, v)
-    return g
-
-
-def uniform_spanning_tree(graph: Multigraph, rng) -> list[tuple[int, int]]:
-    """Sample a spanning tree by loop-erased random walks.
-
-    Tree shapes come out with probability proportional to the product
-    of their edge multiplicities, which is the uniform distribution
-    over trees counted with parallel edges distinguished.  Raises on a
-    disconnected graph.
-    """
-    if not graph.is_connected():
-        raise ValueError("spanning tree of a disconnected graph")
-    return _wilson_walk(graph, rng)
-
-
-def _wilson_walk(graph: Multigraph, rng) -> list[tuple[int, int]]:
-    # The loop-erased walks of uniform_spanning_tree on a connected graph.
-    n = graph.n
-    succ = [-1] * n
-    in_tree = [False] * n
-    in_tree[0] = True
-    for start in range(1, n):
-        u = start
-        while not in_tree[u]:
-            succ[u] = graph.step(u, rng)
-            u = succ[u]
-        u = start
-        while not in_tree[u]:
-            in_tree[u] = True
-            u = succ[u]
-    return [(v, succ[v]) for v in range(1, n) if succ[v] >= 0]
 
 
 # ---------------------------------------------------------------------------
@@ -387,21 +281,52 @@ def is_spanning_tree(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     return True
 
 
-@lru_cache(maxsize=1)
-def _complete_walk_graph(n: int) -> Multigraph:
-    # K_n with its walk tables, shared by the samples of one n and never
-    # mutated: building them costs far more than one walk.  One size is
-    # kept, so the memory held is what a single sample needs anyway.
-    return complete_multigraph(n)
+def _wilson(nw: int, sizes: Sequence[int], rng) -> list[int]:
+    """Successor array of Wilson's loop-erased walks (STOC 1996) on K_nw
+    plus one node nw + j per size s_j, joined to each of the nodes 0..nw-1
+    by s_j parallel edges.  Rooted at node 0 and started from nodes 1, 2,
+    ... in turn, it takes per step the one random() of a weighted walk
+    over bisected cumulative weights, in closed form (README, "Random
+    streams")."""
+    random = rng.random
+    top = nw - 1
+    cum = list(itertools.accumulate(sizes, initial=top))
+    total = cum[-1]
+    n_nodes = nw + len(sizes)
+    succ = [-1] * n_nodes
+    in_tree = [False] * n_nodes
+    in_tree[0] = True
+    for start in range(1, n_nodes):
+        u = start
+        while not in_tree[u]:
+            if u < nw:
+                r = random() * total
+                if r < top:
+                    k = int(r)
+                    v = k + (k >= u)
+                else:
+                    v = nw + bisect_right(cum, r, 1) - 1
+            else:
+                # int(r / s) is floor(r / s): below 2^53 the quotient of
+                # a float r < j*s never rounds up to j.
+                s = sizes[u - nw]
+                v = int(random() * (nw * s) / s)
+            succ[u] = v
+            u = v
+        u = start
+        while not in_tree[u]:
+            in_tree[u] = True
+            u = succ[u]
+    return succ
 
 
 def sample_spanning_tree(n: int, rng) -> frozenset[tuple[int, int]]:
-    """Uniform spanning tree of the complete graph on [n].
-
-    Consumes the same random stream as
-    ``uniform_spanning_tree(complete_multigraph(n), rng)``.
-    """
-    return frozenset(normalize_edge(e) for e in _wilson_walk(_complete_walk_graph(n), rng))
+    """Uniform spanning tree of the complete graph on [n], by Wilson's
+    algorithm on K_n (see ``_wilson``): one float per walk step."""
+    if n < 1:
+        raise ValueError("spanning trees need at least one vertex")
+    succ = _wilson(n, (), rng)
+    return frozenset((u, v) if u < v else (v, u) for u, v in enumerate(succ) if u)
 
 
 def tree_resample(tree: frozenset, event_edges: Iterable, rng) -> frozenset:
@@ -412,64 +337,49 @@ def tree_resample(tree: frozenset, event_edges: Iterable, rng) -> frozenset:
     node per W-vertex and one per frozen-forest component, with W-W
     edges simple and W-component edges carrying the component size as
     multiplicity (every other edge of K_n either was frozen or is
-    banned from the redraw).  A uniform spanning tree of that multigraph,
-    with each component edge landed on a uniform member vertex, extends
-    the frozen forest back to a uniform conditioned tree.
+    banned from the redraw).  A uniform spanning tree of that multigraph
+    (``_wilson``), with each component edge then landed on a uniform
+    member vertex (``below``, in node order), extends the frozen forest
+    back to a uniform conditioned tree.
     """
     n = len(tree) + 1
     edges = sorted({normalize_edge(e) for e in event_edges})
-    tset = set(tree)
     for e in edges:
-        if e not in tset:
+        if e not in tree:
             raise OracleEventError(f"edge {e} not in the tree")
     if not edges:
         return tree
     w_verts = sorted({v for e in edges for v in e})
-    w_index = {v: k for k, v in enumerate(w_verts)}
-    outside = [v for v in range(n) if v not in w_index]
-
-    kept = [e for e in tset if e[0] not in w_index and e[1] not in w_index]
-    parent = {v: v for v in outside}
+    in_w = [False] * n
+    for v in w_verts:
+        in_w[v] = True
+    forest = [(u, v) for u, v in tree if not (in_w[u] or in_w[v])]
+    parent = list(range(n))
 
     def find(a: int) -> int:
         while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
+            parent[a] = a = parent[parent[a]]
         return a
 
-    for u, v in kept:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+    for u, v in forest:
+        parent[find(u)] = find(v)
+    # Dicts keep insertion order, so components come by smallest member.
     groups: dict[int, list[int]] = {}
-    for v in outside:
-        groups.setdefault(find(v), []).append(v)
-    components = sorted(groups.values(), key=lambda c: c[0])
+    for v in range(n):
+        if not in_w[v]:
+            groups.setdefault(find(v), []).append(v)
+    components = list(groups.values())
 
     nw = len(w_verts)
-    contracted = Multigraph(nw + len(components)) if nw + len(components) > 1 else None
-    if contracted is None:
-        return tree  # single node after contraction: nothing left to redraw
-    for a in range(nw):
-        for b in range(a + 1, nw):
-            contracted.add_edge(a, b)
-    for k, comp in enumerate(components):
-        for a in range(nw):
-            contracted.add_edge(a, nw + k, mult=len(comp))
-
-    redrawn = []
-    for a, b in uniform_spanning_tree(contracted, rng):
-        if a > b:
-            a, b = b, a
+    succ = _wilson(nw, [len(comp) for comp in components], rng)
+    for v in range(1, len(succ)):
+        a, b = (v, succ[v]) if v < succ[v] else (succ[v], v)
         if b < nw:
-            redrawn.append(normalize_edge((w_verts[a], w_verts[b])))
+            forest.append((w_verts[a], w_verts[b]))
         else:
             comp = components[b - nw]
-            member = comp[rng.randrange(len(comp))]
-            redrawn.append(normalize_edge((w_verts[a], member)))
-    result = frozenset(kept) | frozenset(redrawn)
-    assert is_spanning_tree(n, result)
-    return result
+            forest.append(normalize_edge((w_verts[a], comp[below(len(comp), rng)])))
+    return frozenset(forest)
 
 
 def enumerate_spanning_trees(n: int) -> list[frozenset[tuple[int, int]]]:
@@ -528,7 +438,7 @@ class VariableBundle:
             if weights is None:
                 supports.append([(v, 1 / len(values)) for v in values])
             else:
-                total = sum(weights)
+                total = seqsum(weights)
                 supports.append([(v, w / total) for v, w in zip(values, weights)])
         dist: dict[tuple, float] = {}
         for combo in itertools.product(*supports):
@@ -563,7 +473,7 @@ class PermutationBundle:
 
     def sample(self, rng) -> tuple[int, ...]:
         pi = list(range(self.size))
-        rng.shuffle(pi)
+        shuffle(pi, rng)
         return tuple(pi)
 
     def holds(self, i: int, state) -> bool:
@@ -641,6 +551,9 @@ class MatchingBundle:
     def resample(self, i: int, state, rng):
         return matching_resample(state, self.events[i], rng)
 
+    def valid_state(self, state) -> bool:
+        return len(state) == self.size and is_perfect_matching(state)
+
     def state_key(self, state):
         return state
 
@@ -674,6 +587,9 @@ class TreeBundle:
 
     def resample(self, i: int, state, rng):
         return tree_resample(state, self.events[i], rng)
+
+    def valid_state(self, state) -> bool:
+        return is_spanning_tree(self.size, state)
 
     def state_key(self, state):
         return tuple(sorted(state))

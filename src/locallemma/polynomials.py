@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphs import DependencyGraph, ENUMERATION_CAP, independent_set_masks
+from .streams import seqsum
 
 #: Magnitudes below this are reported as boundary diagnostics rather than
 #: trusted sign information.
@@ -63,11 +64,11 @@ class CriterionParams:
         if self.kind == "gll":
             if self.x is None:
                 raise ValueError("gll bound requires the x vector")
-            return (sum(math.log(1 / (1 - xi)) for xi in self.x),
-                    4 * sum(xi / (1 - xi) for xi in self.x))
+            return (seqsum(math.log(1 / (1 - xi)) for xi in self.x),
+                    4 * seqsum(xi / (1 - xi) for xi in self.x))
         if self.y is None:
             raise ValueError("cll bound requires the y vector")
-        return sum(map(math.log1p, self.y)), 4 * sum(self.y)
+        return seqsum(map(math.log1p, self.y)), 4 * seqsum(self.y)
 
 
 class PolynomialTable:
@@ -290,7 +291,7 @@ def shearer_slack(table: PolynomialTable) -> float:
     """
     if not in_shearer_region(table):
         raise ValueError("slack is undefined outside the region")
-    singletons = sum(table.q[1 << i] for i in range(table.n))
+    singletons = seqsum(table.q[1 << i] for i in range(table.n))
     if singletons == 0:
         return math.inf
     return float(table.q0 / (2 * singletons))
@@ -350,8 +351,8 @@ def predicted_bounds(params: CriterionParams, ts: Sequence[float],
         log_q0 = math.log(1 / float(scaled.q0))
         return [2 * (log_q0 + t) / eps for t in ts]
     ratios = [singleton_ratio(table, i) for i in range(table.n)]
-    scale = 4 * sum(ratios)
-    log_sum = sum(math.log1p(r) for r in ratios)
+    scale = 4 * seqsum(ratios)
+    log_sum = seqsum(math.log1p(r) for r in ratios)
     return [scale * (log_sum + 1 + t) for t in ts]
 
 

@@ -68,13 +68,14 @@ class DistributionTestReport:
 
 
 def _conditioned_state(bundle, event: int, rng, budget: int):
-    """Sample from the measure conditioned on the event, by rejection."""
-    for _ in range(budget):
+    """(state, draws taken) from the measure conditioned on the event, by
+    rejection within budget draws."""
+    for draws in range(1, budget + 1):
         state = bundle.sample(rng)
         if bundle.holds(event, state):
-            return state
+            return state, draws
     raise RuntimeError(
-        f"rejection sampling failed to hit event {event} within {budget} draws"
+        f"rejection sampling ran out of its draw budget on event {event}"
     )
 
 
@@ -83,11 +84,12 @@ def test_r1(bundle, event: int, samples: int, seed: int = 0,
             rejection_budget: int = DEFAULT_REJECTION_BUDGET) -> DistributionTestReport:
     """Measure-restoration check for one event.
 
-    Draws `samples` states from the conditioned measure (rejection),
-    resamples each once, and chi-square-tests the outputs against
-    bundle.exact_distribution().  Passing means the statistic stays
-    below the upper quantile at the given significance and no output
-    fell outside the exact support.
+    Draws `samples` states from the conditioned measure (rejection, at
+    most `rejection_budget` draws in all), resamples each once, and
+    chi-square-tests the outputs against bundle.exact_distribution().
+    Passing means the statistic stays below the upper quantile at the
+    given significance and no output (a broken structure included) fell
+    outside the exact support.
     """
     if samples < 1:
         raise ValueError("the distribution test needs at least one sample")
@@ -95,9 +97,10 @@ def test_r1(bundle, event: int, samples: int, seed: int = 0,
     key = getattr(bundle, "state_key", None)
     rng = random.Random(seed)
     counts: dict[object, int] = {}
-    remaining_rejections = rejection_budget
+    remaining = rejection_budget
     for _ in range(samples):
-        state = _conditioned_state(bundle, event, rng, remaining_rejections)
+        state, draws = _conditioned_state(bundle, event, rng, remaining)
+        remaining -= draws
         out = bundle.resample(event, state, rng)
         k = key(out) if key is not None else out
         counts[k] = counts.get(k, 0) + 1
@@ -132,21 +135,30 @@ def test_r2(bundle, event: int, trials: int, seed: int = 0,
             rejection_budget: int = DEFAULT_REJECTION_BUDGET) -> int:
     """Containment check: count violations over conditioned trials.
 
-    Each trial draws a state satisfying the event, records which
-    non-neighbor events fail, resamples, and counts any of those that
-    now hold.  A correct oracle yields exactly zero.
+    Each trial draws a state satisfying the event (rejection, at most
+    `rejection_budget` draws in all), records which non-neighbor events
+    fail, resamples, and counts any of those that now hold.  An output
+    the bundle's ``valid_state`` rejects (a tree or matching oracle that
+    broke its structure) counts as one violation.  A correct oracle
+    yields exactly zero.
     """
     g = bundle.graph
     others = [
         j for j in range(bundle.n)
         if j != event and not g.adjacent(event, j)
     ]
+    valid = getattr(bundle, "valid_state", None)
     rng = random.Random(seed)
+    remaining = rejection_budget
     violations = 0
     for _ in range(trials):
-        state = _conditioned_state(bundle, event, rng, rejection_budget)
+        state, draws = _conditioned_state(bundle, event, rng, remaining)
+        remaining -= draws
         off = [j for j in others if not bundle.holds(j, state)]
         after = bundle.resample(event, state, rng)
+        if valid is not None and not valid(after):
+            violations += 1
+            continue
         violations += sum(1 for j in off if bundle.holds(j, after))
     return violations
 

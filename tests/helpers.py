@@ -7,6 +7,7 @@ but obviously correct.
 """
 
 import random
+from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
@@ -82,6 +83,22 @@ class _Fork(Exception):
         self.probs = probs
 
 
+class _Rejected(Exception):
+    """Raised when the last draw of a replayed path fails a rejection test."""
+
+
+class _Bits(int):
+    """A getrandbits value.  A rejection loop (``while r >= m``) draws
+    again until r < m; here the failing test raises _Rejected, and
+    exact_outcomes hands the branch's mass to its accepted siblings,
+    which is the law of the value the loop returns."""
+
+    def __ge__(self, m):
+        if int(self) >= m:
+            raise _Rejected
+        return False
+
+
 class _IntervalDraw:
     """Stands in for one uniform draw; branches lazily on comparisons.
 
@@ -137,7 +154,7 @@ class ReplayRNG:
 
     def getrandbits(self, bits):
         n = 1 << bits
-        return self._choose([Fraction(1, n)] * n)
+        return _Bits(self._choose([Fraction(1, n)] * n))
 
     def random(self):
         return _IntervalDraw(self)
@@ -146,22 +163,27 @@ class ReplayRNG:
 def exact_outcomes(fn):
     """Exact output law of fn(rng) by exhausting every RNG branch.
 
-    Only usable when fn consumes boundedly many draws on every path
-    (no rejection or random-walk loops).
+    Only usable when fn consumes boundedly many draws on every path (no
+    random-walk loops).  A rejection loop over getrandbits counts as one
+    draw: the branches of rejected values are dropped and their mass
+    goes to the accepted siblings in proportion.
     """
-    results = {}
-    stack = [((), Fraction(1))]
-    while stack:
-        path, prob = stack.pop()
+    def law(path):
         try:
-            res = fn(ReplayRNG(path))
+            return {fn(ReplayRNG(path)): Fraction(1)}
+        except _Rejected:
+            return None
         except _Fork as fork:
+            out, kept = {}, Fraction(0)
             for k, pk in enumerate(fork.probs):
-                if pk > 0:
-                    stack.append((path + (k,), prob * pk))
-        else:
-            results[res] = results.get(res, Fraction(0)) + prob
-    return results
+                sub = law(path + (k,)) if pk > 0 else None
+                if sub is not None:
+                    kept += pk
+                    for res, pr in sub.items():
+                        out[res] = out.get(res, Fraction(0)) + pk * pr
+            return {res: pr / kept for res, pr in out.items()}
+
+    return law(())
 
 
 def reference_resample_run(bundle, seed=0, max_resamples=1_000_000):
@@ -399,3 +421,150 @@ def linear_scan(cum, r):
         if r < acc:
             return k
     return len(cum) - 1
+
+
+# The spanning-tree samplers as the package ran them before their walks
+# took closed forms: a general multigraph with bisected walk tables, the
+# K_n walk on it, and the conditioned redraw on a contracted multigraph.
+# The closed-form samplers must give the same trees from the same stream.
+
+
+class Multigraph:
+    """Undirected multigraph with integer edge multiplicities."""
+
+    def __init__(self, n):
+        if n <= 0:
+            raise ValueError("multigraph needs at least one vertex")
+        self.n = n
+        self._weight = [dict() for _ in range(n)]
+        self._walk_cache = None
+
+    def add_edge(self, u, v, mult=1):
+        if u == v:
+            raise ValueError("self-loops are not allowed")
+        if mult < 1:
+            raise ValueError("multiplicity must be positive")
+        self._weight[u][v] = self._weight[u].get(v, 0) + mult
+        self._weight[v][u] = self._weight[v].get(u, 0) + mult
+        self._walk_cache = None
+
+    def is_connected(self):
+        if self.n == 1:
+            return True
+        seen = {0}
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for v in self._weight[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return len(seen) == self.n
+
+    def _walk_tables(self):
+        if self._walk_cache is None:
+            tables = []
+            for u in range(self.n):
+                nbrs = []
+                cum = []
+                acc = 0
+                for v, w in sorted(self._weight[u].items()):
+                    nbrs.append(v)
+                    acc += w
+                    cum.append(acc)
+                tables.append((nbrs, cum))
+            self._walk_cache = tables
+        return self._walk_cache
+
+    def step(self, u, rng):
+        """One step of the multiplicity-weighted random walk from u."""
+        nbrs, cum = self._walk_tables()[u]
+        if not nbrs:
+            raise ValueError(f"vertex {u} is isolated")
+        r = rng.random() * cum[-1]
+        return nbrs[bisect_right(cum, r)]
+
+
+def complete_multigraph(n):
+    g = Multigraph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            g.add_edge(u, v)
+    return g
+
+
+def uniform_spanning_tree(graph, rng):
+    """Spanning tree by loop-erased random walks, weighted by the product
+    of its edge multiplicities; raises on a disconnected graph."""
+    if not graph.is_connected():
+        raise ValueError("spanning tree of a disconnected graph")
+    n = graph.n
+    succ = [-1] * n
+    in_tree = [False] * n
+    in_tree[0] = True
+    for start in range(1, n):
+        u = start
+        while not in_tree[u]:
+            succ[u] = graph.step(u, rng)
+            u = succ[u]
+        u = start
+        while not in_tree[u]:
+            in_tree[u] = True
+            u = succ[u]
+    return [(v, succ[v]) for v in range(1, n) if succ[v] >= 0]
+
+
+def reference_spanning_tree(n, rng, graph=None):
+    """Uniform spanning tree of K_n by a walk on its multigraph."""
+    graph = graph or complete_multigraph(n)
+    return frozenset(tuple(sorted(e)) for e in uniform_spanning_tree(graph, rng))
+
+
+def reference_tree_resample(tree, event_edges, rng):
+    """Conditioned redraw of a spanning tree of K_n on a contracted multigraph."""
+    n = len(tree) + 1
+    edges = sorted({tuple(sorted(e)) for e in event_edges})
+    tset = set(tree)
+    assert all(e in tset for e in edges)
+    if not edges:
+        return tree
+    w_verts = sorted({v for e in edges for v in e})
+    w_index = {v: k for k, v in enumerate(w_verts)}
+    outside = [v for v in range(n) if v not in w_index]
+    kept = [e for e in tset if e[0] not in w_index and e[1] not in w_index]
+    parent = {v: v for v in outside}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u, v in kept:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    groups = {}
+    for v in outside:
+        groups.setdefault(find(v), []).append(v)
+    components = sorted(groups.values(), key=lambda c: c[0])
+
+    nw = len(w_verts)
+    contracted = Multigraph(nw + len(components))
+    for a in range(nw):
+        for b in range(a + 1, nw):
+            contracted.add_edge(a, b)
+    for k, comp in enumerate(components):
+        for a in range(nw):
+            contracted.add_edge(a, nw + k, mult=len(comp))
+    redrawn = []
+    for a, b in uniform_spanning_tree(contracted, rng):
+        if a > b:
+            a, b = b, a
+        if b < nw:
+            redrawn.append((w_verts[a], w_verts[b]))
+        else:
+            comp = components[b - nw]
+            member = comp[rng.randrange(len(comp))]
+            redrawn.append(tuple(sorted((w_verts[a], member))))
+    return frozenset(kept) | frozenset(redrawn)

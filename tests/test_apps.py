@@ -29,7 +29,13 @@ from locallemma.apps import (
     validate_rainbow_matching,
     validate_rainbow_trees,
 )
-from locallemma.oracles import is_spanning_tree, matching_pairs
+from locallemma import apps
+from locallemma.oracles import (
+    is_spanning_tree,
+    matching_pairs,
+    matching_resample,
+    tree_resample,
+)
 from locallemma.verify import test_r2 as run_r2
 
 K5_EDGES = [(u, v) for u in range(5) for v in range(u + 1, 5)]
@@ -70,6 +76,27 @@ def test_coloring_normalizes_and_counts():
     assert g.color[(0, 1)] == 5
     assert g.multiplicity == 2
     assert g.classes()[5] == [(0, 1), (0, 2)]
+
+
+def test_coloring_rejects_degenerate_and_malformed_edges():
+    with pytest.raises(ValueError):
+        ColoredCompleteGraph(2, {(1, 1): 0})
+    with pytest.raises(ValueError):
+        ColoredCompleteGraph(2, {(0, 1, 2): 0})
+
+
+def test_generators_draw_as_random_shuffle_does():
+    for seed in range(10):
+        edges = [(u, v) for u in range(20) for v in range(u + 1, 20)]
+        random.Random(seed).shuffle(edges)
+        coloring = random_edge_coloring(20, 3, random.Random(seed))
+        assert coloring.color == {e: k // 3 for k, e in enumerate(edges)}
+        assert list(coloring.color) == edges
+        cells = [(u, v) for u in range(9) for v in range(9)]
+        random.Random(seed).shuffle(cells)
+        rows = random_color_matrix(9, 2, random.Random(seed)).rows
+        assert {cell: rows[cell[0]][cell[1]] for cell in cells} == {
+            cell: k // 2 for k, cell in enumerate(cells)}
 
 
 def test_coloring_json_round_trip():
@@ -457,6 +484,32 @@ def test_validate_rainbow_trees():
     assert not validate_rainbow_trees(g, [star, star])  # shared edges
     mono = coloring_with_pair(5, (0, 1), (0, 2))
     assert not validate_rainbow_trees(mono, [star])  # repeated color
+
+
+def test_validate_solution_flags_broken_oracle_output(monkeypatch):
+    # a resample that breaks its structure is caught where solutions are
+    # validated, not inside the oracle
+    def drop_an_edge(tree, edges, rng):
+        out = tree_resample(tree, edges, rng)
+        return out - {max(out)}
+
+    def self_match(partner, edges, rng):
+        return (0, *matching_resample(partner, edges, rng)[1:])
+
+    cases = [
+        (RainbowTreeBundle(random_edge_coloring(6, 2, random.Random(3)), 2),
+         "tree_resample", drop_an_edge),
+        (RainbowMatchingBundle(round_robin_coloring(8)), "matching_resample", self_match),
+    ]
+    for bundle, name, broken in cases:
+        rng = random.Random(1)
+        state = bundle.sample(rng)
+        while not bundle.occurring(state):
+            state = bundle.sample(rng)
+        event = bundle.occurring(state)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(apps, name, broken)
+            assert not bundle.validate_solution(bundle.resample(event, state, rng))
 
 
 def test_validate_disjoint_transversals():

@@ -12,10 +12,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import exact_outcomes, kirchhoff_tree_count
+from helpers import (
+    Multigraph,
+    complete_multigraph,
+    exact_outcomes,
+    kirchhoff_tree_count,
+    uniform_spanning_tree,
+)
 from locallemma.oracles import (
     MatchingBundle,
-    Multigraph,
     OracleEventError,
     PatternEvent,
     PermutationBundle,
@@ -23,7 +28,6 @@ from locallemma.oracles import (
     TreeBundle,
     VariableBundle,
     VariableEvent,
-    complete_multigraph,
     enumerate_perfect_matchings,
     enumerate_spanning_trees,
     is_perfect_matching,
@@ -34,7 +38,6 @@ from locallemma.oracles import (
     sample_perfect_matching,
     sample_spanning_tree,
     tree_resample,
-    uniform_spanning_tree,
 )
 from locallemma.verify import test_r1 as check_r1, test_r2 as check_r2
 

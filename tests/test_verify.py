@@ -7,7 +7,13 @@ import pytest
 
 from locallemma.engine import maximal_set_resample
 from locallemma.graphs import DependencyGraph
-from locallemma.oracles import OracleEventError, VariableBundle, VariableEvent
+from locallemma.oracles import (
+    MatchingBundle,
+    OracleEventError,
+    TreeBundle,
+    VariableBundle,
+    VariableEvent,
+)
 from locallemma.verify import (
     AppendixABundle,
     StreakReport,
@@ -145,6 +151,67 @@ class _LeakyOracle:
 def test_r2_counts_switch_on_violations():
     # every trial starting at (0, 1) turns event 1 on
     assert run_r2(_LeakyOracle(), 0, trials=400, seed=9) > 50
+
+
+class _CountingBundle:
+    """A bundle whose unconditioned draws are counted."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.draws = 0
+
+    def sample(self, rng):
+        self.draws += 1
+        return self.inner.sample(rng)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_rejection_budget_is_one_budget_per_test():
+    # no single conditioned draw needs more than a few samples, so only a
+    # budget shared by the whole test runs out
+    counting = _CountingBundle(coin_pair_bundle())
+    report = run_r1(counting, 0, samples=300, seed=1)
+    needed = counting.draws
+    assert needed > 300
+    assert run_r1(coin_pair_bundle(), 0, samples=300, seed=1,
+                  rejection_budget=needed) == report
+    with pytest.raises(RuntimeError):
+        run_r1(coin_pair_bundle(), 0, samples=300, seed=1, rejection_budget=needed - 1)
+
+    counting = _CountingBundle(coin_pair_bundle())
+    assert run_r2(counting, 0, trials=300, seed=2) == 0
+    needed = counting.draws
+    assert run_r2(coin_pair_bundle(), 0, trials=300, seed=2, rejection_budget=needed) == 0
+    with pytest.raises(RuntimeError):
+        run_r2(coin_pair_bundle(), 0, trials=300, seed=2, rejection_budget=needed - 1)
+
+
+class _EdgeDroppingTrees(TreeBundle):
+    """Tree oracle that loses an edge: its outputs are no spanning trees."""
+
+    def resample(self, i, state, rng):
+        out = super().resample(i, state, rng)
+        return out - {max(out)}
+
+
+class _SelfMatchingMatchings(MatchingBundle):
+    """Matching oracle that matches vertex 0 to itself."""
+
+    def resample(self, i, state, rng):
+        return (0, *super().resample(i, state, rng)[1:])
+
+
+@pytest.mark.parametrize("bundle", [
+    _EdgeDroppingTrees(5, [((0, 1),), ((2, 3),)]),
+    _SelfMatchingMatchings(6, [((0, 1),), ((2, 3),), ((4, 5),)]),
+], ids=["tree", "matching"])
+def test_r1_and_r2_flag_outputs_that_are_no_structure(bundle):
+    report = run_r1(bundle, 0, samples=200, seed=4)
+    assert not report.passed
+    assert report.unexpected_states == 200
+    assert run_r2(bundle, 0, trials=200, seed=5) == 200
 
 
 def test_exhaustive_r2_needs_kernels():
