@@ -10,18 +10,19 @@ violations of the target structure:
   disjoint transversals    t permutations, each hitting n distinct
                            colors, no shared cell
 
-Each builder also returns cluster-criterion parameters (a uniform y
-vector) under which the engine's resample count has explicit tail
-bounds whenever the color multiplicity and the copy count stay below
-the stated fraction of n.  Event sets reach the hundreds of thousands
-at contest sizes, so no per-event table is built: an event index
-decodes in closed form (see ``_AppBundle``) into its copies and items,
-dependency is read off (copy, vertex) conflict keys (shared copy and
-overlapping vertex support), and occurrence scans exploit the
-structures directly.  A build costs a few int64 arrays over the N
-items (their colors, their order by color and one prefix count of
-same-colored partners), computed with numpy, not one entry per event
-or per same-colored pair.
+Each builder also returns cluster-criterion parameters under which the
+engine's resample count has explicit tail bounds whenever the color
+multiplicity and the copy count stay below the stated fraction of n.
+Every event gets the same y, so the vector is a ``Uniform``: one value
+and the event count, whose bound sums take closed form.  Event sets
+reach the hundreds of thousands at contest sizes, so no per-event table
+is built: an event index decodes in closed form (see ``_AppBundle``)
+into its copies and items, dependency is read off (copy, vertex)
+conflict keys (shared copy and overlapping vertex support), and
+occurrence scans exploit the structures directly.  A build costs a few
+int64 arrays over the N items (their colors, their order by color and
+one prefix count of same-colored partners), computed with numpy, not
+one entry per event or per same-colored pair.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .oracles import (
     sample_spanning_tree,
     tree_resample,
 )
-from .polynomials import CriterionParams, tail_bounds
+from .polynomials import CriterionParams, Uniform, tail_bounds
 from .streams import shuffle
 # Not called here; kept importable because bench/workloads.py wraps it.
 from .polynomials import predicted_bound  # noqa: F401
@@ -71,9 +72,9 @@ class ColoredCompleteGraph:
     def __init__(self, n: int, color: dict) -> None:
         self.n = n
         # Edges given as (u, v) with u < v, as the generators make them,
-        # are kept as they are; the rest go through normalize_edge.
-        self.color = {(u, v) if u < v else normalize_edge((u, v)): int(c)
-                      for (u, v), c in color.items()}
+        # keep the caller's key object; the rest go through normalize_edge.
+        self.color = {e if u < v else normalize_edge(e): int(c)
+                      for e, c in color.items() for u, v in (e,)}
         expected = n * (n - 1) // 2
         if len(self.color) != expected:
             raise ValueError(
@@ -495,7 +496,7 @@ class RainbowTreeBundle(_AppBundle):
 
     def params(self) -> CriterionParams:
         y = BETA * 4 / self.size**2
-        return CriterionParams(kind="cll", y=(y,) * self.n)
+        return CriterionParams(kind="cll", y=Uniform(y, self.n))
 
     def clique_size_bounds(self) -> dict[str, int]:
         n, t, q = self.size, self.t, self.coloring.multiplicity
@@ -565,7 +566,7 @@ class RainbowMatchingBundle(_AppBundle):
 
     def params(self) -> CriterionParams:
         y = MATCHING_BETA / ((self.size - 1) * (self.size - 3))
-        return CriterionParams(kind="cll", y=(y,) * self.n)
+        return CriterionParams(kind="cll", y=Uniform(y, self.n))
 
     def clique_size_bounds(self) -> dict[str, int]:
         q = self.coloring.multiplicity
@@ -637,7 +638,7 @@ class LatinBundle(_AppBundle):
 
     def params(self) -> CriterionParams:
         y = BETA / (self.size * (self.size - 1))
-        return CriterionParams(kind="cll", y=(y,) * self.n)
+        return CriterionParams(kind="cll", y=Uniform(y, self.n))
 
     def clique_size_bounds(self) -> dict[str, int]:
         n, t, q = self.size, self.t, self.matrix.multiplicity

@@ -17,15 +17,18 @@ as explicit functions of them.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Iterable
 
 import numpy as np
 
 from .graphs import DependencyGraph, ENUMERATION_CAP, independent_set_masks
-from .streams import seqsum
+from .streams import repeated_sum, seqsum
 
 #: Magnitudes below this are reported as boundary diagnostics rather than
 #: trusted sign information.
@@ -33,18 +36,54 @@ BOUNDARY_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
+class Uniform(Sequence):
+    """A vector of ``length`` equal entries, stored as the value and the length.
+
+    The cluster parameters of the applications give every event the same
+    value; ``CriterionParams.bound_sums`` sums a Uniform in closed form.
+    """
+
+    value: float
+    length: int
+
+    def __post_init__(self) -> None:
+        if self.length < 0:
+            raise ValueError("length must be nonnegative")
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, i: int) -> float:
+        i = operator.index(i)
+        if not -self.length <= i < self.length:
+            raise IndexError("Uniform index out of range")
+        return self.value
+
+    def __iter__(self):
+        return repeat(self.value, self.length)
+
+
+def _sum_of(f, vector: Sequence[float]):
+    """seqsum of f over the vector, in closed form for a Uniform."""
+    if isinstance(vector, Uniform):
+        return repeated_sum(f(vector.value), vector.length)
+    return seqsum(map(f, vector))
+
+
+@dataclass(frozen=True)
 class CriterionParams:
     """Witness vectors for a convergence criterion.
 
     kind is "gll" (vector x in (0,1)), "cll" (vector y > 0) or
-    "shearer" (no vector; the table itself is the witness).  epsilon is
-    the multiplicative slack the instance is known to satisfy; zero
-    means no slack is claimed.
+    "shearer" (no vector; the table itself is the witness).  A vector is
+    any sequence, a tuple or a :class:`Uniform`.  epsilon is the
+    multiplicative slack the instance is known to satisfy; zero means no
+    slack is claimed.
     """
 
     kind: str
-    x: tuple[float, ...] | None = None
-    y: tuple[float, ...] | None = None
+    x: Sequence[float] | None = None
+    y: Sequence[float] | None = None
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
@@ -58,17 +97,19 @@ class CriterionParams:
         """(log_sum, scale) of the gll and cll bounds, summed once per object.
 
         gll: sum_i ln 1/(1-x_i) and 4 * sum_i x_i/(1-x_i);
-        cll: sum_i ln(1+y_i) and 4 * sum_i y_i.  Every solve that reuses
-        the params reads the sums here instead of summing the vector again.
+        cll: sum_i ln(1+y_i) and 4 * sum_i y_i, each added left to right.
+        A :class:`Uniform` vector is summed in closed form
+        (``streams.repeated_sum``), to the same bits.  Every solve that
+        reuses the params reads the sums here instead of summing again.
         """
         if self.kind == "gll":
             if self.x is None:
                 raise ValueError("gll bound requires the x vector")
-            return (seqsum(math.log(1 / (1 - xi)) for xi in self.x),
-                    4 * seqsum(xi / (1 - xi) for xi in self.x))
+            return (_sum_of(lambda xi: math.log(1 / (1 - xi)), self.x),
+                    4 * _sum_of(lambda xi: xi / (1 - xi), self.x))
         if self.y is None:
             raise ValueError("cll bound requires the y vector")
-        return seqsum(map(math.log1p, self.y)), 4 * seqsum(self.y)
+        return _sum_of(math.log1p, self.y), 4 * _sum_of(lambda yi: yi, self.y)
 
 
 class PolynomialTable:

@@ -36,7 +36,8 @@ from locallemma.oracles import (
     matching_resample,
     tree_resample,
 )
-from locallemma.verify import test_r2 as run_r2
+from locallemma.polynomials import CriterionParams, Uniform, tail_bounds
+from locallemma.verify import derive_seed, test_r2 as run_r2
 
 K5_EDGES = [(u, v) for u in range(5) for v in range(u + 1, 5)]
 K5_TREES = [
@@ -403,6 +404,21 @@ def test_builders_return_uniform_cll_params():
     assert len(params.y) == bundle.n
     if bundle.n:
         assert params.y[0] == pytest.approx(MATCHING_BETA / 15)
+
+
+def test_uniform_params_sum_as_their_tuples_at_acceptance_sizes():
+    instances = [
+        build_latin_instance(random_color_matrix(128, 6, random.Random(derive_seed(99, 0))), 6),
+        build_rainbow_tree_instance(
+            random_edge_coloring(256, 3, random.Random(derive_seed(110, 0))), 3),
+        build_rainbow_matching_instance(
+            random_edge_coloring(128, 13, random.Random(derive_seed(88, 0)))),
+    ]
+    for bundle, params in instances:
+        assert isinstance(params.y, Uniform) and len(params.y) == bundle.n
+        as_tuple = CriterionParams(kind="cll", y=tuple(params.y))
+        assert [s.hex() for s in params.bound_sums] == [s.hex() for s in as_tuple.bound_sums]
+        assert tail_bounds(params) == tail_bounds(as_tuple)
 
 
 def test_cluster_criterion_holds_at_contest_scale():

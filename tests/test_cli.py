@@ -18,7 +18,8 @@ from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT7
 
 from locallemma.apps import distinct_color_matrix, rainbow_edge_coloring
-from locallemma.cli import main
+from locallemma.cli import _parse_params, main
+from locallemma.verify import derive_seed
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -188,6 +189,13 @@ def test_criteria_rejects_wrong_params_length(tmp_path, capsys):
     code, _, err = run_cli(["criteria", path], capsys)
     assert code == 3
     assert "length" in err
+
+
+def test_json_params_stay_tuples():
+    gll = _parse_params({"kind": "gll", "x": [0.5, "1/4"]}, 2)
+    cll = _parse_params({"kind": "cll", "y": [0.5, 0.5]}, 2)
+    assert gll.x == (0.5, 0.25) and type(gll.x) is tuple
+    assert cll.y == (0.5, 0.5) and type(cll.y) is tuple
 
 
 # ---------------------------------------------------------------------------
@@ -556,10 +564,53 @@ PINNED_OFFLINE_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("fixture, argv, digest", PINNED_OFFLINE_RUNS)
+#: App instance files for ``criteria``: three small enough for the exact
+#: table and ``check_cll``, and the first rainbow-tree acceptance instance,
+#: which gets the tail bounds only.
+APP_PIN_INSTANCES = {
+    "latin": {"kind": "latin", "t": 2,
+              "generator": {"n": 3, "multiplicity": 2, "seed": 1}},
+    "tree": {"kind": "rainbow-tree", "t": 2,
+             "generator": {"n": 4, "multiplicity": 2, "seed": 0}},
+    "matching": {"kind": "rainbow-matching",
+                 "generator": {"n": 10, "multiplicity": 2, "seed": 0}},
+    "tree-256": {"kind": "rainbow-tree", "t": 3,
+                 "generator": {"n": 256, "multiplicity": 3, "seed": derive_seed(110, 0)}},
+}
+
+
+def pin_instance(fixture):
+    if fixture in APP_PIN_INSTANCES:
+        return APP_PIN_INSTANCES[fixture]
+    return {"graph": custom_graph_pin_instance,
+            "space": explicit_space_pin_instance}[fixture]()
+
+
+#: sha256 of ``criteria`` on the app instances, captured while the app
+#: params still held one y entry per event.
+PINNED_APP_CRITERIA_RUNS = [
+    pytest.param("latin", ["criteria"],
+                 "4ef5c36e9e93e2ca43ab7bdd73908038d87433bfa451825b379e033aae65a5b4",
+                 id="criteria-latin"),
+    pytest.param("tree", ["criteria"],
+                 "60906d60d9506d6574974441248c5e0e36e48369844b95a5106feea6fec34035",
+                 id="criteria-tree"),
+    pytest.param("matching", ["criteria"],
+                 "66d2b734270a1c7f4e0642f69c72500a291b34bd094427a78e7bdb3aa646e590",
+                 id="criteria-matching"),
+    pytest.param("matching", ["criteria", "--exact"],
+                 "73de33bc7270da2e490d20296dac3225f73804c820336965d29ef1dec941a697",
+                 id="criteria-exact-matching"),
+    pytest.param("tree-256", ["criteria"],
+                 "2b44500000f4cd703feee5a0fb2987d1cf9f4a29b5b028b7b68bf33c3823b088",
+                 id="criteria-tree-256"),
+]
+
+
+@pytest.mark.parametrize("fixture, argv, digest",
+                         PINNED_OFFLINE_RUNS + PINNED_APP_CRITERIA_RUNS)
 def test_offline_output_is_pinned(fixture, argv, digest, tmp_path, capsys):
-    instance = {"graph": custom_graph_pin_instance,
-                "space": explicit_space_pin_instance}[fixture]()
+    instance = pin_instance(fixture)
     code, out, _ = run_cli(argv + [write_instance(tmp_path, instance)], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

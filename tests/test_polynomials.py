@@ -7,6 +7,7 @@ random instances with exact rational arithmetic.
 
 import math
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from helpers import brute_breve, brute_q, scalar_build_table, subsets
 from locallemma.graphs import DependencyGraph, enumerate_independent_sets
 from locallemma.polynomials import (
     CriterionParams,
+    Uniform,
     build_table,
     check_cll,
     check_gll,
@@ -452,6 +454,46 @@ def test_predicted_bounds_equal_single_bounds_exactly():
         values = predicted_bounds(params, ts, table=tab)
         assert values == [single_bound(params, t, tab) for t in ts], params.kind
         assert values == [predicted_bound(params, t, table=tab) for t in ts]
+
+
+def test_uniform_is_a_sequence_of_one_value():
+    u = Uniform(0.25, 3)
+    assert isinstance(u, Sequence) and len(u) == 3
+    assert [u[0], u[1], u[2], u[-1], u[-3]] == [0.25] * 5
+    for i in (3, -4, 10**20, -10**20):
+        with pytest.raises(IndexError):
+            u[i]
+    with pytest.raises(TypeError):
+        u[1.0]
+    assert list(u) == [0.25] * 3 and tuple(u) == (0.25,) * 3
+    assert list(reversed(u)) == [0.25] * 3 and 0.25 in u and 0.5 not in u
+    assert u == Uniform(0.25, 3) and hash(u) == hash(Uniform(0.25, 3))
+    assert u != Uniform(0.25, 4) and u != Uniform(0.5, 3) and u != (0.25,) * 3
+    empty = Uniform(0.25, 0)
+    assert len(empty) == 0 and list(empty) == []
+    with pytest.raises(IndexError):
+        empty[0]
+    with pytest.raises(ValueError):
+        Uniform(0.25, -1)
+
+
+def sums_hex(params):
+    return [(type(s), float(s).hex()) for s in params.bound_sums]
+
+
+def test_uniform_bound_sums_equal_the_tuple_sums():
+    rng = random.Random(23)
+    values = [0.5, 0.1, 1e-300, rng.uniform(1e-6, 0.3), rng.uniform(0.3, 0.95)]
+    for value in values:
+        for n in (0, 1, 2, 7, 1000, 65537):
+            for kind, field in (("gll", "x"), ("cll", "y")):
+                for eps in (0.0, 0.05):
+                    closed = CriterionParams(kind=kind, epsilon=eps,
+                                             **{field: Uniform(value, n)})
+                    loop = CriterionParams(kind=kind, epsilon=eps, **{field: (value,) * n})
+                    assert sums_hex(closed) == sums_hex(loop), (kind, value, n)
+                    assert predicted_bounds(closed, (1.0, 7.25)) == \
+                        predicted_bounds(loop, (1.0, 7.25))
 
 
 def test_params_validation():

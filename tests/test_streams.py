@@ -20,20 +20,16 @@ from functools import reduce
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import locallemma
 from helpers import complete_multigraph, reference_spanning_tree, reference_tree_resample
 from locallemma import streams
 from locallemma.cli import main
 from locallemma.oracles import sample_spanning_tree, tree_resample
-from locallemma.streams import below, seqsum, shuffle
+from locallemma.streams import below, repeated_sum, seqsum, shuffle
 from test_app_indexing import PINNED_RUNS
-from test_cli import (
-    PINNED_OFFLINE_RUNS,
-    custom_graph_pin_instance,
-    explicit_space_pin_instance,
-    write_instance,
-)
+from test_cli import PINNED_APP_CRITERIA_RUNS, PINNED_OFFLINE_RUNS, pin_instance, write_instance
 
 SEEDS = range(40)
 SIZES = range(1, 65)
@@ -78,6 +74,61 @@ def test_seqsum_adds_left_to_right():
         assert streams._loop_sum(xs) == expected
         assert seqsum(xs) == expected
         assert seqsum(iter(xs), 0.5) == reduce(operator.add, xs, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# repeated sums in closed form
+
+
+def assert_repeated_sum_is_the_loop(v, n):
+    ours = repeated_sum(v, n)
+    loop = streams._loop_sum([v] * n)
+    assert type(ours) is type(loop), (v, n)
+    if isinstance(loop, float):
+        assert ours.hex() == loop.hex(), (v, n)  # nan has one hex, -0.0 its own
+    else:
+        assert ours == loop, (v, n)
+
+
+@st.composite
+def tie_prone_floats(draw):
+    """Positive floats whose low mantissa bits are cleared, so that adding
+    them lands on a half ulp of the running total; subnormals included."""
+    mantissa = draw(st.integers(1, (1 << 53) - 1))
+    cleared = draw(st.integers(0, 52))
+    exponent = draw(st.integers(-1074, 971))
+    return math.ldexp(mantissa >> cleared << cleared, exponent)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(min_value=5e-324, allow_infinity=False), tie_prone_floats()),
+       st.integers(0, 3000))
+def test_repeated_sum_is_the_loop(v, n):
+    assert_repeated_sum_is_the_loop(v, n)
+
+
+def test_repeated_sum_on_explicit_cases():
+    rng = random.Random(9)
+    tiny = math.ulp(0.0)
+    values = [
+        0.1, 1 / 3, 0.5, 0.75, 1.0, 3.0, 2.0 ** -60, 1.2999915500732326e-05,
+        rng.random(), rng.random() * 1e-7,
+        tiny, 3 * tiny, 2.0 ** -1022 - tiny, 2.0 ** -1022, 2.0 ** -1021 + tiny,
+        1e308, 1.7976931348623157e308 / 3, 1.7976931348623157e308,
+        0.0, -0.0, -0.1, -2.5, math.inf, -math.inf, math.nan,
+    ]
+    # a mantissa of 53 random bits with the low k cleared, for every k
+    values += [math.ldexp((rng.getrandbits(53) | 1 << 52) >> k << k, -60) for k in range(53)]
+    for v in values:
+        for n in (0, 1, 2, 3, 1000, 4099):
+            assert_repeated_sum_is_the_loop(v, n)
+    for v in (0.1, 0.75, 1e-7, 2.0 ** -1022 - tiny, 1e300, -0.25):
+        assert_repeated_sum_is_the_loop(v, 10**6)
+
+
+def test_repeated_sum_of_nothing_is_the_int_zero():
+    for v in (0.5, -0.0, math.nan):
+        assert repeated_sum(v, 0) == 0 and type(repeated_sum(v, 0)) is int
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +233,15 @@ def run_pinned(kind, argv, tmp_path, capsys):
     if kind == "oracle":
         return oracle_output(argv, capsys)
     if kind != "app":
-        instance = {"graph": custom_graph_pin_instance,
-                    "space": explicit_space_pin_instance}[kind]()
-        argv = argv + [write_instance(tmp_path, instance)]
+        argv = argv + [write_instance(tmp_path, pin_instance(kind))]
     assert main(argv) == 0
     return capsys.readouterr().out
 
 
 ALL_PINS = (
     [pytest.param("app", *p.values, id=f"app-{p.id}") for p in PINNED_RUNS]
-    + [pytest.param(*p.values, id=f"offline-{p.id}") for p in PINNED_OFFLINE_RUNS]
+    + [pytest.param(*p.values, id=f"offline-{p.id}")
+       for p in PINNED_OFFLINE_RUNS + PINNED_APP_CRITERIA_RUNS]
     + [pytest.param("oracle", *p.values, id=f"oracle-{p.id}") for p in PINNED_ORACLE_RUNS]
 )
 
