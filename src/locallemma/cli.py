@@ -267,7 +267,8 @@ def cmd_criteria(args, out) -> int:
         if bundle.n <= ENUMERATION_CAP:
             probs = [Fraction(bundle.event_prob(i)) for i in range(bundle.n)]
             exact_report = _criteria_report(bundle.graph, probs, params, args.exact)
-            exact_report.update(report)
+            bounds = {**exact_report["predicted_bounds"], **report["predicted_bounds"]}
+            exact_report.update(report, predicted_bounds=bounds)
             report = exact_report
     else:
         raise InputError(f"unknown instance kind {kind!r}")

@@ -11,6 +11,9 @@ occurring to occur.  States use plain structures:
     perfect matching      tuple partner, partner[v] is v's partner
     spanning tree of K_n  frozenset of (u, v) pairs with u < v
 
+The streak bundle of the verify layer (AppendixABundle) keeps its fair
+bits as bytes, one byte per bit.
+
 Oracles raise OracleEventError when asked to resample an event that
 does not hold; the engine never does this.
 """

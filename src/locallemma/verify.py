@@ -12,7 +12,9 @@ isolated event E' gets resampled many iterations in a row with constant
 probability: each E' resampling shifts a queue of bits into E's own
 trigger variable, and the queue was loaded by earlier resamplings of
 other events.  It demonstrates that per-run resampling counts cannot be
-bounded through per-occurrence arguments in this framework.
+bounded through per-occurrence arguments in this framework.  Its state
+is a bytes bit vector, so a resample is one copy and the occurrence scan
+searches for zero bytes.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 from scipy.special import chdtri
 
@@ -209,6 +212,11 @@ class AppendixABundle:
     only ever fires while X_i = 1 and its swap writes a one into the
     queue; two swaps in one iteration would cancel instead.  Event
     order: E_1..E_k, then the E_i^j, then E' last.
+
+    A state is ``bytes``, one byte (0 or 1) per bit in the layout
+    X | Y | Z | W, so the event E_i or E_i^j with index e reads slot e.
+    ``holds``, ``occurring`` and ``resample`` also accept any sequence
+    of 0/1 ints, such as a tuple.
     """
 
     def __init__(self, k: int, l: int) -> None:
@@ -229,51 +237,51 @@ class AppendixABundle:
     def n(self) -> int:
         return self.eprime + 1
 
-    def sample(self, rng) -> tuple[int, ...]:
-        return tuple(rng.getrandbits(1) for _ in range(self.n_vars))
+    def sample(self, rng) -> bytes:
+        return bytes(map(rng.getrandbits, repeat(1, self.n_vars)))
 
     def holds(self, i: int, state) -> bool:
-        if i < self.k:
-            return state[i] == 0
         if i < self.eprime:
-            return state[self.y_offset + (i - self.k)] == 0
+            return state[i] == 0
         return state[self.w_slot] == 1
 
     def occurring(self, state) -> list[int]:
-        k, l = self.k, self.l
-        out = [i for i in range(k) if state[i] == 0]
-        yo = self.y_offset
-        out.extend(k + j for j in range(k * l) if state[yo + j] == 0)
+        # The X | Y prefix holds one slot per event before E', so the
+        # occurring ones are exactly its zero bytes.
+        find = bytes(state).find
+        end = self.eprime
+        out = []
+        i = find(0, 0, end)
+        while i >= 0:
+            out.append(i)
+            i = find(0, i + 1, end)
         if state[self.w_slot] == 1:
             out.append(self.eprime)
         return out
 
-    def resample(self, i: int, state, rng) -> tuple[int, ...]:
+    def resample(self, i: int, state, rng) -> bytes:
         # Each branch first tests the one slot its event reads, as holds does.
-        vals = list(state)
+        vals = bytearray(state)
         if i < self.k:
             if vals[i] != 0:
                 raise OracleEventError(f"event {i} does not hold")
             vals[i] = rng.getrandbits(1)
         elif i < self.eprime:
+            if vals[i] != 0:
+                raise OracleEventError(f"event {i} does not hold")
             cluster = (i - self.k) // self.l
             zi = self.z_offset + cluster
-            yi = self.y_offset + (i - self.k)
-            if vals[yi] != 0:
-                raise OracleEventError(f"event {i} does not hold")
-            x = vals[cluster]
-            vals[cluster] = vals[zi]
-            vals[yi] = rng.getrandbits(1)
-            vals[zi] = x
+            vals[cluster], vals[zi] = vals[zi], vals[cluster]
+            vals[i] = rng.getrandbits(1)
         else:
-            if vals[self.w_slot] != 1:
+            w = self.w_slot
+            if vals[w] != 1:
                 raise OracleEventError(f"event {i} does not hold")
             zo = self.z_offset
-            vals[self.w_slot] = vals[zo]
-            for t in range(self.k - 1):
-                vals[zo + t] = vals[zo + t + 1]
-            vals[zo + self.k - 1] = rng.getrandbits(1)
-        return tuple(vals)
+            vals[w] = vals[zo]
+            vals[zo:w - 1] = vals[zo + 1:w]
+            vals[w - 1] = rng.getrandbits(1)
+        return bytes(vals)
 
     def state_key(self, state):
         return state
@@ -284,7 +292,7 @@ class AppendixABundle:
         out = {}
         pr = 1 / (1 << self.n_vars)
         for code in range(1 << self.n_vars):
-            out[tuple(code >> t & 1 for t in range(self.n_vars))] = pr
+            out[bytes(code >> t & 1 for t in range(self.n_vars))] = pr
         return out
 
 

@@ -12,6 +12,9 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
+from locallemma.oracles import OracleEventError
+from locallemma.verify import AppendixABundle
+
 
 def subsets(items):
     items = list(items)
@@ -568,3 +571,63 @@ def reference_tree_resample(tree, event_edges, rng):
             member = comp[rng.randrange(len(comp))]
             redrawn.append(tuple(sorted((w_verts[a], member))))
     return frozenset(kept) | frozenset(redrawn)
+
+
+# The streak bundle as the package ran it before its state became bytes:
+# a tuple of ints, copied to a list and back on every resample, and an
+# occurrence scan that tests every slot.  Layout and graph are the
+# package's; the bytes bundle must give the same bits from the same stream.
+
+
+class TupleAppendixABundle(AppendixABundle):
+    def sample(self, rng):
+        return tuple(rng.getrandbits(1) for _ in range(self.n_vars))
+
+    def holds(self, i, state):
+        if i < self.k:
+            return state[i] == 0
+        if i < self.eprime:
+            return state[self.y_offset + (i - self.k)] == 0
+        return state[self.w_slot] == 1
+
+    def occurring(self, state):
+        k, l = self.k, self.l
+        out = [i for i in range(k) if state[i] == 0]
+        yo = self.y_offset
+        out.extend(k + j for j in range(k * l) if state[yo + j] == 0)
+        if state[self.w_slot] == 1:
+            out.append(self.eprime)
+        return out
+
+    def resample(self, i, state, rng):
+        vals = list(state)
+        if i < self.k:
+            if vals[i] != 0:
+                raise OracleEventError(f"event {i} does not hold")
+            vals[i] = rng.getrandbits(1)
+        elif i < self.eprime:
+            cluster = (i - self.k) // self.l
+            zi = self.z_offset + cluster
+            yi = self.y_offset + (i - self.k)
+            if vals[yi] != 0:
+                raise OracleEventError(f"event {i} does not hold")
+            x = vals[cluster]
+            vals[cluster] = vals[zi]
+            vals[yi] = rng.getrandbits(1)
+            vals[zi] = x
+        else:
+            if vals[self.w_slot] != 1:
+                raise OracleEventError(f"event {i} does not hold")
+            zo = self.z_offset
+            vals[self.w_slot] = vals[zo]
+            for t in range(self.k - 1):
+                vals[zo + t] = vals[zo + t + 1]
+            vals[zo + self.k - 1] = rng.getrandbits(1)
+        return tuple(vals)
+
+    def exact_distribution(self):
+        if self.n_vars > 20:
+            raise ValueError("exact enumeration refused beyond 20 variables")
+        pr = 1 / (1 << self.n_vars)
+        return {tuple(code >> t & 1 for t in range(self.n_vars)): pr
+                for code in range(1 << self.n_vars)}

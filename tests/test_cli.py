@@ -587,7 +587,9 @@ def pin_instance(fixture):
 
 
 #: sha256 of ``criteria`` on the app instances, captured while the app
-#: params still held one y entry per event.
+#: params still held one y entry per event.  The two matching pins were
+#: captured again when the Shearer bounds of the exact report were kept
+#: next to the cll bound; the rest of that output is unchanged.
 PINNED_APP_CRITERIA_RUNS = [
     pytest.param("latin", ["criteria"],
                  "4ef5c36e9e93e2ca43ab7bdd73908038d87433bfa451825b379e033aae65a5b4",
@@ -596,10 +598,10 @@ PINNED_APP_CRITERIA_RUNS = [
                  "60906d60d9506d6574974441248c5e0e36e48369844b95a5106feea6fec34035",
                  id="criteria-tree"),
     pytest.param("matching", ["criteria"],
-                 "66d2b734270a1c7f4e0642f69c72500a291b34bd094427a78e7bdb3aa646e590",
+                 "dea176086713bec099a5104713633138b097eb94e7a665ed6920565f7062512f",
                  id="criteria-matching"),
     pytest.param("matching", ["criteria", "--exact"],
-                 "73de33bc7270da2e490d20296dac3225f73804c820336965d29ef1dec941a697",
+                 "2ce3706a65a3940737785c24d597876533f377f8b633f519ee7e0c71076e7dbf",
                  id="criteria-exact-matching"),
     pytest.param("tree-256", ["criteria"],
                  "2b44500000f4cd703feee5a0fb2987d1cf9f4a29b5b028b7b68bf33c3823b088",
@@ -613,6 +615,35 @@ def test_offline_output_is_pinned(fixture, argv, digest, tmp_path, capsys):
     instance = pin_instance(fixture)
     code, out, _ = run_cli(argv + [write_instance(tmp_path, instance)], capsys)
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_small_app_criteria_keep_shearer_and_cll_bounds(tmp_path, capsys):
+    instance = write_instance(tmp_path, APP_PIN_INSTANCES["matching"])
+    code, out, _ = run_cli(["criteria", instance], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["shearer"]["in_region"]
+    assert sorted(report["predicted_bounds"]) == ["cll", "shearer"]
+
+
+#: (argv, exit code, sha256 of stdout) of streak measurements, captured
+#: while the streak bundle kept its state as a tuple of ints.
+PINNED_STREAK_RUNS = [
+    pytest.param(["verify-oracle", "appendix-a", "--k", "64", "--l", "6", "--runs", "300"], 0,
+                 "b55c3e6f709e064981dd673841b3fe642b4076d19d97c9a3c6a3aaaf41d1c8b6",
+                 id="appendix-a-64-6"),
+    pytest.param(["verify-oracle", "appendix-a", "--k", "8", "--l", "3", "--runs", "40",
+                  "--seed", "3", "--budget", "30"], 2,
+                 "953b5efe32d4f271b3f1de00dae2ab0e48bca8dc8713fc2528feca228d7930e8",
+                 id="appendix-a-budget"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", PINNED_STREAK_RUNS)
+def test_streak_output_is_pinned(argv, exit_code, digest, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

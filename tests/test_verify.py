@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locallemma.engine import maximal_set_resample
 from locallemma.graphs import DependencyGraph
@@ -26,7 +27,7 @@ from locallemma.verify import (
     test_r2 as run_r2,
 )
 
-from helpers import exact_outcomes
+from helpers import TupleAppendixABundle, exact_outcomes
 
 
 def coin_pair_bundle():
@@ -285,7 +286,7 @@ def test_streak_oracle_x_event_redraws_own_bit():
     b = AppendixABundle(2, 1)
     state = (0, 1, 0, 1, 1, 0, 1)  # X=(0,1) Y=(0,1) Z=(1,0) W=1
     out = b.resample(0, state, _BitFeed([1]))
-    assert out == (1, 1, 0, 1, 1, 0, 1)
+    assert out == bytes((1, 1, 0, 1, 1, 0, 1))
 
 
 def test_streak_oracle_y_event_swaps_through_queue():
@@ -293,7 +294,7 @@ def test_streak_oracle_y_event_swaps_through_queue():
     b = AppendixABundle(2, 1)
     state = (0, 1, 0, 1, 1, 0, 1)
     out = b.resample(2, state, _BitFeed([1]))
-    assert out == (1, 1, 1, 1, 0, 0, 1)
+    assert out == bytes((1, 1, 1, 1, 0, 0, 1))
 
 
 def test_streak_oracle_prime_event_shifts_queue_into_trigger():
@@ -301,7 +302,7 @@ def test_streak_oracle_prime_event_shifts_queue_into_trigger():
     b = AppendixABundle(2, 1)
     state = (0, 1, 0, 1, 1, 0, 1)
     out = b.resample(4, state, _BitFeed([1]))
-    assert out == (0, 1, 0, 1, 0, 1, 1)
+    assert out == bytes((0, 1, 0, 1, 0, 1, 1))
 
 
 def test_streak_oracle_requires_occurring_event():
@@ -355,6 +356,71 @@ def test_streak_oracles_never_switch_on_free_events():
             off = [j for j in others if not b.holds(j, s)]
             for w in exact_outcomes(lambda rng: b.resample(i, s, rng)):
                 assert not any(b.holds(j, w) for j in off)
+
+
+def test_streak_bundle_passes_r1_and_r2_on_every_event():
+    b = AppendixABundle(2, 1)
+    for i in range(b.n):
+        report = run_r1(b, i, samples=4000, seed=i)
+        assert report.passed and report.unexpected_states == 0, i
+        assert run_r2(b, i, trials=400, seed=i) == 0, i
+
+
+def test_streak_bundle_exact_distribution_keys_are_the_bytes_states():
+    b = AppendixABundle(2, 1)
+    exact = b.exact_distribution()
+    assert set(exact) == {bytes(s) for s in all_states(b.n_vars)}
+    state = b.sample(random.Random(0))
+    assert type(state) is bytes and b.state_key(state) in exact
+
+
+# ---------------------------------------------------------------------------
+# streak bundle against the tuple reference
+
+
+def run_with_next_draw(bundle, seed, budget):
+    """Engine run on the bundle, and the draw that follows it on the run's stream."""
+    streams = []
+    sample = bundle.sample
+
+    def recorded(rng):
+        streams.append(rng)
+        return sample(rng)
+
+    bundle.sample = recorded
+    state, log = maximal_set_resample(bundle, seed, budget)
+    return state, log, streams[0].random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**64 - 1),
+       st.sampled_from([1, 7, 40, 1_000_000]))
+def test_streak_bundle_matches_the_tuple_reference(k, l, seed, budget):
+    state, log, draw = run_with_next_draw(AppendixABundle(k, l), seed, budget)
+    ref_state, ref_log, ref_draw = run_with_next_draw(TupleAppendixABundle(k, l), seed, budget)
+    assert type(state) is bytes
+    assert log == ref_log
+    assert tuple(state) == ref_state
+    assert draw == ref_draw
+
+
+@pytest.mark.parametrize("k, l", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_streak_oracles_match_the_tuple_reference_on_every_state(k, l):
+    b, ref = AppendixABundle(k, l), TupleAppendixABundle(k, l)
+    for state in all_states(b.n_vars):
+        bits = bytes(state)
+        assert b.occurring(bits) == b.occurring(state) == ref.occurring(state)
+        for i in range(b.n):
+            assert b.holds(i, bits) == ref.holds(i, state)
+            if not ref.holds(i, state):
+                with pytest.raises(OracleEventError):
+                    b.resample(i, bits, _BitFeed([0]))
+                continue
+            law = exact_outcomes(lambda rng: ref.resample(i, state, rng))
+            for source in (bits, state):
+                out = exact_outcomes(lambda rng: b.resample(i, source, rng))
+                assert {tuple(w): pr for w, pr in out.items()} == law
+                assert all(type(w) is bytes for w in out)
 
 
 # ---------------------------------------------------------------------------
