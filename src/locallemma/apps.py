@@ -13,8 +13,9 @@ violations of the target structure:
 Each builder also returns cluster-criterion parameters under which the
 engine's resample count has explicit tail bounds whenever the color
 multiplicity and the copy count stay below the stated fraction of n.
-Every event gets the same y, so the vector is a ``Uniform``: one value
-and the event count, whose bound sums take closed form.  Event sets
+Every event gets the same y = beta * p from its family's data, so the
+vector is a ``Uniform``: one value and the event count, whose bound
+sums take closed form.  Event sets
 reach the hundreds of thousands at contest sizes, so no per-event table
 is built: an event index decodes in closed form (see ``_AppBundle``)
 into its copies and items, dependency is read off (copy, vertex)
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Sequence
@@ -85,10 +87,7 @@ class ColoredCompleteGraph:
 
     @property
     def multiplicity(self) -> int:
-        counts: dict[int, int] = {}
-        for c in self.color.values():
-            counts[c] = counts.get(c, 0) + 1
-        return max(counts.values(), default=0)
+        return max(Counter(self.color.values()).values(), default=0)
 
     def classes(self) -> dict[int, list[tuple[int, int]]]:
         out: dict[int, list[tuple[int, int]]] = {}
@@ -122,11 +121,7 @@ class ColorMatrix:
 
     @property
     def multiplicity(self) -> int:
-        counts: dict[int, int] = {}
-        for row in self.rows:
-            for c in row:
-                counts[c] = counts.get(c, 0) + 1
-        return max(counts.values(), default=0)
+        return max(Counter(chain.from_iterable(self.rows)).values(), default=0)
 
     def to_json(self) -> dict:
         return {"matrix": [list(row) for row in self.rows]}
@@ -262,10 +257,10 @@ def _int64(values) -> array:
 class _AppBundle:
     """t copies of one oracle family plus color- and copy-collision events.
 
-    The state is a tuple of t structures (permutations or spanning
-    trees).  An item is what a structure may contain: a matrix cell or
-    an edge of K_n.  Its rank is its position among the N items in
-    sorted order, and each item has a color and two vertices.  Events
+    The state is a tuple of t structures (permutations, spanning trees
+    or one perfect matching).  An item is what a structure may contain:
+    a matrix cell or an edge of K_n.  Its rank is its position among the
+    N items in sorted order, and each item has a color and two vertices.  Events
     are numbered in closed form and decoded by arithmetic, never stored:
 
       type 1, index i*P + k           copy i contains both items of the
@@ -291,12 +286,15 @@ class _AppBundle:
     A family supplies its draw and conditioned redraw, the ranks of the
     items in a structure, and an item's vertices, rank and item-of-rank
     in closed form; the defaults here are those of an edge (u, v),
-    u < v, of K_n.
+    u < v, of K_n.  For the cluster criterion it gives beta, its largest
+    event probability p_num / p_den and clique_size_bounds().
     """
 
     #: Two items on a common vertex never sit in one structure together,
     #: so such same-colored pairs carry no event.
     exclusive = True
+    beta = BETA
+    p_num = 1
 
     def __init__(self, t: int, color: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         """color (dense ids), x and y: each item's color and vertices, in rank order."""
@@ -406,6 +404,18 @@ class _AppBundle:
     def _contains(self, structure, item) -> bool:
         return structure[item[0]] == item[1]
 
+    def params(self) -> CriterionParams:
+        """y = beta * p for every event."""
+        return CriterionParams(kind="cll", y=Uniform(self.beta * self.p_num / self.p_den, self.n))
+
+    def cluster_criterion_ok(self) -> bool:
+        """p * prod (1 + c*y)**4 <= y over the clique sizes c, in their order."""
+        y = self.params().y.value
+        lhs = self.p_num / self.p_den
+        for c in self.clique_size_bounds().values():
+            lhs *= (1 + c * y) ** 4
+        return lhs <= y
+
     def sample(self, rng):
         return tuple(self._draw(rng) for _ in range(self.t))
 
@@ -463,6 +473,7 @@ class RainbowTreeBundle(_AppBundle):
 
     kind = "rainbow-tree"
     exclusive = False
+    p_num = 4
 
     def __init__(self, coloring: ColoredCompleteGraph, t: int) -> None:
         if t < 1:
@@ -471,6 +482,7 @@ class RainbowTreeBundle(_AppBundle):
             raise ValueError("spanning trees need at least one vertex")
         self.coloring = coloring
         self.size = coloring.n
+        self.p_den = coloring.n**2
         colors, x, y, self._offset = _edge_ranks(coloring)
         super().__init__(t, colors, x, y)
 
@@ -494,19 +506,9 @@ class RainbowTreeBundle(_AppBundle):
             return (3 if len(set(e) | set(f)) == 3 else 4) / n**2
         return 4 / n**2
 
-    def params(self) -> CriterionParams:
-        y = BETA * 4 / self.size**2
-        return CriterionParams(kind="cll", y=Uniform(y, self.n))
-
     def clique_size_bounds(self) -> dict[str, int]:
         n, t, q = self.size, self.t, self.coloring.multiplicity
-        return {"same-space": (n - 1) * (q - 1), "cross-space": (n - 1) * (t - 1)}
-
-    def cluster_criterion_ok(self) -> bool:
-        n, t, q = self.size, self.t, self.coloring.multiplicity
-        y = BETA * 4 / n**2
-        p = 4 / n**2
-        return p * (1 + (n - 1) * (t - 1) * y) ** 4 * (1 + (n - 1) * (q - 1) * y) ** 4 <= y
+        return {"cross-space": (n - 1) * (t - 1), "same-space": (n - 1) * (q - 1)}
 
     def validate_solution(self, state) -> bool:
         return validate_rainbow_trees(self.coloring, state)
@@ -518,20 +520,23 @@ class RainbowTreeBundle(_AppBundle):
 class RainbowMatchingBundle(_AppBundle):
     """Uniform perfect matching of an edge-colored K_{2n}.
 
-    The single-space case: one copy, no type-2 events, and the state is
-    the partner tuple itself.  One event per same-colored pair of
-    vertex-disjoint edges, with payload (e, f); pairs sharing a vertex
-    can never sit in a matching together and carry no event.  Events
-    interfere whenever their vertex supports meet.
+    The one-copy case: no type-2 events, and the state is a 1-tuple
+    holding the partner tuple, unwrapped only for the solution.  One
+    event per same-colored pair of vertex-disjoint edges, with payload
+    (e, f); pairs sharing a vertex can never sit in a matching together
+    and carry no event.  Events interfere whenever their vertex supports
+    meet.
     """
 
     kind = "rainbow-matching"
+    beta = MATCHING_BETA
 
     def __init__(self, coloring: ColoredCompleteGraph) -> None:
         if coloring.n % 2:
             raise ValueError("perfect matchings need an even vertex count")
         self.coloring = coloring
-        self.size = coloring.n
+        self.size = m = coloring.n
+        self.p_den = (m - 1) * (m - 3)
         colors, x, y, self._offset = _edge_ranks(coloring)
         super().__init__(1, colors, x, y)
 
@@ -545,44 +550,24 @@ class RainbowMatchingBundle(_AppBundle):
         offset = self._offset
         return [offset[u] + v for u, v in enumerate(partner) if u < v]
 
+    def _draw(self, rng):
+        return sample_perfect_matching(self.size, rng)
+
     def _redraw(self, partner, edges, rng):
         return matching_resample(partner, edges, rng)
 
-    def sample(self, rng):
-        return sample_perfect_matching(self.size, rng)
-
-    def holds(self, idx: int, state) -> bool:
-        return super().holds(idx, (state,))
-
-    def resample(self, idx: int, state, rng):
-        return super().resample(idx, (state,), rng)[0]
-
-    def occurring(self, state) -> list[int]:
-        return super().occurring((state,))
-
     def event_prob(self, idx: int) -> float:
-        m = self.size
-        return 1 / ((m - 1) * (m - 3))
-
-    def params(self) -> CriterionParams:
-        y = MATCHING_BETA / ((self.size - 1) * (self.size - 3))
-        return CriterionParams(kind="cll", y=Uniform(y, self.n))
+        return self.p_num / self.p_den
 
     def clique_size_bounds(self) -> dict[str, int]:
         q = self.coloring.multiplicity
         return {"vertex": (q - 1) * (self.size - 1)}
 
-    def cluster_criterion_ok(self) -> bool:
-        m, q = self.size, self.coloring.multiplicity
-        p = 1 / ((m - 1) * (m - 3))
-        y = MATCHING_BETA * p
-        return p * (1 + (q - 1) * (m - 1) * y) ** 4 <= y
-
     def validate_solution(self, state) -> bool:
-        return validate_rainbow_matching(self.coloring, state)
+        return validate_rainbow_matching(self.coloring, state[0])
 
     def solution_json(self, state) -> dict:
-        return {"matching": [list(e) for e in matching_pairs(state)]}
+        return {"matching": [list(e) for e in matching_pairs(state[0])]}
 
 
 class LatinBundle(_AppBundle):
@@ -605,6 +590,7 @@ class LatinBundle(_AppBundle):
             raise ValueError("transversal events need a matrix of size at least 2")
         self.matrix = matrix
         self.size = n
+        self.p_den = n * (n - 1)
         ranks = np.arange(n * n)
         super().__init__(t, _dense_ids(chain.from_iterable(matrix.rows)),
                          ranks // n, n + ranks % n)
@@ -636,19 +622,9 @@ class LatinBundle(_AppBundle):
             return 1 / (n * (n - 1))
         return 1 / n**2
 
-    def params(self) -> CriterionParams:
-        y = BETA / (self.size * (self.size - 1))
-        return CriterionParams(kind="cll", y=Uniform(y, self.n))
-
     def clique_size_bounds(self) -> dict[str, int]:
         n, t, q = self.size, self.t, self.matrix.multiplicity
-        return {"same-space": n * (q - 1), "cross-space": n * (t - 1)}
-
-    def cluster_criterion_ok(self) -> bool:
-        n, t, q = self.size, self.t, self.matrix.multiplicity
-        p = 1 / (n * (n - 1))
-        y = BETA * p
-        return p * (1 + n * (t - 1) * y) ** 4 * (1 + n * (q - 1) * y) ** 4 <= y
+        return {"cross-space": n * (t - 1), "same-space": n * (q - 1)}
 
     def validate_solution(self, state) -> bool:
         return validate_disjoint_transversals(self.matrix, state)

@@ -40,6 +40,7 @@ from .oracles import (
     PermutationBundle,
     TreeBundle,
     VariableBundle,
+    VariableEvent,
 )
 from .polynomials import (
     CriterionParams,
@@ -66,6 +67,15 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_BUDGET = 2
 EXIT_INPUT = 3
+
+#: Application kinds: the colour field of an instance file and whether the
+#: kind reads a copy count t.
+APP_KINDS = {
+    "latin": ("matrix", True),
+    "rainbow-matching": ("coloring", False),
+    "rainbow-tree": ("coloring", True),
+}
+
 
 class InputError(Exception):
     """Bad instance file or inconsistent flags."""
@@ -163,35 +173,25 @@ def _graph_from_json(obj) -> DependencyGraph:
 
 def _build_app_instance(obj: dict):
     """Instance file payload -> (bundle, params) for the three solvers."""
-    kind = obj.get("kind")
+    kind = obj["kind"]
+    field, takes_t = APP_KINDS[kind]
+    # Names resolved on each call, so that patched module attributes (as
+    # bench/workloads.py sets for its traced spans) are the ones called.
+    load, generate = ((ColorMatrix, random_color_matrix) if field == "matrix"
+                      else (ColoredCompleteGraph.from_json, random_edge_coloring))
+    build = {"latin": build_latin_instance, "rainbow-tree": build_rainbow_tree_instance,
+             "rainbow-matching": build_rainbow_matching_instance}[kind]
     try:
         rng = random.Random(int(obj.get("generator", {}).get("seed", 0)))
-        if kind == "latin":
-            t = int(obj["t"])
-            if "matrix" in obj:
-                matrix = ColorMatrix(obj["matrix"])
-            else:
-                gen = obj["generator"]
-                matrix = random_color_matrix(int(gen["n"]), int(gen["multiplicity"]), rng)
-            return build_latin_instance(matrix, t)
-        if kind == "rainbow-matching":
-            if "coloring" in obj:
-                coloring = ColoredCompleteGraph.from_json(obj["coloring"])
-            else:
-                gen = obj["generator"]
-                coloring = random_edge_coloring(int(gen["n"]), int(gen["multiplicity"]), rng)
-            return build_rainbow_matching_instance(coloring)
-        if kind == "rainbow-tree":
-            t = int(obj["t"])
-            if "coloring" in obj:
-                coloring = ColoredCompleteGraph.from_json(obj["coloring"])
-            else:
-                gen = obj["generator"]
-                coloring = random_edge_coloring(int(gen["n"]), int(gen["multiplicity"]), rng)
-            return build_rainbow_tree_instance(coloring, t)
+        t = (int(obj["t"]),) if takes_t else ()
+        if field in obj:
+            colours = load(obj[field])
+        else:
+            gen = obj["generator"]
+            colours = generate(int(gen["n"]), int(gen["multiplicity"]), rng)
+        return build(colours, *t)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad {kind} instance: {exc}") from exc
-    raise InputError(f"unknown instance kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ def cmd_criteria(args, out) -> int:
         probs = [space.event_prob(i) for i in range(space.n_events)]
         params = _parse_params(obj["params"], space.n_events) if "params" in obj else None
         report = _criteria_report(space.graph, probs, params, args.exact)
-    elif kind in ("latin", "rainbow-matching", "rainbow-tree"):
+    elif kind in APP_KINDS:
         bundle, params = _build_app_instance(obj)
         report = {
             "n": bundle.n,
@@ -289,6 +289,12 @@ def _space_from_json(obj) -> ExplicitSpace:
 # run
 
 
+def _exit_code(terminated: bool, validated: bool) -> int:
+    if not terminated:
+        return EXIT_BUDGET
+    return EXIT_OK if validated else EXIT_INVALID
+
+
 def _run_explicit(obj: dict, seed: int, budget: int) -> tuple[dict, int]:
     space = _space_from_json(obj.get("space"))
     try:
@@ -313,29 +319,20 @@ def _run_explicit(obj: dict, seed: int, budget: int) -> tuple[dict, int]:
         params = _parse_params(obj["params"], bundle.n)
         if params.kind != "shearer":
             report["predicted_bounds"] = tail_bounds(params)
-    code = EXIT_OK if validated else (EXIT_BUDGET if not log.terminated else EXIT_INVALID)
-    return report, code
+    return report, _exit_code(log.terminated, validated)
 
 
 def _run_app(obj: dict, seed: int, budget: int, jobs: int) -> tuple[dict, int]:
     bundle, params = _build_app_instance(obj)
     if jobs <= 1:
         report = solve(bundle, params, seed=seed, budget=budget)
-        code = EXIT_OK
-        if not report.terminated:
-            code = EXIT_BUDGET
-        elif not report.validated:
-            code = EXIT_INVALID
-        return report.to_json(), code
+        return report.to_json(), _exit_code(report.terminated, report.validated)
     runs = []
     worst = EXIT_OK
     for r in range(jobs):
         rep = solve(bundle, params, seed=derive_seed(seed, r), budget=budget)
         runs.append(rep.to_json())
-        if not rep.terminated:
-            worst = max(worst, EXIT_BUDGET)
-        elif not rep.validated:
-            worst = max(worst, EXIT_INVALID)
+        worst = max(worst, _exit_code(rep.terminated, rep.validated))
     summary = {
         "kind": bundle.kind,
         "jobs": jobs,
@@ -352,7 +349,7 @@ def cmd_run(args, out) -> int:
     kind = obj.get("kind")
     if kind == "explicit-space":
         report, code = _run_explicit(obj, args.seed, args.budget)
-    elif kind in ("latin", "rainbow-matching", "rainbow-tree"):
+    elif kind in APP_KINDS:
         report, code = _run_app(obj, args.seed, args.budget, args.jobs)
     else:
         raise InputError(f"instance kind {kind!r} cannot be executed")
@@ -383,8 +380,6 @@ def _default_bundle(family: str, size: int):
 
 
 def _bit_event(i: int):
-    from .oracles import VariableEvent
-
     return VariableEvent(variables=(i,), predicate=lambda value: value == 1)
 
 
@@ -444,34 +439,26 @@ def _default_space() -> ExplicitSpace:
 # app sugar subcommands
 
 
-def _app_instance_from_flags(kind: str, args) -> dict:
-    obj: dict = {"kind": kind}
-    if kind == "latin":
-        obj["t"] = args.t
-        if args.matrix:
-            obj["matrix"] = _load_json(args.matrix)["matrix"]
-        else:
-            obj["generator"] = {
-                "n": args.n,
-                "multiplicity": args.multiplicity,
-                "seed": args.instance_seed,
-            }
-    else:
-        if kind == "rainbow-tree":
-            obj["t"] = args.t
-        if args.coloring:
-            obj["coloring"] = _load_json(args.coloring)
-        else:
-            obj["generator"] = {
-                "n": args.n,
-                "multiplicity": args.multiplicity,
-                "seed": args.instance_seed,
-            }
-    return obj
-
-
 def cmd_app(kind: str, args, out) -> int:
-    obj = _app_instance_from_flags(kind, args)
+    """Run the instance object the flags describe, as `run` runs a file."""
+    field, takes_t = APP_KINDS[kind]
+    obj: dict = {"kind": kind}
+    if takes_t:
+        obj["t"] = args.t
+    path = getattr(args, field)
+    if path:
+        colours = _load_json(path)
+        # A matrix file holds {"matrix": rows} and an instance the rows; a
+        # file without them leaves null for _build_app_instance to reject.
+        obj[field] = colours.get("matrix") if field == "matrix" else colours
+    elif args.n is None or args.multiplicity is None:
+        raise InputError("need --n and --multiplicity when no input file is given")
+    else:
+        obj["generator"] = {
+            "n": args.n,
+            "multiplicity": args.multiplicity,
+            "seed": args.instance_seed,
+        }
     report, code = _run_app(obj, args.seed, args.budget, args.jobs)
     _emit(report, args.format, out)
     return code
@@ -527,8 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--runs", type=int, default=10_000, help="runs (appendix-a)")
     _add_common(v)
 
-    for kind, extra in (("latin", True), ("rainbow-matching", False),
-                        ("rainbow-tree", True)):
+    for kind, (field, takes_t) in APP_KINDS.items():
         a = subs.add_parser(kind,
                             help=f"solve a {kind.replace('-', ' ')} instance")
         a.add_argument("--n", type=int, default=None, help="size for the generator")
@@ -536,13 +522,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="color multiplicity cap for the generator")
         a.add_argument("--instance-seed", type=int, default=0,
                        help="generator seed (default 0)")
-        if extra:
+        if takes_t:
             a.add_argument("--t", type=int, required=True,
                            help="number of structures to find")
-        if kind == "latin":
-            a.add_argument("--matrix", default=None, help="color matrix JSON file")
-        else:
-            a.add_argument("--coloring", default=None, help="edge coloring JSON file")
+        a.add_argument(f"--{field}", default=None, help=f"{field} JSON file")
         a.add_argument("--jobs", type=int, default=1,
                        help="independent seeded repetitions (default 1)")
         _add_common(a)
@@ -561,12 +544,7 @@ def main(argv=None) -> int:
             return cmd_run(args, out)
         if args.command == "verify-oracle":
             return cmd_verify_oracle(args, out)
-        if args.command in ("latin", "rainbow-matching", "rainbow-tree"):
-            if not getattr(args, "matrix", None) and not getattr(args, "coloring", None):
-                if args.n is None or args.multiplicity is None:
-                    raise InputError(
-                        "need --n and --multiplicity when no input file is given"
-                    )
+        if args.command in APP_KINDS:
             return cmd_app(args.command, args, out)
         raise InputError(f"unknown command {args.command!r}")
     except (InputError, ValueError) as exc:

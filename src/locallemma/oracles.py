@@ -258,10 +258,6 @@ def enumerate_perfect_matchings(n: int) -> list[tuple[int, ...]]:
 # spanning trees of the complete graph
 
 
-def tree_edges(edges: Iterable) -> frozenset[tuple[int, int]]:
-    return frozenset(normalize_edge(e) for e in edges)
-
-
 def is_spanning_tree(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     es = list(edges)
     if len(es) != n - 1:
@@ -403,6 +399,18 @@ def enumerate_spanning_trees(n: int) -> list[frozenset[tuple[int, int]]]:
 # single-space bundles
 
 
+def _product_law(factors: Iterable[Iterable[tuple]]) -> dict:
+    """Law of independent factors, each given as (value, probability) pairs:
+    each tuple of values maps to 1.0 times its probabilities, left to right."""
+    law: dict[tuple, float] = {}
+    for combo in itertools.product(*factors):
+        prob = 1.0
+        for _, pr in combo:
+            prob *= pr
+        law[tuple(v for v, _ in combo)] = prob
+    return law
+
+
 class VariableBundle:
     """Independent variables with events on variable subsets.
 
@@ -443,14 +451,7 @@ class VariableBundle:
             else:
                 total = seqsum(weights)
                 supports.append([(v, w / total) for v, w in zip(values, weights)])
-        dist: dict[tuple, float] = {}
-        for combo in itertools.product(*supports):
-            key = tuple(v for v, _ in combo)
-            prob = 1.0
-            for _, pr in combo:
-                prob *= pr
-            dist[key] = prob
-        return dist
+        return _product_law(supports)
 
 
 class PermutationBundle:
@@ -669,11 +670,4 @@ class ProductBundle:
             total *= len(d)
         if total > 2_000_000:
             raise ValueError("product support too large to enumerate")
-        out: dict[tuple, float] = {}
-        for combo in itertools.product(*(d.items() for d in dists)):
-            key = tuple(k for k, _ in combo)
-            prob = 1.0
-            for _, pr in combo:
-                prob *= pr
-            out[key] = prob
-        return out
+        return _product_law(d.items() for d in dists)

@@ -160,8 +160,7 @@ def test_random_instances_match_explicit_enumeration(instance, seed):
     rng = random.Random(seed)
     for _ in range(3):
         state = bundle.sample(rng)
-        structures = (state,) if isinstance(bundle, RainbowMatchingBundle) else state
-        expected = explicit_occurring(events, structures, contains)
+        expected = explicit_occurring(events, state, contains)
         assert sorted(bundle.occurring(state)) == expected
         assert [idx for idx in range(bundle.n) if bundle.holds(idx, state)] == expected
 

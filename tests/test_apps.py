@@ -204,7 +204,7 @@ def test_matching_pair_probability():
     assert bundle.n == 1
     matchings = k6_matchings()
     assert len(matchings) == 15
-    hits = sum(1 for m in matchings if bundle.holds(0, m))
+    hits = sum(1 for m in matchings if bundle.holds(0, (m,)))
     assert Fraction(hits, 15) == Fraction(1, 15)
     assert bundle.event_prob(0) == pytest.approx(1 / ((6 - 1) * (6 - 3)))
 
@@ -419,6 +419,58 @@ def test_uniform_params_sum_as_their_tuples_at_acceptance_sizes():
         as_tuple = CriterionParams(kind="cll", y=tuple(params.y))
         assert [s.hex() for s in params.bound_sums] == [s.hex() for s in as_tuple.bound_sums]
         assert tail_bounds(params) == tail_bounds(as_tuple)
+
+
+def per_family_criterion(bundle):
+    """(params y, criterion verdict) as each family wrote them out on its own,
+    before the families shared one criterion over their data."""
+    if isinstance(bundle, RainbowTreeBundle):
+        n, t, q = bundle.size, bundle.t, bundle.coloring.multiplicity
+        y = BETA * 4 / n**2
+        p = 4 / n**2
+        return y, p * (1 + (n - 1) * (t - 1) * y) ** 4 * (1 + (n - 1) * (q - 1) * y) ** 4 <= y
+    if isinstance(bundle, LatinBundle):
+        n, t, q = bundle.size, bundle.t, bundle.matrix.multiplicity
+        p = 1 / (n * (n - 1))
+        y = BETA * p
+        return (BETA / (n * (n - 1)),
+                p * (1 + n * (t - 1) * y) ** 4 * (1 + n * (q - 1) * y) ** 4 <= y)
+    m, q = bundle.size, bundle.coloring.multiplicity
+    p = 1 / ((m - 1) * (m - 3))
+    y = MATCHING_BETA * p
+    return MATCHING_BETA / ((m - 1) * (m - 3)), p * (1 + (q - 1) * (m - 1) * y) ** 4 <= y
+
+
+def criterion_grid():
+    rng = random.Random(4)
+    for n in range(2, 41, 3):
+        for q in range(1, 7):
+            matrix, coloring = random_color_matrix(n, q, rng), random_edge_coloring(n, q, rng)
+            for t in range(1, 5):
+                yield LatinBundle(matrix, t)
+                yield RainbowTreeBundle(coloring, t)
+    for m in range(4, 61, 4):
+        for q in range(1, 9):
+            yield RainbowMatchingBundle(random_edge_coloring(m, q, rng))
+
+
+def test_shared_criterion_matches_the_per_family_formulas():
+    verdicts = set()
+    for bundle in criterion_grid():
+        y, ok = per_family_criterion(bundle)
+        assert bundle.cluster_criterion_ok() == ok, (bundle.kind, bundle.size, bundle.t)
+        if bundle.n:
+            assert bundle.params().y[0].hex() == y.hex(), (bundle.kind, bundle.size)
+        verdicts.add((bundle.kind, ok))
+    assert len(verdicts) == 6  # each family both passes and fails somewhere
+
+
+def test_families_give_data_not_criterion_code():
+    families = apps._AppBundle.__subclasses__()
+    assert {cls.kind for cls in families} == {"latin", "rainbow-tree", "rainbow-matching"}
+    for cls in families:
+        assert not {"params", "cluster_criterion_ok"} & set(vars(cls)), cls
+    assert not {"sample", "holds", "resample", "occurring"} & set(vars(RainbowMatchingBundle))
 
 
 def test_cluster_criterion_holds_at_contest_scale():

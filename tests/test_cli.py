@@ -413,6 +413,17 @@ def test_degenerate_sizes_exit_with_input_error(argv, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["latin", "--t", "1", "--matrix"], id="matrix"),
+    pytest.param(["rainbow-tree", "--t", "1", "--coloring"], id="coloring"),
+])
+def test_empty_colour_file_exits_with_input_error(argv, tmp_path, capsys):
+    code, out, err = run_cli(argv + [write_instance(tmp_path, {}, "colours.json")], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_library_value_error_exits_with_input_error():
     cmd = [sys.executable, "-m", "locallemma.cli", "rainbow-matching",
            "--n", "12", "--multiplicity", "2", "--budget", "0"]
@@ -729,13 +740,19 @@ def instances(draw):
     return obj
 
 
+#: Contents of a --matrix or --coloring file that hold no colours.
+JUNK_COLOUR_FILES = st.sampled_from([{}, [], {"matrix": 5}])
+
+
 @st.composite
 def flag_argvs(draw):
-    """Subcommand flags from small, zero and negative values; slow defaults
+    """(argv, files): subcommand flags from small, zero and negative values,
+    and the contents of the junk colour files to pass by flag; slow defaults
     (samples, trials, runs, budget) are always given."""
     command = draw(st.sampled_from(["latin", "rainbow-matching", "rainbow-tree",
                                     "verify-oracle"]))
     argv = [command]
+    files = {}
     if command == "verify-oracle":
         argv.append(draw(st.sampled_from(["variable", "permutation", "matching", "tree",
                                           "synthesized", "appendix-a"])))
@@ -749,11 +766,13 @@ def flag_argvs(draw):
                     "--jobs": st.integers(-1, 3), "--instance-seed": st.integers(0, 3)}
         if command != "rainbow-matching":
             optional["--t"] = st.integers(-1, 3)
+        if draw(st.booleans()):
+            files["--matrix" if command == "latin" else "--coloring"] = draw(JUNK_COLOUR_FILES)
     optional.update({"--seed": st.integers(0, 3), "--format": st.sampled_from(["json", "text"])})
     for name, values in optional.items():
         if draw(st.booleans()):
             argv += [name, str(draw(values))]
-    return argv + ["--budget", str(draw(st.integers(-1, 300)))]
+    return argv + ["--budget", str(draw(st.integers(-1, 300)))], files
 
 
 def exit_code(argv):
@@ -767,8 +786,12 @@ def exit_code(argv):
 
 @settings(max_examples=150, deadline=None)
 @given(flag_argvs())
-def test_fuzzed_flags_end_in_an_exit_code(argv):
-    assert exit_code(argv) in (0, 1, 2, 3)
+def test_fuzzed_flags_end_in_an_exit_code(flags):
+    argv, files = flags
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, contents in files.items():
+            argv += [name, write_instance(Path(tmp), contents, "colours.json")]
+        assert exit_code(argv) in (0, 1, 2, 3)
 
 
 @settings(max_examples=150, deadline=None)
