@@ -190,7 +190,9 @@ def _build_app_instance(obj: dict):
             gen = obj["generator"]
             colours = generate(int(gen["n"]), int(gen["multiplicity"]), rng)
         return build(colours, *t)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise InputError(f"bad {kind} instance: missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
         raise InputError(f"bad {kind} instance: {exc}") from exc
 
 
@@ -448,9 +450,12 @@ def cmd_app(kind: str, args, out) -> int:
     path = getattr(args, field)
     if path:
         colours = _load_json(path)
-        # A matrix file holds {"matrix": rows} and an instance the rows; a
-        # file without them leaves null for _build_app_instance to reject.
-        obj[field] = colours.get("matrix") if field == "matrix" else colours
+        # A matrix file holds {"matrix": rows}, a coloring file the coloring.
+        if field == "matrix":
+            if "matrix" not in colours:
+                raise InputError(f"bad {kind} instance: missing field 'matrix'")
+            colours = colours["matrix"]
+        obj[field] = colours
     elif args.n is None or args.multiplicity is None:
         raise InputError("need --n and --multiplicity when no input file is given")
     else:

@@ -68,15 +68,17 @@ def _draw(dist, rng):
 
 
 def sample_variable_state(dists, rng) -> VariableState:
-    return VariableState(tuple(_draw(d, rng) for d in dists), tuple(dists))
+    dists = tuple(dists)
+    return VariableState(tuple([_draw(d, rng) for d in dists]), dists)
 
 
 def variable_resample(state: VariableState, variables: Iterable[int], rng) -> VariableState:
     """Redraw the given variables from their own laws; others untouched."""
     values = list(state.values)
+    dists = state.dists
     for v in sorted(set(variables)):
-        values[v] = _draw(state.dists[v], rng)
-    return VariableState(tuple(values), state.dists)
+        values[v] = _draw(dists[v], rng)
+    return VariableState(tuple(values), dists)
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,8 @@ class VariableEvent:
     predicate: Callable = field(compare=False)
 
     def holds(self, state: VariableState) -> bool:
-        return bool(self.predicate(*(state.values[v] for v in self.variables)))
+        values = state.values
+        return bool(self.predicate(*[values[v] for v in self.variables]))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +120,10 @@ class PatternEvent:
         return frozenset(y for _, y in self.pairs)
 
     def holds(self, pi: Sequence[int]) -> bool:
-        return all(pi[x] == y for x, y in self.pairs)
+        for x, y in self.pairs:
+            if pi[x] != y:
+                return False
+        return True
 
 
 def permutation_resample(pi: Sequence[int], event: PatternEvent, rng) -> tuple[int, ...]:
@@ -126,18 +132,27 @@ def permutation_resample(pi: Sequence[int], event: PatternEvent, rng) -> tuple[i
     Walks the pattern's domain positions x_1 < ... < x_t from last to
     first, swapping pi(x_i) with pi(z) for z uniform over all positions
     except x_1..x_{i-1}.  With the full domain as pattern this is
-    exactly the textbook shuffle.
+    exactly the textbook shuffle.  z is drawn as an index into the pool
+    x_i..x_t followed by the positions outside the pattern in ascending
+    order, and a pool index past x_t is mapped to its position by
+    stepping over the pattern positions below it.
     """
     if not event.holds(pi):
         raise OracleEventError(f"pattern {event.pairs} does not hold")
-    n = len(pi)
-    xs = [x for x, _ in event.pairs]
-    in_pattern = set(xs)
-    rest = [v for v in range(n) if v not in in_pattern]
     out = list(pi)
-    for idx in range(len(xs) - 1, -1, -1):
-        pool = xs[idx:] + rest
-        z = pool[below(len(pool), rng)]
+    n = len(out)
+    xs = [x for x, _ in event.pairs]
+    t = len(xs)
+    for idx in range(t - 1, -1, -1):
+        k = idx + below(n - idx, rng)
+        if k < t:
+            z = xs[k]
+        else:
+            z = k - t  # rank among the positions outside the pattern
+            for x in xs:
+                if x > z:
+                    break
+                z += 1
         x = xs[idx]
         out[x], out[z] = out[z], out[x]
     return tuple(out)
@@ -161,10 +176,12 @@ def matching_pairs(partner: Sequence[int]) -> list[tuple[int, int]]:
 
 def is_perfect_matching(partner: Sequence[int]) -> bool:
     n = len(partner)
-    return n % 2 == 0 and all(
-        0 <= partner[v] < n and partner[v] != v and partner[partner[v]] == v
-        for v in range(n)
-    )
+    if n % 2:
+        return False
+    for v, w in enumerate(partner):
+        if not (0 <= w < n and w != v and partner[w] == v):
+            return False
+    return True
 
 
 def sample_perfect_matching(n: int, rng) -> tuple[int, ...]:
@@ -174,8 +191,8 @@ def sample_perfect_matching(n: int, rng) -> tuple[int, ...]:
     verts = list(range(n))
     shuffle(verts, rng)
     partner = [0] * n
-    for k in range(0, n, 2):
-        u, v = verts[k], verts[k + 1]
+    pairs = iter(verts)
+    for u, v in zip(pairs, pairs):
         partner[u] = v
         partner[v] = u
     return tuple(partner)
@@ -190,44 +207,40 @@ def matching_resample(partner: Sequence[int], event_edges: Iterable, rng) -> tup
     with probability 1 - 1/(2m+1), where m counts those outside edges,
     the two edges rewire to (u, y) and (v, x).  When no outside edge
     exists the edge is kept and no randomness is consumed.
+
+    The outside edges are a list, at first in ascending order; a rewired
+    edge leaves its slot to the list's last edge, and every edge joins
+    at the end.
     """
     edges = sorted({normalize_edge(e) for e in event_edges})
     for u, v in edges:
         if partner[u] != v:
             raise OracleEventError(f"edge ({u},{v}) not in the matching")
+    # each vertex is on one matching edge, so the event edges are the
+    # matching edges whose lower end is the lower end of an event edge
+    lows = {u for u, _ in edges}
+    free = [(u, v) for u, v in enumerate(partner) if u < v and u not in lows]
     par = list(partner)
-    pending = set(edges)
-    free = [e for e in matching_pairs(partner) if e not in pending]
-    pos = {e: k for k, e in enumerate(free)}
-
-    def free_add(e: tuple[int, int]) -> None:
-        pos[e] = len(free)
-        free.append(e)
-
-    def free_remove(e: tuple[int, int]) -> None:
-        k = pos.pop(e)
-        last = free.pop()
-        if k < len(free):
-            free[k] = last
-            pos[last] = k
-
+    getrandbits, random = rng.getrandbits, rng.random
     for u, v in edges:
-        pending.discard((u, v))
         m = len(free)
         if m == 0:
-            free_add((u, v))
+            free.append((u, v))
             continue
-        x, y = free[below(m, rng)]
-        if rng.getrandbits(1):
+        k = below(m, rng)
+        x, y = free[k]
+        if getrandbits(1):
             x, y = y, x
-        if rng.random() < 1 - 1 / (2 * m + 1):
-            free_remove(normalize_edge((x, y)))
+        if random() < 1 - 1 / (2 * m + 1):
+            last = free.pop()
+            if k < m - 1:
+                free[k] = last
             par[u], par[y] = y, u
             par[v], par[x] = x, v
-            free_add(normalize_edge((u, y)))
-            free_add(normalize_edge((v, x)))
+            free.append((u, y) if u < y else (y, u))
+            free.append((v, x) if v < x else (x, v))
         else:
-            free_add((u, v))
+            free.append((u, v))
     return tuple(par)
 
 
@@ -262,21 +275,18 @@ def is_spanning_tree(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     es = list(edges)
     if len(es) != n - 1:
         return False
+    # union-find with path halving: an edge within one component closes a cycle
     parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for u, v in es:
         if not (0 <= u < n and 0 <= v < n):
             return False
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
             return False
-        parent[ru] = rv
+        parent[u] = v
     return True
 
 
@@ -321,11 +331,32 @@ def _wilson(nw: int, sizes: Sequence[int], rng) -> list[int]:
 
 def sample_spanning_tree(n: int, rng) -> frozenset[tuple[int, int]]:
     """Uniform spanning tree of the complete graph on [n], by Wilson's
-    algorithm on K_n (see ``_wilson``): one float per walk step."""
+    algorithm on K_n: ``_wilson`` without component nodes, one float per
+    walk step.  A step from u takes k = int(random() * (n - 1)) and goes
+    to k + (k >= u); each loop-erased path adds its edges as it joins
+    the tree."""
     if n < 1:
         raise ValueError("spanning trees need at least one vertex")
-    succ = _wilson(n, (), rng)
-    return frozenset((u, v) if u < v else (v, u) for u, v in enumerate(succ) if u)
+    random = rng.random
+    top = n - 1
+    succ = [0] * n
+    in_tree = [False] * n
+    in_tree[0] = True
+    edges = []
+    for start in range(1, n):
+        u = start
+        while not in_tree[u]:
+            k = int(random() * top)
+            v = k + (k >= u)
+            succ[u] = v
+            u = v
+        u = start
+        while not in_tree[u]:
+            in_tree[u] = True
+            v = succ[u]
+            edges.append((u, v) if u < v else (v, u))
+            u = v
+    return frozenset(edges)
 
 
 def tree_resample(tree: frozenset, event_edges: Iterable, rng) -> frozenset:
@@ -342,42 +373,51 @@ def tree_resample(tree: frozenset, event_edges: Iterable, rng) -> frozenset:
     back to a uniform conditioned tree.
     """
     n = len(tree) + 1
-    edges = sorted({normalize_edge(e) for e in event_edges})
-    for e in edges:
-        if e not in tree:
-            raise OracleEventError(f"edge {e} not in the tree")
+    edges = {normalize_edge(e) for e in event_edges}
+    missing = edges.difference(tree)
+    if missing:
+        raise OracleEventError(f"edge {min(missing)} not in the tree")
     if not edges:
         return tree
     w_verts = sorted({v for e in edges for v in e})
     in_w = [False] * n
     for v in w_verts:
         in_w[v] = True
-    forest = [(u, v) for u, v in tree if not (in_w[u] or in_w[v])]
+    # The frozen forest, joined by union-find with path halving; the roots
+    # only name the components.
+    forest = []
     parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        return a
-
-    for u, v in forest:
-        parent[find(u)] = find(v)
+    for e in tree:
+        u, v = e
+        if in_w[u] or in_w[v]:
+            continue
+        forest.append(e)
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        parent[u] = v
     # Dicts keep insertion order, so components come by smallest member.
     groups: dict[int, list[int]] = {}
     for v in range(n):
         if not in_w[v]:
-            groups.setdefault(find(v), []).append(v)
+            r = v
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            groups.setdefault(r, []).append(v)
     components = list(groups.values())
 
     nw = len(w_verts)
     succ = _wilson(nw, [len(comp) for comp in components], rng)
     for v in range(1, len(succ)):
         a, b = (v, succ[v]) if v < succ[v] else (succ[v], v)
+        w = w_verts[a]
         if b < nw:
-            forest.append((w_verts[a], w_verts[b]))
+            forest.append((w, w_verts[b]))
         else:
             comp = components[b - nw]
-            forest.append(normalize_edge((w_verts[a], comp[below(len(comp), rng)])))
+            c = comp[below(len(comp), rng)]
+            forest.append((w, c) if w < c else (c, w))
     return frozenset(forest)
 
 
@@ -550,7 +590,10 @@ class MatchingBundle:
         return sample_perfect_matching(self.size, rng)
 
     def holds(self, i: int, state) -> bool:
-        return all(state[u] == v for u, v in self.events[i])
+        for u, v in self.events[i]:
+            if state[u] != v:
+                return False
+        return True
 
     def resample(self, i: int, state, rng):
         return matching_resample(state, self.events[i], rng)
@@ -576,6 +619,7 @@ class TreeBundle:
     def __init__(self, n: int, events: Sequence[Iterable]) -> None:
         self.size = n
         self.events = _edge_events(n, events)
+        self._edge_sets = [frozenset(ev) for ev in self.events]
         verts = [tuple({v for e in ev for v in e}) for ev in self.events]
         self.graph = KeyGraph(len(self.events), verts.__getitem__)
 
@@ -587,7 +631,7 @@ class TreeBundle:
         return sample_spanning_tree(self.size, rng)
 
     def holds(self, i: int, state) -> bool:
-        return all(e in state for e in self.events[i])
+        return self._edge_sets[i].issubset(state)
 
     def resample(self, i: int, state, rng):
         return tree_resample(state, self.events[i], rng)

@@ -172,13 +172,22 @@ def build_table(graph: DependencyGraph, p: Sequence, exact: bool = False,
 
         breve_q(S) = breve_q(S - a) - p_a * breve_q(S minus Gamma^+(a))
 
-    The subsets whose lowest bit is a form the strided slice
-    ``breve[1<<a :: 2<<a]``, and both operands have no bit at or below a,
-    so the classes are filled for a = n-1 down to 0, one array step each.
-    Every entry gets the same two IEEE operations on the same operands
-    as a scalar pass over ascending masks, so the table is identical to
-    the bit.  breve is a float64 array, or an object array of Fraction
-    when exact=True (p entries are converted exactly).
+    Viewed as a (2,)*n cube, where axis n-1-b is bit b, the subsets whose
+    lowest bit is a are the block at index 1 on a's axis and 0 on every
+    lower one, and S - a is the block at 0 on a's axis.  S minus
+    Gamma^+(a) is the block at 0:1 on the axes of Gamma^+(a) above a,
+    broadcast over them.  Both operands have no bit at or below a, so the
+    classes are filled for a = n-1 down to 0, each by one multiply and one
+    subtract written in place into its block.  Every entry gets the same
+    two IEEE operations on the same operands as a scalar pass over
+    ascending masks, so the table is identical to the bit.  breve is a
+    float64 array, or an object array of Fraction when exact=True (p
+    entries are converted exactly).
+
+    q(I) multiplies one factor per vertex, lowest bit first, p_i on the
+    bits of I and one elsewhere, which leaves each product exactly as the
+    scalar loop over I's bits makes it, then takes breve_q at the
+    complement of Gamma^+(I).
     """
     n = graph.n
     if n > cap:
@@ -198,25 +207,31 @@ def build_table(graph: DependencyGraph, p: Sequence, exact: bool = False,
     adj = graph.adjacency_masks()
     gamma_plus = [adj[i] | (1 << i) for i in range(n)]
 
-    breve = np.full(1 << n, one, dtype=object if exact else np.float64)
+    # Every mask but the empty one lies in exactly one class.
+    breve = np.empty(1 << n, dtype=object if exact else np.float64)
+    breve[0] = one
+    cube = breve.reshape((2,) * n)
+    full_axis = slice(None)
     for a in range(n - 1, -1, -1):
-        step = 2 << a
-        rest = np.arange(0, 1 << n, step, dtype=np.int64)
-        breve[1 << a::step] = breve[::step] - pv[a] * breve[rest & ~gamma_plus[a]]
+        # The trailing ... keeps every block a view, also at a single entry.
+        above = (full_axis,) * (n - 1 - a)
+        below_a = (0,) * a + (...,)
+        op = tuple(slice(0, 1) if gamma_plus[a] >> b & 1 else full_axis
+                   for b in range(n - 1, a, -1))
+        cls = cube[(*above, 1, *below_a)]
+        np.multiply(cube[(*op, 0, *below_a)], pv[a], out=cls)
+        np.subtract(cube[(*above, 0, *below_a)], cls, out=cls)
 
     ind_masks = independent_set_masks(graph, cap)
-    full = (1 << n) - 1
-    q: dict[int, object] = {}
-    for mask in ind_masks:
-        weight = one
-        gp = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            weight *= pv[i]
-            gp |= gamma_plus[i]
-            m &= m - 1
-        q[mask] = weight * breve.item(full & ~gp)
+    masks = np.array(ind_masks, dtype=np.int64)
+    weight = np.full(len(ind_masks), one, dtype=breve.dtype)
+    gp = np.zeros(len(ind_masks), dtype=np.int64)
+    for i in range(n):
+        bit = (masks >> i & 1).astype(bool)
+        weight = weight * np.where(bit, pv[i], one)
+        gp |= np.where(bit, gamma_plus[i], 0)
+    q_values = weight * breve[((1 << n) - 1) & ~gp]
+    q: dict[int, object] = dict(zip(ind_masks, q_values.tolist()))
 
     return PolynomialTable(graph, tuple(pv), breve, ind_masks, q, exact, gamma_plus)
 

@@ -29,14 +29,34 @@ def below(m: int, rng) -> int:
     return r
 
 
+#: The Fisher-Yates steps of a list of n < 64 items: (i, bit count of
+#: i + 1) for i = n - 1 down to 1, each the tail of the steps for n = 63.
+_STEPS = [(m - 1, m.bit_length()) for m in range(63, 1, -1)]
+_TAILS = [tuple(_STEPS[63 - n:]) for n in range(64)]
+
+
 def shuffle(x: list, rng) -> None:
-    """Fisher-Yates shuffle of x in place, as ``rng.shuffle(x)`` draws it."""
+    """Fisher-Yates shuffle of x in place, as ``rng.shuffle(x)`` draws it.
+
+    Step i draws ``below(i + 1)`` and swaps x[i] with the draw.  While
+    i + 1 has seven bits or more the steps run one binade at a time, each
+    run sharing its bit count k; the last 62 steps at most come from
+    ``_TAILS``.
+    """
     getrandbits = rng.getrandbits
-    for i in range(len(x) - 1, 0, -1):
-        m = i + 1
-        k = m.bit_length()
+    n = len(x)
+    while n > 63:
+        k = n.bit_length()
+        low = 1 << (k - 1)  # the shortest prefix whose length has k bits
+        for i in range(n - 1, low - 2, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        n = low - 1
+    for i, k in _TAILS[n]:
         j = getrandbits(k)
-        while j >= m:
+        while j > i:
             j = getrandbits(k)
         x[i], x[j] = x[j], x[i]
 

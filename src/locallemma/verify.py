@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 from scipy.special import chdtri
 
@@ -70,13 +71,20 @@ class DistributionTestReport:
         }
 
 
-def _conditioned_state(bundle, event: int, rng, budget: int):
-    """(state, draws taken) from the measure conditioned on the event, by
-    rejection within budget draws."""
-    for draws in range(1, budget + 1):
-        state = bundle.sample(rng)
-        if bundle.holds(event, state):
-            return state, draws
+def _conditioned_states(bundle, event: int, rng, budget: int):
+    """States from the measure conditioned on the event, by rejection.
+
+    One generator serves a whole test, so its budget caps the draws of
+    all the states it yields together; it raises RuntimeError when the
+    budget runs out before the next state is found.  It draws only when
+    asked for a state, so the caller's resamples interleave on the same
+    stream.
+    """
+    sample, holds = bundle.sample, bundle.holds
+    for _ in range(budget):
+        state = sample(rng)
+        if holds(event, state):
+            yield state
     raise RuntimeError(
         f"rejection sampling ran out of its draw budget on event {event}"
     )
@@ -99,14 +107,9 @@ def test_r1(bundle, event: int, samples: int, seed: int = 0,
     exact = bundle.exact_distribution()
     key = getattr(bundle, "state_key", None)
     rng = random.Random(seed)
-    counts: dict[object, int] = {}
-    remaining = rejection_budget
-    for _ in range(samples):
-        state, draws = _conditioned_state(bundle, event, rng, remaining)
-        remaining -= draws
-        out = bundle.resample(event, state, rng)
-        k = key(out) if key is not None else out
-        counts[k] = counts.get(k, 0) + 1
+    states = islice(_conditioned_states(bundle, event, rng, rejection_budget), samples)
+    outs = map(bundle.resample, repeat(event), states, repeat(rng))
+    counts = Counter(outs if key is None else map(key, outs))
 
     unexpected = sum(c for k, c in counts.items() if k not in exact)
     stat = 0.0
@@ -150,19 +153,20 @@ def test_r2(bundle, event: int, trials: int, seed: int = 0,
         j for j in range(bundle.n)
         if j != event and not g.adjacent(event, j)
     ]
+    holds, resample = bundle.holds, bundle.resample
     valid = getattr(bundle, "valid_state", None)
     rng = random.Random(seed)
-    remaining = rejection_budget
     violations = 0
-    for _ in range(trials):
-        state, draws = _conditioned_state(bundle, event, rng, remaining)
-        remaining -= draws
-        off = [j for j in others if not bundle.holds(j, state)]
-        after = bundle.resample(event, state, rng)
+    states = _conditioned_states(bundle, event, rng, rejection_budget)
+    for state in islice(states, max(trials, 0)):
+        off = [j for j in others if not holds(j, state)]
+        after = resample(event, state, rng)
         if valid is not None and not valid(after):
             violations += 1
             continue
-        violations += sum(1 for j in off if bundle.holds(j, after))
+        for j in off:
+            if holds(j, after):
+                violations += 1
     return violations
 
 

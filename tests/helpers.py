@@ -12,8 +12,74 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from locallemma.oracles import OracleEventError
+from locallemma.graphs import DependencyGraph
+from locallemma.oracles import (
+    MatchingBundle,
+    OracleEventError,
+    PatternEvent,
+    PermutationBundle,
+    TreeBundle,
+    VariableBundle,
+    VariableEvent,
+)
+from locallemma.synth import ExplicitBundle, ExplicitSpace
 from locallemma.verify import AppendixABundle
+
+
+# ---------------------------------------------------------------------------
+# the oracle fixtures of acceptance criteria 04 and 05
+
+
+def permutation_fixture():
+    return PermutationBundle(
+        4,
+        [
+            PatternEvent(((0, 0),)),
+            PatternEvent(((1, 1),)),
+            PatternEvent(((2, 2),)),
+        ],
+    )
+
+
+def matching_fixture():
+    return MatchingBundle(6, [((0, 1),), ((2, 3),), ((4, 5),)])
+
+
+def tree_fixture():
+    return TreeBundle(5, [((0, 1),), ((2, 3),)])
+
+
+def variable_fixture():
+    events = [
+        VariableEvent((0,), lambda b: b == 0),
+        VariableEvent((1,), lambda b: b == 0),
+    ]
+    return VariableBundle([((0, 1), None)] * 2, events)
+
+
+def two_bit_space():
+    probs = tuple(Fraction(1, 4) for _ in range(4))
+    events = (frozenset({0, 2}), frozenset({0, 1}))
+    return ExplicitSpace(probs, events, DependencyGraph(2))
+
+
+def three_bit_space():
+    probs = tuple(Fraction(1, 8) for _ in range(8))
+    events = tuple(
+        frozenset(s for s in range(8) if not s >> i & 1) for i in range(3)
+    )
+    return ExplicitSpace(probs, events, DependencyGraph(3, [(0, 1), (1, 2)]))
+
+
+def acceptance_fixtures():
+    """The five bundles of criterion 04, in its order."""
+    return [
+        permutation_fixture(),
+        matching_fixture(),
+        tree_fixture(),
+        variable_fixture(),
+        ExplicitBundle(two_bit_space()),
+    ]
 
 
 def subsets(items):

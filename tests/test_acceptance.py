@@ -22,14 +22,6 @@ from locallemma.apps import (
 )
 from locallemma.engine import log_follows, maximal_set_resample
 from locallemma.graphs import DependencyGraph, validate_sequence
-from locallemma.oracles import (
-    MatchingBundle,
-    PatternEvent,
-    PermutationBundle,
-    TreeBundle,
-    VariableBundle,
-    VariableEvent,
-)
 from locallemma.polynomials import (
     build_table,
     check_cll,
@@ -41,7 +33,7 @@ from locallemma.polynomials import (
     shearer_slack,
     singleton_ratio,
 )
-from locallemma.synth import ExplicitBundle, ExplicitSpace
+from locallemma.synth import ExplicitBundle
 from locallemma.verify import (
     appendix_a_bundle,
     derive_seed,
@@ -50,6 +42,16 @@ from locallemma.verify import (
 )
 from locallemma.verify import test_r1 as run_r1
 from locallemma.verify import test_r2 as run_r2
+
+from helpers import (
+    acceptance_fixtures,
+    matching_fixture,
+    permutation_fixture,
+    three_bit_space,
+    tree_fixture,
+    two_bit_space,
+    variable_fixture,
+)
 
 TOL = 1e-12
 
@@ -202,57 +204,9 @@ def test_criterion_03_automatic_slack():
     announce(3, "automatic slack keeps the region and half of q0")
 
 
-def permutation_fixture():
-    return PermutationBundle(
-        4,
-        [
-            PatternEvent(((0, 0),)),
-            PatternEvent(((1, 1),)),
-            PatternEvent(((2, 2),)),
-        ],
-    )
-
-
-def matching_fixture():
-    return MatchingBundle(6, [((0, 1),), ((2, 3),), ((4, 5),)])
-
-
-def tree_fixture():
-    return TreeBundle(5, [((0, 1),), ((2, 3),)])
-
-
-def variable_fixture():
-    events = [
-        VariableEvent((0,), lambda b: b == 0),
-        VariableEvent((1,), lambda b: b == 0),
-    ]
-    return VariableBundle([((0, 1), None)] * 2, events)
-
-
-def two_bit_space():
-    probs = tuple(Fraction(1, 4) for _ in range(4))
-    events = (frozenset({0, 2}), frozenset({0, 1}))
-    return ExplicitSpace(probs, events, DependencyGraph(2))
-
-
-def three_bit_space():
-    probs = tuple(Fraction(1, 8) for _ in range(8))
-    events = tuple(
-        frozenset(s for s in range(8) if not s >> i & 1) for i in range(3)
-    )
-    return ExplicitSpace(probs, events, DependencyGraph(3, [(0, 1), (1, 2)]))
-
-
 def test_criterion_04_oracle_distribution_tests():
     started = time.time()
-    cases = [
-        permutation_fixture(),
-        matching_fixture(),
-        tree_fixture(),
-        variable_fixture(),
-        ExplicitBundle(two_bit_space()),
-    ]
-    for k, bundle in enumerate(cases):
+    for k, bundle in enumerate(acceptance_fixtures()):
         rep = run_r1(bundle, 0, samples=1_000_000, seed=derive_seed(44, k))
         assert rep.passed, (k, rep.chi_square, rep.threshold)
 

@@ -312,6 +312,20 @@ def test_latin_flags(capsys):
     assert report["validated"]
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["latin", "--t", "1", "--matrix"], "matrix"),
+    (["rainbow-tree", "--t", "1", "--coloring"], "n"),
+    (["rainbow-matching", "--coloring"], "n"),
+], ids=["latin", "rainbow-tree", "rainbow-matching"])
+def test_app_file_without_its_field_names_the_field(tmp_path, capsys, argv, field):
+    path = write_instance(tmp_path, {}, "colours.json")
+    code, out, err = run_cli([*argv, path], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"missing field '{field}'" in err
+
+
 def test_app_subcommand_accepts_coloring_file(tmp_path, capsys):
     path = write_instance(
         tmp_path, rainbow_edge_coloring(6).to_json(), "coloring.json"

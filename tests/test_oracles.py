@@ -28,6 +28,7 @@ from locallemma.oracles import (
     TreeBundle,
     VariableBundle,
     VariableEvent,
+    VariableState,
     enumerate_perfect_matchings,
     enumerate_spanning_trees,
     is_perfect_matching,
@@ -342,6 +343,58 @@ def test_tree_bundle_adjacency():
     assert not bundle.graph.adjacent(0, 1)
     assert bundle.graph.adjacent(0, 2)
     assert bundle.graph.adjacent(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# holds against its definition on every state
+
+
+def _is_zero(v):
+    return v == 0
+
+
+def _equal(a, b):
+    return a == b
+
+
+def _holds_cases():
+    """(bundle, definition(event, state), the state forms to try)."""
+    as_tuple, as_list, as_set = tuple, list, frozenset
+    perm = PermutationBundle(4, [
+        PatternEvent(((0, 0),)), PatternEvent(((1, 2), (3, 0))),
+        PatternEvent(((0, 3), (1, 2), (2, 1))), PatternEvent(()),
+    ])
+    match = MatchingBundle(6, [((0, 1),), ((1, 0), (2, 3)), ((0, 1), (2, 3), (4, 5)),
+                               ((5, 2),), ()])
+    tree = TreeBundle(5, [((0, 1),), ((1, 2), (0, 1)), ((0, 1), (1, 2), (0, 2)),
+                          ((4, 3), (0, 2)), ()])
+    var = VariableBundle([((0, 1, 2), None), ((0, 1), (1, 3)), (("a", "b"), None)], [
+        VariableEvent((0,), _is_zero), VariableEvent((0, 1), _equal),
+        VariableEvent((2, 0), lambda c, a: c == "b" and a > 0), VariableEvent((), lambda: True),
+    ])
+    return [
+        (perm, lambda ev, pi: all(pi[x] == y for x, y in ev.pairs), (as_tuple, as_list)),
+        (match, lambda ev, m: all(m[u] == v for u, v in ev), (as_tuple, as_list)),
+        (tree, lambda ev, t: all(e in t for e in ev), (as_tuple, as_list, as_set)),
+        (var, lambda ev, values: bool(ev.predicate(*(values[v] for v in ev.variables))),
+         (as_tuple, as_list)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["permutation", "matching", "tree", "variable"])
+def test_holds_equals_its_definition_on_every_state(case):
+    bundle, definition, forms = _holds_cases()[case]
+    seen = set()
+    for state in bundle.exact_distribution():
+        for i, ev in enumerate(bundle.events):
+            want = definition(ev, state)
+            seen.add(want)
+            for form in forms:
+                given = form(state)
+                if isinstance(bundle, VariableBundle):
+                    given = VariableState(given, bundle.dists)
+                assert bundle.holds(i, given) is want, (i, state, form)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,8 @@ def test_below_rejects_an_empty_range():
 
 
 def test_shuffle_draws_as_random_shuffle_does():
-    for n in range(0, 65):
+    # sizes past 63 run binades of steps before the precomputed tail
+    for n in [*range(0, 66), 127, 128, 129, 256, 1000]:
         for seed in SEEDS:
             ours, theirs = random.Random(seed), random.Random(seed)
             x, y = list(range(n)), list(range(n))
@@ -275,7 +276,6 @@ EXACT_SUMS = {
     ("synth.py", "sum((space.probs[u] for u in blocked), Fraction(0))"),
     ("synth.py", "sum((space.probs[w] for w in reach), Fraction(0))"),
     ("verify.py", "sum(c for k, c in counts.items() if k not in exact)"),
-    ("verify.py", "sum(1 for j in off if bundle.holds(j, after))"),
     ("verify.py", "sum(1 for j in off if bundle.holds(j, w))"),
     ("verify.py", "sum(c for streak, c in self.counts.items() if streak >= length)"),
 }
@@ -302,3 +302,5 @@ def test_draws_and_float_sums_go_through_streams():
     assert stray_draws == []
     sums = set(package_calls(lambda f: isinstance(f, ast.Name) and f.id == "sum"))
     assert sums - EXACT_SUMS == set()
+    # and the allowlist names no sum the package no longer has
+    assert EXACT_SUMS - sums == set()

@@ -1,5 +1,7 @@
 """Checks for the verification helpers and the adversarial streak bundle."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -27,7 +29,7 @@ from locallemma.verify import (
     test_r2 as run_r2,
 )
 
-from helpers import TupleAppendixABundle, exact_outcomes
+from helpers import TupleAppendixABundle, acceptance_fixtures, exact_outcomes
 
 
 def coin_pair_bundle():
@@ -69,6 +71,32 @@ def test_r1_report_on_sound_oracle():
     obj = report.to_json()
     assert obj["passed"] is True
     assert obj["support_size"] == 4
+
+
+# sha256 over [R1 report JSON, R2 count] for every event of each
+# acceptance fixture, captured before the R1/R2 loops and the oracle hot
+# paths were rewritten: the checks must take the same draws and give the
+# same bits.
+R1_R2_DIGESTS = [
+    "9b895a6d8ac5e1a4c0771e1799961ef5110d3bd5cc3ba112280fc34d377ac4b9",  # permutation
+    "9d7fa5b893c148d272851f5d1389064afc8889caf1a4cb4458471400ffb5d67d",  # matching
+    "5a949a4bd355b3b279a1cf7e20756d5944ebaea6ba8bca35bf848a6ead0e1a7e",  # tree
+    "648cec786bc49957b68d608a14bccb15ba08933caab01d505d21b460c86e30d1",  # variable
+    "dcc79d96534319bac795aa94bdfbf347f627cd2604ac141495930e734e3c1e3d",  # explicit
+]
+
+
+@pytest.mark.parametrize("f", range(5), ids=["permutation", "matching", "tree",
+                                             "variable", "explicit"])
+def test_r1_and_r2_are_pinned_on_every_fixture_event(f):
+    bundle = acceptance_fixtures()[f]
+    rows = [
+        [run_r1(bundle, e, 4000, derive_seed(44, f)).to_json(),
+         run_r2(bundle, e, 4000, derive_seed(55, f))]
+        for e in range(bundle.n)
+    ]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == R1_R2_DIGESTS[f]
 
 
 class _StuckOracle:
@@ -187,6 +215,13 @@ def test_rejection_budget_is_one_budget_per_test():
     assert run_r2(coin_pair_bundle(), 0, trials=300, seed=2, rejection_budget=needed) == 0
     with pytest.raises(RuntimeError):
         run_r2(coin_pair_bundle(), 0, trials=300, seed=2, rejection_budget=needed - 1)
+
+
+def test_r2_without_trials_takes_no_draws():
+    counting = _CountingBundle(coin_pair_bundle())
+    for trials in (0, -3):
+        assert run_r2(counting, 0, trials=trials, seed=1) == 0
+    assert counting.draws == 0
 
 
 class _EdgeDroppingTrees(TreeBundle):
