@@ -15,15 +15,10 @@ engine's resample count has explicit tail bounds whenever the color
 multiplicity and the copy count stay below the stated fraction of n.
 Every event gets the same y = beta * p from its family's data, so the
 vector is a ``Uniform``: one value and the event count, whose bound
-sums take closed form.  Event sets
-reach the hundreds of thousands at contest sizes, so no per-event table
-is built: an event index decodes in closed form (see ``_AppBundle``)
-into its copies and items, dependency is read off (copy, vertex)
-conflict keys (shared copy and overlapping vertex support), and
-occurrence scans exploit the structures directly.  A build costs a few
-int64 arrays over the N items (their colors, their order by color and
-one prefix count of same-colored partners), computed with numpy, not
-one entry per event or per same-colored pair.
+sums take closed form.  Event sets reach the hundreds of thousands at
+contest sizes, so no per-event table is built: events decode in closed
+form (see ``_AppBundle``), and the structures, their items and the
+vertices those touch come from the structure families of ``oracles``.
 """
 
 from __future__ import annotations
@@ -40,19 +35,15 @@ import numpy as np
 from .engine import RunLog, maximal_set_resample
 from .graphs import KeyGraph
 from .oracles import (
-    PatternEvent,
+    PerfectMatchings,
+    Permutations,
+    SpanningTrees,
     is_perfect_matching,
     is_spanning_tree,
     matching_pairs,
-    matching_resample,
     normalize_edge,
-    permutation_resample,
-    sample_perfect_matching,
-    sample_spanning_tree,
-    tree_resample,
 )
 from .polynomials import CriterionParams, Uniform, tail_bounds
-from .streams import shuffle
 # Not called here; kept importable because bench/workloads.py wraps it.
 from .polynomials import predicted_bound  # noqa: F401
 
@@ -62,6 +53,18 @@ BETA = (8 / 7) ** 8
 GAMMA_TREE = (1 / 32) * (7 / 8) ** 7
 GAMMA_LATIN = 7**7 / 8**8
 MATCHING_BETA = (4 / 3) ** 4
+
+#: Size caps, checked before any list over the items (matrix cells or
+#: edges of K_n) or over the t(t-1)/2 copy pairs is built.
+MAX_ITEMS = 1 << 20
+MAX_COPY_PAIRS = 1 << 16
+
+
+def _check_caps(n_items: int, t: int = 1) -> None:
+    if n_items > MAX_ITEMS:
+        raise ValueError(f"{n_items} items exceed the cap MAX_ITEMS = {MAX_ITEMS}")
+    if t * (t - 1) // 2 > MAX_COPY_PAIRS:
+        raise ValueError(f"{t} copies exceed the cap MAX_COPY_PAIRS = {MAX_COPY_PAIRS} pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -135,17 +138,17 @@ class ColorMatrix:
 # generators
 
 
-def _chunk_coloring(items: list, size: int) -> dict:
-    return {item: k // size for k, item in enumerate(items)}
-
-
 def random_edge_coloring(n: int, multiplicity: int, rng) -> ColoredCompleteGraph:
-    """Random coloring of K_n with every color on at most `multiplicity` edges."""
+    """Random coloring of K_n with every color on at most `multiplicity` edges:
+    the k-th edge in the order of ``Permutations(N).sample`` gets color
+    k // multiplicity, and so does the k-th cell of ``random_color_matrix``."""
     if multiplicity < 1:
         raise ValueError("multiplicity must be at least 1")
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    shuffle(edges, rng)
-    return ColoredCompleteGraph(n, _chunk_coloring(edges, multiplicity))
+    _check_caps(n * (n - 1) // 2)
+    x, y = np.triu_indices(n, 1)
+    order = np.array(Permutations(len(x)).sample(rng), dtype=np.int64)
+    colors = (np.arange(len(x)) // multiplicity).tolist()
+    return ColoredCompleteGraph(n, dict(zip(zip(x[order].tolist(), y[order].tolist()), colors)))
 
 
 def rainbow_edge_coloring(n: int) -> ColoredCompleteGraph:
@@ -177,13 +180,13 @@ def random_color_matrix(n: int, multiplicity: int, rng) -> ColorMatrix:
     """Random n x n matrix with every color in at most `multiplicity` cells."""
     if multiplicity < 1:
         raise ValueError("multiplicity must be at least 1")
-    cells = [(u, v) for u in range(n) for v in range(n)]
-    shuffle(cells, rng)
-    coloring = _chunk_coloring(cells, multiplicity)
-    rows = [[0] * n for _ in range(n)]
-    for (u, v), c in coloring.items():
-        rows[u][v] = c
-    return ColorMatrix(rows)
+    if n < 0:
+        raise ValueError("matrix size must be nonnegative")
+    _check_caps(n * n)
+    colors = np.empty(n * n, dtype=np.int64)
+    order = np.array(Permutations(n * n).sample(rng), dtype=np.int64)
+    colors[order] = np.arange(n * n) // multiplicity
+    return ColorMatrix(colors.reshape(n, n).tolist())
 
 
 def distinct_color_matrix(n: int) -> ColorMatrix:
@@ -255,12 +258,14 @@ def _int64(values) -> array:
 
 
 class _AppBundle:
-    """t copies of one oracle family plus color- and copy-collision events.
+    """t copies of one structure family plus color- and copy-collision events.
 
     The state is a tuple of t structures (permutations, spanning trees
-    or one perfect matching).  An item is what a structure may contain:
-    a matrix cell or an edge of K_n.  Its rank is its position among the
-    N items in sorted order, and each item has a color and two vertices.  Events
+    or one perfect matching) of ``family``, an ``oracles`` structure
+    family.  The family gives what a structure may contain, its items
+    (matrix cells or edges of K_n), with each item's rank among the N
+    items in sorted order and the vertices it touches, and it draws,
+    tests and redraws the structures.  Each item has a color.  Events
     are numbered in closed form and decoded by arithmetic, never stored:
 
       type 1, index i*P + k           copy i contains both items of the
@@ -283,22 +288,18 @@ class _AppBundle:
     their vertex supports meet, that is when their (copy, vertex)
     conflict keys meet.
 
-    A family supplies its draw and conditioned redraw, the ranks of the
-    items in a structure, and an item's vertices, rank and item-of-rank
-    in closed form; the defaults here are those of an edge (u, v),
-    u < v, of K_n.  For the cluster criterion it gives beta, its largest
-    event probability p_num / p_den and clique_size_bounds().
+    A subclass gives the colors, and for the cluster criterion beta, its
+    largest event probability p_num / p_den and clique_size_bounds().
     """
 
-    #: Two items on a common vertex never sit in one structure together,
-    #: so such same-colored pairs carry no event.
-    exclusive = True
     beta = BETA
     p_num = 1
 
-    def __init__(self, t: int, color: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
-        """color (dense ids), x and y: each item's color and vertices, in rank order."""
-        self.t = t
+    def __init__(self, family, t: int, color: np.ndarray) -> None:
+        """color: each item's dense color id, in rank order."""
+        _check_caps(family.n_items, t)
+        self.family, self.t, self.size = family, t, family.n
+        x, y = family.vertex_arrays()
         order = np.argsort(color, kind="stable")
         later = np.zeros(len(color), dtype=np.int64)
         # Same-colored ranks are adjacent in class order, so the partners
@@ -306,7 +307,7 @@ class _AppBundle:
         for d in range(1, int(np.bincount(color).max(initial=0))):
             a, b = order[:-d], order[d:]
             fits = color[a] == color[b]
-            if self.exclusive:
+            if family.exclusive:
                 xa, ya, xb, yb = x[a], y[a], x[b], y[b]
                 fits &= (xa != xb) & (xa != yb) & (ya != xb) & (ya != yb)
             later[a] += fits
@@ -333,11 +334,12 @@ class _AppBundle:
         in class order, less the items on a vertex of e when exclusive."""
         color, order, x, y = self._color, self._order, self._x, self._y
         c, xe, ye = color[e], x[e], y[e]
+        exclusive = self.family.exclusive
         for j in range(self._where[e] + 1, self.n_items):
             f = order[j]
             if color[f] != c:
                 return
-            if not self.exclusive or (xe != x[f] and xe != y[f] and ye != x[f] and ye != y[f]):
+            if not exclusive or (xe != x[f] and xe != y[f] and ye != x[f] and ye != y[f]):
                 yield f
 
     def _pair(self, k: int) -> tuple[int, int]:
@@ -355,12 +357,13 @@ class _AppBundle:
 
     def _parts(self, idx: int) -> tuple[tuple, tuple]:
         """(copies, items) of an event: every copy holds every item."""
+        item = self.family.item
         if idx < self.n_type1:
             i, k = divmod(idx, self.n_pairs)
             e, f = self._pair(k)
-            return (i,), (self._item(e), self._item(f))
+            return (i,), (item(e), item(f))
         c, r = divmod(idx - self.n_type1, self.n_items)
-        return self.copy_pairs[c], (self._item(r),)
+        return self.copy_pairs[c], (item(r),)
 
     def payload(self, idx: int) -> tuple:
         """(i, e, f) for a type-1 event, (i, j, item) for a type-2 event."""
@@ -369,13 +372,14 @@ class _AppBundle:
 
     def index(self, payload: tuple) -> int:
         """Inverse of payload; KeyError when the payload names no event."""
+        rank = self.family.rank
         if isinstance(payload[1], int):
             i, j, item = payload
             c = i * (2 * self.t - i - 1) // 2 + j - i - 1
-            idx = self.n_type1 + c * self.n_items + self._pos(item)
+            idx = self.n_type1 + c * self.n_items + rank(item)
         else:
             i, e, f = payload
-            idx = i * self.n_pairs + self._pair_index(self._pos(e), self._pos(f))
+            idx = i * self.n_pairs + self._pair_index(rank(e), rank(f))
         if not 0 <= idx < self.n or _AppBundle.payload(self, idx) != payload:
             raise KeyError(payload)
         return idx
@@ -384,25 +388,13 @@ class _AppBundle:
         return frozenset(self._parts(idx)[0])
 
     def support(self, idx: int) -> frozenset[int]:
-        return frozenset(v for item in self._parts(idx)[1] for v in self._vertices(item))
+        return frozenset(v for item in self._parts(idx)[1] for v in self.family.vertices(item))
 
     def _keys(self, idx: int) -> list[tuple[int, int]]:
         """(copy, vertex) for every copy and vertex of the event."""
         copies, items = self._parts(idx)
-        return [(i, v) for item in items for v in self._vertices(item) for i in copies]
-
-    def _vertices(self, item) -> tuple[int, int]:
-        return item
-
-    def _pos(self, edge) -> int:
-        u, v = edge
-        return u * (2 * self.size - u - 1) // 2 + v - u - 1
-
-    def _item(self, rank: int) -> tuple[int, int]:
-        return self._x[rank], self._y[rank]
-
-    def _contains(self, structure, item) -> bool:
-        return structure[item[0]] == item[1]
+        vertices = self.family.vertices
+        return [(i, v) for item in items for v in vertices(item) for i in copies]
 
     def params(self) -> CriterionParams:
         """y = beta * p for every event."""
@@ -417,24 +409,24 @@ class _AppBundle:
         return lhs <= y
 
     def sample(self, rng):
-        return tuple(self._draw(rng) for _ in range(self.t))
+        return tuple(self.family.sample(rng) for _ in range(self.t))
 
     def holds(self, idx: int, state) -> bool:
         copies, items = self._parts(idx)
-        contains = self._contains
-        return all(contains(state[i], item) for i in copies for item in items)
+        contains = self.family.holds
+        return all(contains(state[i], items) for i in copies)
 
     def resample(self, idx: int, state, rng):
         copies, items = self._parts(idx)
         structures = list(state)
         for i in copies:
-            structures[i] = self._redraw(structures[i], items, rng)
+            structures[i] = self.family.redraw(structures[i], items, rng)
         return tuple(structures)
 
     def occurring(self, state) -> list[int]:
         out: list[int] = []
         n_pairs, color = self.n_pairs, self._color
-        present = [self._ranks(structure) for structure in state]
+        present = [self.family.ranks(structure) for structure in state]
         for i, ranks in enumerate(present):
             by_color: dict[int, list[int]] = {}
             for r in ranks:
@@ -451,16 +443,13 @@ class _AppBundle:
         return out
 
 
-def _edge_ranks(coloring: ColoredCompleteGraph) -> tuple:
-    """(dense color ids, u, v) of the edges of K_n in rank order, and the
-    offset of each vertex u: the rank of edge (u, v) is offset[u] + v."""
-    n, m = coloring.n, len(coloring.color)
-    offset = [u * (2 * n - u - 1) // 2 - u - 1 for u in range(n)]
+def _edge_colors(coloring: ColoredCompleteGraph, family) -> np.ndarray:
+    """Dense color ids of the edges of K_n in the family's rank order."""
+    m = len(coloring.color)
     u, v = np.fromiter(chain.from_iterable(coloring.color), np.int64, 2 * m).reshape(m, 2).T
     colors = np.empty(m, dtype=np.int64)
-    colors[np.array(offset, dtype=np.int64)[u] + v] = _dense_ids(coloring.color.values())
-    x, y = np.triu_indices(n, 1)
-    return colors, x, y, offset
+    colors[family.rank((u, v))] = _dense_ids(coloring.color.values())
+    return colors
 
 
 class RainbowTreeBundle(_AppBundle):
@@ -472,7 +461,6 @@ class RainbowTreeBundle(_AppBundle):
     """
 
     kind = "rainbow-tree"
-    exclusive = False
     p_num = 4
 
     def __init__(self, coloring: ColoredCompleteGraph, t: int) -> None:
@@ -481,23 +469,9 @@ class RainbowTreeBundle(_AppBundle):
         if coloring.n < 1:
             raise ValueError("spanning trees need at least one vertex")
         self.coloring = coloring
-        self.size = coloring.n
         self.p_den = coloring.n**2
-        colors, x, y, self._offset = _edge_ranks(coloring)
-        super().__init__(t, colors, x, y)
-
-    def _ranks(self, tree) -> list[int]:
-        offset = self._offset
-        return [offset[u] + v for u, v in tree]
-
-    def _contains(self, tree, edge) -> bool:
-        return edge in tree
-
-    def _draw(self, rng):
-        return sample_spanning_tree(self.size, rng)
-
-    def _redraw(self, tree, edges, rng):
-        return tree_resample(tree, edges, rng)
+        family = SpanningTrees(coloring.n)
+        super().__init__(family, t, _edge_colors(coloring, family))
 
     def event_prob(self, idx: int) -> float:
         n = self.size
@@ -532,29 +506,16 @@ class RainbowMatchingBundle(_AppBundle):
     beta = MATCHING_BETA
 
     def __init__(self, coloring: ColoredCompleteGraph) -> None:
-        if coloring.n % 2:
-            raise ValueError("perfect matchings need an even vertex count")
+        family = PerfectMatchings(coloring.n)
         self.coloring = coloring
-        self.size = m = coloring.n
-        self.p_den = (m - 1) * (m - 3)
-        colors, x, y, self._offset = _edge_ranks(coloring)
-        super().__init__(1, colors, x, y)
+        self.p_den = (coloring.n - 1) * (coloring.n - 3)
+        super().__init__(family, 1, _edge_colors(coloring, family))
 
     def payload(self, idx: int) -> tuple:
         return super().payload(idx)[1:]
 
     def index(self, payload: tuple) -> int:
         return super().index((0, *payload))
-
-    def _ranks(self, partner) -> list[int]:
-        offset = self._offset
-        return [offset[u] + v for u, v in enumerate(partner) if u < v]
-
-    def _draw(self, rng):
-        return sample_perfect_matching(self.size, rng)
-
-    def _redraw(self, partner, edges, rng):
-        return matching_resample(partner, edges, rng)
 
     def event_prob(self, idx: int) -> float:
         return self.p_num / self.p_den
@@ -589,32 +550,8 @@ class LatinBundle(_AppBundle):
         if n < 2:
             raise ValueError("transversal events need a matrix of size at least 2")
         self.matrix = matrix
-        self.size = n
         self.p_den = n * (n - 1)
-        ranks = np.arange(n * n)
-        super().__init__(t, _dense_ids(chain.from_iterable(matrix.rows)),
-                         ranks // n, n + ranks % n)
-
-    def _vertices(self, cell) -> tuple[int, int]:
-        return cell[0], self.size + cell[1]
-
-    def _pos(self, cell) -> int:
-        return cell[0] * self.size + cell[1]
-
-    def _item(self, rank: int) -> tuple[int, int]:
-        return divmod(rank, self.size)
-
-    def _ranks(self, pi) -> list[int]:
-        n = self.size
-        return [u * n + v for u, v in enumerate(pi)]
-
-    def _draw(self, rng):
-        pi = list(range(self.size))
-        shuffle(pi, rng)
-        return tuple(pi)
-
-    def _redraw(self, pi, cells, rng):
-        return permutation_resample(pi, PatternEvent(cells), rng)
+        super().__init__(Permutations(n), t, _dense_ids(chain.from_iterable(matrix.rows)))
 
     def event_prob(self, idx: int):
         n = self.size

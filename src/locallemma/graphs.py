@@ -115,6 +115,33 @@ class KeyGraph(_Graph):
         return frozenset(j for j in range(self.n) if self.adjacent(i, j))
 
 
+def non_neighbors(graph, i: int) -> list[int]:
+    """The events other than i that are not adjacent to it, ascending."""
+    return [j for j in range(graph.n) if j != i and not graph.adjacent(i, j)]
+
+
+def independent_subset_masks(adj_masks: list[int], mask: int) -> list[int]:
+    """Independent subsets (as masks) of the vertex set given by mask, with
+    adj_masks the neighbor bitmasks, depth first: each set, then its
+    extensions by one higher member, in increasing order."""
+    members = []
+    m = mask
+    while m:
+        members.append((m & -m).bit_length() - 1)
+        m &= m - 1
+    out: list[int] = []
+
+    def extend(cur: int, start: int) -> None:
+        out.append(cur)
+        for pos in range(start, len(members)):
+            v = members[pos]
+            if not (adj_masks[v] & cur):
+                extend(cur | (1 << v), pos + 1)
+
+    extend(0, 0)
+    return out
+
+
 def independent_set_masks(graph: DependencyGraph, cap: int = ENUMERATION_CAP) -> list[int]:
     """All independent sets as bitmasks, ascending by mask value.
 
@@ -124,18 +151,7 @@ def independent_set_masks(graph: DependencyGraph, cap: int = ENUMERATION_CAP) ->
     n = graph.n
     if n > cap:
         raise ValueError(f"independent-set enumeration refused for n={n} > cap={cap}")
-    adj = graph.adjacency_masks()
-    out: list[int] = []
-
-    def extend(mask: int, start: int) -> None:
-        out.append(mask)
-        for v in range(start, n):
-            if not (adj[v] & mask):
-                extend(mask | (1 << v), v + 1)
-
-    extend(0, 0)
-    out.sort()
-    return out
+    return sorted(independent_subset_masks(graph.adjacency_masks(), (1 << n) - 1))
 
 
 def enumerate_independent_sets(

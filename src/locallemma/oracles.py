@@ -14,6 +14,11 @@ occurring to occur.  States use plain structures:
 The streak bundle of the verify layer (AppendixABundle) keeps its fair
 bits as bytes, one byte per bit.
 
+The last three are the structure families Permutations(n),
+PerfectMatchings(n) and SpanningTrees(n) (see ``_Family``), through which
+the single-space bundles here and the application bundles of ``apps``
+draw, test, redraw and key their structures.
+
 Oracles raise OracleEventError when asked to resample an event that
 does not hold; the engine never does this.
 """
@@ -23,7 +28,10 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .graphs import DependencyGraph, KeyGraph
 from .streams import below, seqsum, shuffle
@@ -67,11 +75,6 @@ def _draw(dist, rng):
     return values[-1]
 
 
-def sample_variable_state(dists, rng) -> VariableState:
-    dists = tuple(dists)
-    return VariableState(tuple([_draw(d, rng) for d in dists]), dists)
-
-
 def variable_resample(state: VariableState, variables: Iterable[int], rng) -> VariableState:
     """Redraw the given variables from their own laws; others untouched."""
     values = list(state.values)
@@ -91,6 +94,41 @@ class VariableEvent:
     def holds(self, state: VariableState) -> bool:
         values = state.values
         return bool(self.predicate(*[values[v] for v in self.variables]))
+
+
+# ---------------------------------------------------------------------------
+# structure families
+
+
+def _pairs_hold(structure: Sequence[int], pairs: Iterable[tuple[int, int]]) -> bool:
+    """structure[u] == v for every (u, v), a permutation's cell or a matching's edge."""
+    for u, v in pairs:
+        if structure[u] != v:
+            return False
+    return True
+
+
+def _uniform(states: Iterable) -> dict:
+    """Each of the states with probability 1 / their number."""
+    states = list(states)
+    pr = 1 / len(states)
+    return {s: pr for s in states}
+
+
+class _Family:
+    """A structure family: ``sample(rng)`` draws a structure s, ``holds(s,
+    items)`` tests that s contains every item (a cell or an edge of K_n) and
+    ``redraw(s, items, rng)`` resamples s conditioned on that.  The
+    ``n_items`` items rank in sorted order: ``rank(item)``, ``item(rank)``
+    and ``ranks(s)`` of those in s.  ``vertices(item)`` are what an item
+    touches; ``vertex_arrays()`` lists them by rank."""
+
+    #: Two items on a shared vertex never sit in one structure together.
+    exclusive = True
+    holds = staticmethod(_pairs_hold)
+
+    def state_key(self, state):
+        return state
 
 
 # ---------------------------------------------------------------------------
@@ -119,29 +157,25 @@ class PatternEvent:
     def range(self) -> frozenset[int]:
         return frozenset(y for _, y in self.pairs)
 
-    def holds(self, pi: Sequence[int]) -> bool:
-        for x, y in self.pairs:
-            if pi[x] != y:
-                return False
-        return True
 
-
-def permutation_resample(pi: Sequence[int], event: PatternEvent, rng) -> tuple[int, ...]:
+def permutation_resample(pi: Sequence[int], event, rng) -> tuple[int, ...]:
     """Resample a permutation conditioned on containing the pattern.
 
-    Walks the pattern's domain positions x_1 < ... < x_t from last to
-    first, swapping pi(x_i) with pi(z) for z uniform over all positions
-    except x_1..x_{i-1}.  With the full domain as pattern this is
-    exactly the textbook shuffle.  z is drawn as an index into the pool
-    x_i..x_t followed by the positions outside the pattern in ascending
-    order, and a pool index past x_t is mapped to its position by
-    stepping over the pattern positions below it.
+    event is a PatternEvent, or its pairs as one keeps them: sorted, with
+    distinct domains and ranges.  Walks the pattern's domain positions
+    x_1 < ... < x_t from last to first, swapping pi(x_i) with pi(z) for z
+    uniform over all positions except x_1..x_{i-1}.  With the full domain
+    as pattern this is exactly the textbook shuffle.  z is drawn as an
+    index into the pool x_i..x_t followed by the positions outside the
+    pattern in ascending order, and a pool index past x_t is mapped to
+    its position by stepping over the pattern positions below it.
     """
-    if not event.holds(pi):
-        raise OracleEventError(f"pattern {event.pairs} does not hold")
+    pairs = event.pairs if isinstance(event, PatternEvent) else event
+    if not _pairs_hold(pi, pairs):
+        raise OracleEventError(f"pattern {pairs} does not hold")
     out = list(pi)
     n = len(out)
-    xs = [x for x, _ in event.pairs]
+    xs = [x for x, _ in pairs]
     t = len(xs)
     for idx in range(t - 1, -1, -1):
         k = idx + below(n - idx, rng)
@@ -156,6 +190,46 @@ def permutation_resample(pi: Sequence[int], event: PatternEvent, rng) -> tuple[i
         x = xs[idx]
         out[x], out[z] = out[z], out[x]
     return tuple(out)
+
+
+class Permutations(_Family):
+    """Uniform permutations of [n].  The item (x, y) is the cell pi[x] == y
+    of rank x*n + y; it touches row x and column n + y."""
+
+    redraw = staticmethod(permutation_resample)
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.n_items = n * n
+
+    def sample(self, rng) -> tuple[int, ...]:
+        pi = list(range(self.n))
+        shuffle(pi, rng)
+        return tuple(pi)
+
+    def vertices(self, cell) -> tuple[int, int]:
+        return cell[0], self.n + cell[1]
+
+    def vertex_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.vertices(divmod(np.arange(self.n_items), self.n))
+
+    def rank(self, cell) -> int:
+        return cell[0] * self.n + cell[1]
+
+    def item(self, rank: int) -> tuple[int, int]:
+        return divmod(rank, self.n)
+
+    def ranks(self, pi) -> list[int]:
+        n = self.n
+        return [u * n + v for u, v in enumerate(pi)]
+
+    def valid(self, pi) -> bool:
+        return len(pi) == self.n and sorted(pi) == list(range(self.n))
+
+    def exact_distribution(self) -> dict:
+        if self.n > 8:
+            raise ValueError("permutation enumeration refused beyond n=8")
+        return _uniform(itertools.permutations(range(self.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,20 +256,6 @@ def is_perfect_matching(partner: Sequence[int]) -> bool:
         if not (0 <= w < n and w != v and partner[w] == v):
             return False
     return True
-
-
-def sample_perfect_matching(n: int, rng) -> tuple[int, ...]:
-    """Uniform perfect matching of the complete graph on [n], n even."""
-    if n % 2:
-        raise ValueError("perfect matchings need an even vertex count")
-    verts = list(range(n))
-    shuffle(verts, rng)
-    partner = [0] * n
-    pairs = iter(verts)
-    for u, v in zip(pairs, pairs):
-        partner[u] = v
-        partner[v] = u
-    return tuple(partner)
 
 
 def matching_resample(partner: Sequence[int], event_edges: Iterable, rng) -> tuple[int, ...]:
@@ -244,27 +304,80 @@ def matching_resample(partner: Sequence[int], event_edges: Iterable, rng) -> tup
     return tuple(par)
 
 
-def enumerate_perfect_matchings(n: int) -> list[tuple[int, ...]]:
-    """All perfect matchings of K_n as partner tuples (small n only)."""
-    if n % 2:
-        return []
-    if n > 12:
-        raise ValueError("matching enumeration refused beyond n=12")
-    out: list[tuple[int, ...]] = []
+class _EdgeItems(_Family):
+    """Items that are the edges (u, v), u < v, of K_n, ranked in sorted
+    order; an edge touches its two ends."""
 
-    def build(unmatched: list[int], partner: list[int]) -> None:
-        if not unmatched:
-            out.append(tuple(partner))
-            return
-        u = unmatched[0]
-        for k in range(1, len(unmatched)):
-            v = unmatched[k]
-            partner[u], partner[v] = v, u
-            build(unmatched[1:k] + unmatched[k + 1:], partner)
-        partner[u] = -1
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.n_items = n * (n - 1) // 2
+        # rank(u, v) = _offset[u] + v, for the scans of whole structures
+        self._offset = [self.rank((u, 0)) for u in range(n)]
 
-    build(list(range(n)), [-1] * n)
-    return out
+    def vertices(self, edge) -> tuple[int, int]:
+        return edge
+
+    def vertex_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.triu_indices(self.n, 1)
+
+    def rank(self, edge):
+        """The rank of (u, v); also elementwise, for arrays u and v."""
+        u, v = edge
+        return u * (2 * self.n - u - 1) // 2 + v - u - 1
+
+    def item(self, rank: int) -> tuple[int, int]:
+        # k = n - 2 - u is the largest with k(k+1)/2 edges after u's ones
+        # at most the count of edges ranked after this one.
+        u = self.n - 2 - (isqrt(8 * (self.n_items - 1 - rank) + 1) - 1) // 2
+        return u, rank - self._offset[u]
+
+
+class PerfectMatchings(_EdgeItems):
+    """Uniform perfect matchings of K_n, n even, as partner tuples; the
+    edge (u, v) is present when partner[u] == v."""
+
+    redraw = staticmethod(matching_resample)
+
+    def __init__(self, n: int) -> None:
+        if n % 2:
+            raise ValueError("perfect matchings need an even vertex count")
+        super().__init__(n)
+        self._vertex_order = Permutations(n)
+
+    def sample(self, rng) -> tuple[int, ...]:
+        """Matches the entries 2k and 2k + 1 of a uniform vertex order."""
+        partner = [0] * self.n
+        pairs = iter(self._vertex_order.sample(rng))
+        for u, v in zip(pairs, pairs):
+            partner[u] = v
+            partner[v] = u
+        return tuple(partner)
+
+    def ranks(self, partner) -> list[int]:
+        offset = self._offset
+        return [offset[u] + v for u, v in enumerate(partner) if u < v]
+
+    def valid(self, partner) -> bool:
+        return len(partner) == self.n and is_perfect_matching(partner)
+
+    def exact_distribution(self) -> dict:
+        if self.n > 12:
+            raise ValueError("matching enumeration refused beyond n=12")
+        out: list[tuple[int, ...]] = []
+
+        def build(unmatched: list[int], partner: list[int]) -> None:
+            if not unmatched:
+                out.append(tuple(partner))
+                return
+            u = unmatched[0]
+            for k in range(1, len(unmatched)):
+                v = unmatched[k]
+                partner[u], partner[v] = v, u
+                build(unmatched[1:k] + unmatched[k + 1:], partner)
+            partner[u] = -1
+
+        build(list(range(self.n)), [-1] * self.n)
+        return _uniform(out)
 
 
 # ---------------------------------------------------------------------------
@@ -329,36 +442,6 @@ def _wilson(nw: int, sizes: Sequence[int], rng) -> list[int]:
     return succ
 
 
-def sample_spanning_tree(n: int, rng) -> frozenset[tuple[int, int]]:
-    """Uniform spanning tree of the complete graph on [n], by Wilson's
-    algorithm on K_n: ``_wilson`` without component nodes, one float per
-    walk step.  A step from u takes k = int(random() * (n - 1)) and goes
-    to k + (k >= u); each loop-erased path adds its edges as it joins
-    the tree."""
-    if n < 1:
-        raise ValueError("spanning trees need at least one vertex")
-    random = rng.random
-    top = n - 1
-    succ = [0] * n
-    in_tree = [False] * n
-    in_tree[0] = True
-    edges = []
-    for start in range(1, n):
-        u = start
-        while not in_tree[u]:
-            k = int(random() * top)
-            v = k + (k >= u)
-            succ[u] = v
-            u = v
-        u = start
-        while not in_tree[u]:
-            in_tree[u] = True
-            v = succ[u]
-            edges.append((u, v) if u < v else (v, u))
-            u = v
-    return frozenset(edges)
-
-
 def tree_resample(tree: frozenset, event_edges: Iterable, rng) -> frozenset:
     """Resample a uniform spanning tree of K_n conditioned on given edges.
 
@@ -421,18 +504,66 @@ def tree_resample(tree: frozenset, event_edges: Iterable, rng) -> frozenset:
     return frozenset(forest)
 
 
-def enumerate_spanning_trees(n: int) -> list[frozenset[tuple[int, int]]]:
-    """All spanning trees of K_n (small n only)."""
-    if n > 7:
-        raise ValueError("tree enumeration refused beyond n=7")
-    if n == 1:
-        return [frozenset()]
-    all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return [
-        frozenset(combo)
-        for combo in itertools.combinations(all_edges, n - 1)
-        if is_spanning_tree(n, combo)
-    ]
+class SpanningTrees(_EdgeItems):
+    """Uniform spanning trees of K_n as frozensets of edges; edges on a
+    shared vertex may sit in one tree together."""
+
+    exclusive = False
+    redraw = staticmethod(tree_resample)
+
+    def sample(self, rng) -> frozenset:
+        """Wilson's algorithm on K_n: ``_wilson`` without component nodes,
+        one float per walk step.  A step from u takes k = int(random() *
+        (n - 1)) and goes to k + (k >= u); each loop-erased path adds its
+        edges as it joins the tree."""
+        n = self.n
+        if n < 1:
+            raise ValueError("spanning trees need at least one vertex")
+        random = rng.random
+        top = n - 1
+        succ = [0] * n
+        in_tree = [False] * n
+        in_tree[0] = True
+        edges = []
+        for start in range(1, n):
+            u = start
+            while not in_tree[u]:
+                k = int(random() * top)
+                v = k + (k >= u)
+                succ[u] = v
+                u = v
+            u = start
+            while not in_tree[u]:
+                in_tree[u] = True
+                v = succ[u]
+                edges.append((u, v) if u < v else (v, u))
+                u = v
+        return frozenset(edges)
+
+    @staticmethod
+    def holds(tree, edges) -> bool:
+        for e in edges:
+            if e not in tree:
+                return False
+        return True
+
+    def ranks(self, tree) -> list[int]:
+        offset = self._offset
+        return [offset[u] + v for u, v in tree]
+
+    def valid(self, tree) -> bool:
+        return is_spanning_tree(self.n, tree)
+
+    def state_key(self, tree) -> tuple:
+        return tuple(sorted(tree))
+
+    def exact_distribution(self) -> dict:
+        """Keyed by state_key: combinations of the sorted edges come sorted."""
+        if self.n > 7:
+            raise ValueError("tree enumeration refused beyond n=7")
+        edges = list(itertools.combinations(range(self.n), 2))
+        return _uniform(combo for combo in itertools.combinations(edges, self.n - 1)
+                        if is_spanning_tree(self.n, combo))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +601,7 @@ class VariableBundle:
         return len(self.events)
 
     def sample(self, rng) -> VariableState:
-        return sample_variable_state(self.dists, rng)
+        return VariableState(tuple([_draw(d, rng) for d in self.dists]), self.dists)
 
     def holds(self, i: int, state: VariableState) -> bool:
         return self.events[i].holds(state)
@@ -494,7 +625,37 @@ class VariableBundle:
         return _product_law(supports)
 
 
-class PermutationBundle:
+class _StructureBundle:
+    """Events on a structure family: event i holds when the structure has
+    every item of ``_items[i]``.  A subclass keeps its event format and graph."""
+
+    def __init__(self, family, events: list, items: list) -> None:
+        self.family = family
+        self.size = family.n
+        self.events = events
+        self._items = items
+        self._holds, self._redraw = family.holds, family.redraw
+        self.sample, self.valid_state = family.sample, family.valid
+        self.state_key, self.exact_distribution = family.state_key, family.exact_distribution
+
+    @property
+    def n(self) -> int:
+        return len(self.events)
+
+    def holds(self, i: int, state) -> bool:
+        return self._holds(state, self._items[i])
+
+    def resample(self, i: int, state, rng):
+        return self._redraw(state, self._items[i], rng)
+
+    def _vertex_keys(self) -> KeyGraph:
+        """Events interfere when the vertices of their items meet."""
+        vertices = self.family.vertices
+        keys = [tuple({v for item in items for v in vertices(item)}) for items in self._items]
+        return KeyGraph(len(keys), keys.__getitem__)
+
+
+class PermutationBundle(_StructureBundle):
     """Uniform permutation of [n] with pattern events.
 
     Events interfere when their patterns share a domain or a range
@@ -502,39 +663,12 @@ class PermutationBundle:
     """
 
     def __init__(self, n: int, events: Sequence[PatternEvent]) -> None:
-        self.size = n
-        self.events = list(events)
-        for ev in self.events:
+        events = list(events)
+        for ev in events:
             if any(not (0 <= x < n and 0 <= y < n) for x, y in ev.pairs):
                 raise ValueError(f"pattern {ev.pairs} does not fit a permutation of [{n}]")
-        keys = [tuple(k for x, y in ev.pairs for k in (("x", x), ("y", y)))
-                for ev in self.events]
-        self.graph = KeyGraph(len(self.events), keys.__getitem__)
-
-    @property
-    def n(self) -> int:
-        return len(self.events)
-
-    def sample(self, rng) -> tuple[int, ...]:
-        pi = list(range(self.size))
-        shuffle(pi, rng)
-        return tuple(pi)
-
-    def holds(self, i: int, state) -> bool:
-        return self.events[i].holds(state)
-
-    def resample(self, i: int, state, rng):
-        return permutation_resample(state, self.events[i], rng)
-
-    def state_key(self, state):
-        return state
-
-    def exact_distribution(self) -> dict:
-        if self.size > 8:
-            raise ValueError("permutation enumeration refused beyond n=8")
-        perms = list(itertools.permutations(range(self.size)))
-        pr = 1 / len(perms)
-        return {p: pr for p in perms}
+        super().__init__(Permutations(n), events, [ev.pairs for ev in events])
+        self.graph = self._vertex_keys()
 
 
 def _edge_events(n: int, events: Sequence[Iterable]) -> list[tuple[tuple[int, int], ...]]:
@@ -547,7 +681,7 @@ def _edge_events(n: int, events: Sequence[Iterable]) -> list[tuple[tuple[int, in
     return out
 
 
-class MatchingBundle:
+class MatchingBundle(_StructureBundle):
     """Uniform perfect matching of K_n (n even) with edge-set events.
 
     Events A and B interfere unless the union of their edge sets is
@@ -555,10 +689,9 @@ class MatchingBundle:
     """
 
     def __init__(self, n: int, events: Sequence[Iterable]) -> None:
-        if n % 2:
-            raise ValueError("perfect matchings need an even vertex count")
-        self.size = n
-        self.events = _edge_events(n, events)
+        family = PerfectMatchings(n)
+        events = _edge_events(n, events)
+        super().__init__(family, events, events)
         # Events sharing an edge need not interfere, which meeting keys
         # cannot say, so the exact relation is stored.  The union of two
         # matchings fails to be one exactly when some vertex carries a
@@ -582,70 +715,17 @@ class MatchingBundle:
                         g.add_edge(i, j)
         self.graph = g
 
-    @property
-    def n(self) -> int:
-        return len(self.events)
 
-    def sample(self, rng) -> tuple[int, ...]:
-        return sample_perfect_matching(self.size, rng)
-
-    def holds(self, i: int, state) -> bool:
-        for u, v in self.events[i]:
-            if state[u] != v:
-                return False
-        return True
-
-    def resample(self, i: int, state, rng):
-        return matching_resample(state, self.events[i], rng)
-
-    def valid_state(self, state) -> bool:
-        return len(state) == self.size and is_perfect_matching(state)
-
-    def state_key(self, state):
-        return state
-
-    def exact_distribution(self) -> dict:
-        matchings = enumerate_perfect_matchings(self.size)
-        pr = 1 / len(matchings)
-        return {m: pr for m in matchings}
-
-
-class TreeBundle:
+class TreeBundle(_StructureBundle):
     """Uniform spanning tree of K_n with edge-set events.
 
     Events interfere unless their edge sets are vertex-disjoint.
     """
 
     def __init__(self, n: int, events: Sequence[Iterable]) -> None:
-        self.size = n
-        self.events = _edge_events(n, events)
-        self._edge_sets = [frozenset(ev) for ev in self.events]
-        verts = [tuple({v for e in ev for v in e}) for ev in self.events]
-        self.graph = KeyGraph(len(self.events), verts.__getitem__)
-
-    @property
-    def n(self) -> int:
-        return len(self.events)
-
-    def sample(self, rng) -> frozenset:
-        return sample_spanning_tree(self.size, rng)
-
-    def holds(self, i: int, state) -> bool:
-        return self._edge_sets[i].issubset(state)
-
-    def resample(self, i: int, state, rng):
-        return tree_resample(state, self.events[i], rng)
-
-    def valid_state(self, state) -> bool:
-        return is_spanning_tree(self.size, state)
-
-    def state_key(self, state):
-        return tuple(sorted(state))
-
-    def exact_distribution(self) -> dict:
-        trees = enumerate_spanning_trees(self.size)
-        pr = 1 / len(trees)
-        return {tuple(sorted(t)): pr for t in trees}
+        events = _edge_events(n, events)
+        super().__init__(SpanningTrees(n), events, events)
+        self.graph = self._vertex_keys()
 
 
 # ---------------------------------------------------------------------------

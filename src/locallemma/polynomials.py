@@ -27,7 +27,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import DependencyGraph, ENUMERATION_CAP, independent_set_masks
+from .graphs import (DependencyGraph, ENUMERATION_CAP, independent_set_masks,
+                     independent_subset_masks)
 from .streams import repeated_sum, seqsum
 
 #: Magnitudes below this are reported as boundary diagnostics rather than
@@ -274,35 +275,20 @@ def check_gll(graph: DependencyGraph, p: Sequence[float], x: Sequence[float]) ->
     return True
 
 
-def independent_subset_masks_of(adj_masks: list[int], mask: int) -> list[int]:
-    """Independent subsets (as masks) of the vertex set given by mask."""
-    members = []
-    m = mask
-    while m:
-        members.append((m & -m).bit_length() - 1)
-        m &= m - 1
-    out: list[int] = []
-
-    def extend(cur: int, start: int) -> None:
-        out.append(cur)
-        for pos in range(start, len(members)):
-            v = members[pos]
-            if not (adj_masks[v] & cur):
-                extend(cur | (1 << v), pos + 1)
-
-    extend(0, 0)
-    return out
-
-
 def partition_function(graph, y: Sequence[float], subset: Iterable[int] | int,
                        cap: int = ENUMERATION_CAP) -> float:
     """Y_S = sum of y^I over independent subsets I of S."""
-    adj = graph.adjacency_masks()
     mask = subset if isinstance(subset, int) else sum(1 << i for i in subset)
+    return _partition_sum(graph.adjacency_masks(), y, mask, cap)
+
+
+def _partition_sum(adj: list[int], y: Sequence[float], mask: int,
+                   cap: int = ENUMERATION_CAP) -> float:
+    """partition_function over the neighbor bitmasks adj, for a subset mask."""
     if bin(mask).count("1") > cap:
         raise ValueError("partition function refused: subset too large to enumerate")
     total = 0.0
-    for sub in independent_subset_masks_of(adj, mask):
+    for sub in independent_subset_masks(adj, mask):
         term = 1.0
         m = sub
         while m:
@@ -333,7 +319,7 @@ def check_cll(graph: DependencyGraph, p: Sequence[float], y: Sequence[float],
                 f"closed neighborhood of event {i} too large to enumerate; "
                 "use the structural clique bound for large instances"
             )
-        if p[i] * partition_function(graph, y, gp) > y[i]:
+        if p[i] * _partition_sum(adj, y, gp) > y[i]:
             return False
     return True
 
@@ -446,7 +432,7 @@ def sequence_mass(graph: DependencyGraph, p: Sequence[float], start: Iterable[in
     def successors(gmask: int) -> list[int]:
         cached = subset_cache.get(gmask)
         if cached is None:
-            cached = [m for m in independent_subset_masks_of(adj, gmask) if m]
+            cached = [m for m in independent_subset_masks(adj, gmask) if m]
             subset_cache[gmask] = cached
         return cached
 

@@ -26,19 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graphs import DependencyGraph
+from .graphs import DependencyGraph, non_neighbors
 from .oracles import OracleEventError
 
 #: Refuse transportation instances beyond this many states.
 SYNTH_STATE_CAP = 4096
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        return Fraction(value)
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -50,7 +42,7 @@ class ExplicitSpace:
     graph: DependencyGraph
 
     def __post_init__(self) -> None:
-        probs = tuple(_as_fraction(p) for p in self.probs)
+        probs = tuple(Fraction(p) for p in self.probs)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "events", tuple(frozenset(e) for e in self.events))
         if any(p < 0 for p in probs):
@@ -89,7 +81,7 @@ class ExplicitSpace:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExplicitSpace":
-        probs = tuple(_as_fraction(p) for p in obj["prob"])
+        probs = tuple(Fraction(p) for p in obj["prob"])
         if len(probs) != int(obj["states"]):
             raise ValueError("state count does not match probability list")
         events = tuple(frozenset(int(s) for s in ev) for ev in obj["events"])
@@ -128,11 +120,6 @@ class HallCertificate:
     states: tuple[int, ...]
     source_mass: Fraction
     reachable_mass: Fraction
-
-
-def _free_events(space: ExplicitSpace, i: int) -> list[int]:
-    g = space.graph
-    return [j for j in range(space.n_events) if j != i and not g.adjacent(i, j)]
 
 
 def _signature(space: ExplicitSpace, free: Sequence[int], state: int) -> frozenset[int]:
@@ -228,7 +215,7 @@ def synthesize(space: ExplicitSpace, i: int):
     pe = space.event_prob(i)
     if pe == 0:
         raise ValueError(f"event {i} has probability zero")
-    free = _free_events(space, i)
+    free = non_neighbors(space.graph, i)
     sources = [u for u in sorted(space.events[i]) if space.probs[u] > 0]
     targets = [w for w in range(space.n_states) if space.probs[w] > 0]
     if not free:
@@ -295,7 +282,7 @@ def check_lopsidependency(space: ExplicitSpace, i: int, cap: int = 20) -> bool:
     Pr[no event of J] > 0, checks
     Pr[E_i and no event of J] <= Pr[E_i] * Pr[no event of J], exactly.
     """
-    free = _free_events(space, i)
+    free = non_neighbors(space.graph, i)
     if len(free) > cap:
         raise ValueError("too many non-neighbor events to enumerate")
     pe = space.event_prob(i)

@@ -28,7 +28,7 @@ from itertools import islice, repeat
 from scipy.special import chdtri
 
 from .engine import maximal_set_resample
-from .graphs import KeyGraph
+from .graphs import KeyGraph, non_neighbors
 from .oracles import OracleEventError
 
 DEFAULT_SIGNIFICANCE = 1e-6
@@ -148,11 +148,7 @@ def test_r2(bundle, event: int, trials: int, seed: int = 0,
     broke its structure) counts as one violation.  A correct oracle
     yields exactly zero.
     """
-    g = bundle.graph
-    others = [
-        j for j in range(bundle.n)
-        if j != event and not g.adjacent(event, j)
-    ]
+    others = non_neighbors(bundle.graph, event)
     holds, resample = bundle.holds, bundle.resample
     valid = getattr(bundle, "valid_state", None)
     rng = random.Random(seed)
@@ -180,11 +176,7 @@ def exhaustive_r2(bundle, event: int) -> int:
     kernels = getattr(bundle, "kernels", None)
     if kernels is None:
         raise ValueError("exhaustive check needs a bundle with explicit kernels")
-    g = bundle.graph
-    others = [
-        j for j in range(bundle.n)
-        if j != event and not g.adjacent(event, j)
-    ]
+    others = non_neighbors(bundle.graph, event)
     violations = 0
     for u, row in kernels[event].rows.items():
         off = [j for j in others if not bundle.holds(j, u)]

@@ -431,11 +431,11 @@ class _FractionFlowNetwork:
 
 def fraction_synthesize(space, i):
     """synthesize over a Fraction flow network, full search per path."""
-    from locallemma.synth import (HallCertificate, SynthesizedOracle,
-                                  _free_events, _signature)
+    from locallemma.graphs import non_neighbors
+    from locallemma.synth import HallCertificate, SynthesizedOracle, _signature
 
     pe = space.event_prob(i)
-    free = _free_events(space, i)
+    free = non_neighbors(space.graph, i)
     sources = [u for u in sorted(space.events[i]) if space.probs[u] > 0]
     targets = [w for w in range(space.n_states) if space.probs[w] > 0]
     if not free:

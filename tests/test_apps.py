@@ -1,8 +1,10 @@
 """Application builders: inputs, events, dependency shape, solving."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +31,7 @@ from locallemma.apps import (
     validate_rainbow_matching,
     validate_rainbow_trees,
 )
-from locallemma import apps
+from locallemma import apps, oracles
 from locallemma.oracles import (
     is_spanning_tree,
     matching_pairs,
@@ -473,6 +475,27 @@ def test_families_give_data_not_criterion_code():
     assert not {"sample", "holds", "resample", "occurring"} & set(vars(RainbowMatchingBundle))
 
 
+def test_apps_draw_and_redraw_through_the_families_only():
+    # the module boundary: apps reads each structure from its oracles
+    # family object, and names none of the draws or redraws itself
+    draws = {name for name in vars(oracles) if name in ("shuffle", "below")
+             or name.startswith("sample_") or name.endswith("_resample")}
+    source = Path(apps.__file__).read_text(encoding="utf-8")
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert names & draws == set()
+    hooks = {"_draw", "_redraw", "_contains", "_ranks", "_vertices", "_pos", "_item",
+             "exclusive"}
+    for cls in (apps._AppBundle, *apps._AppBundle.__subclasses__()):
+        assert not hooks & set(vars(cls)), cls
+
+
 def test_cluster_criterion_holds_at_contest_scale():
     g = random_edge_coloring(64, 6, random.Random(3))
     assert RainbowMatchingBundle(g).cluster_criterion_ok()
@@ -565,18 +588,17 @@ def test_validate_solution_flags_broken_oracle_output(monkeypatch):
         return (0, *matching_resample(partner, edges, rng)[1:])
 
     cases = [
-        (RainbowTreeBundle(random_edge_coloring(6, 2, random.Random(3)), 2),
-         "tree_resample", drop_an_edge),
-        (RainbowMatchingBundle(round_robin_coloring(8)), "matching_resample", self_match),
+        (RainbowTreeBundle(random_edge_coloring(6, 2, random.Random(3)), 2), drop_an_edge),
+        (RainbowMatchingBundle(round_robin_coloring(8)), self_match),
     ]
-    for bundle, name, broken in cases:
+    for bundle, broken in cases:
         rng = random.Random(1)
         state = bundle.sample(rng)
         while not bundle.occurring(state):
             state = bundle.sample(rng)
         event = bundle.occurring(state)[0]
         with monkeypatch.context() as patch:
-            patch.setattr(apps, name, broken)
+            patch.setattr(bundle.family, "redraw", broken)
             assert not bundle.validate_solution(bundle.resample(event, state, rng))
 
 

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -425,6 +426,22 @@ def test_degenerate_sizes_exit_with_input_error(argv, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, cap", [
+    pytest.param(["latin", "--n", "4", "--multiplicity", "1", "--t", "100000"],
+                 "MAX_COPY_PAIRS", id="latin-copies"),
+    pytest.param(["rainbow-tree", "--n", "100000", "--multiplicity", "1", "--t", "1"],
+                 "MAX_ITEMS", id="tree-edges"),
+    pytest.param(["latin", "--n", "60000", "--multiplicity", "1", "--t", "1"],
+                 "MAX_ITEMS", id="latin-cells"),
+])
+def test_oversized_instances_are_refused_before_allocation(argv, cap, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and cap in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -23,21 +23,20 @@ from locallemma.oracles import (
     MatchingBundle,
     OracleEventError,
     PatternEvent,
+    PerfectMatchings,
     PermutationBundle,
+    Permutations,
     ProductBundle,
+    SpanningTrees,
     TreeBundle,
     VariableBundle,
     VariableEvent,
     VariableState,
-    enumerate_perfect_matchings,
-    enumerate_spanning_trees,
     is_perfect_matching,
     is_spanning_tree,
     matching_pairs,
     matching_resample,
     permutation_resample,
-    sample_perfect_matching,
-    sample_spanning_tree,
     tree_resample,
 )
 from locallemma.verify import test_r1 as check_r1, test_r2 as check_r2
@@ -107,8 +106,8 @@ def test_permutation_resample_full_domain_is_shuffle():
 
 
 def test_matching_enumeration_counts():
-    assert len(enumerate_perfect_matchings(4)) == 3
-    assert len(enumerate_perfect_matchings(6)) == 15
+    assert len(PerfectMatchings(4).exact_distribution()) == 3
+    assert len(PerfectMatchings(6).exact_distribution()) == 15
 
 
 def test_matching_resample_needs_occurring_event():
@@ -126,7 +125,7 @@ def test_matching_resample_exactly_uniform_one_edge():
     # the keep probability passes through a float, so probabilities are
     # exact only up to one ulp of 1/(2m+1)
     event = [(0, 1)]
-    conditioned = [m for m in enumerate_perfect_matchings(6) if m[0] == 1]
+    conditioned = [m for m in PerfectMatchings(6).exact_distribution() if m[0] == 1]
     assert len(conditioned) == 3
     mixture = {}
     weight = Fraction(1, 3)
@@ -135,7 +134,7 @@ def test_matching_resample_exactly_uniform_one_edge():
             lambda rng, m=m: matching_resample(m, event, rng)
         ).items():
             mixture[out] = mixture.get(out, Fraction(0)) + weight * pr
-    assert set(mixture) == set(enumerate_perfect_matchings(6))
+    assert set(mixture) == set(PerfectMatchings(6).exact_distribution())
     for pr in mixture.values():
         assert abs(float(pr) - 1 / 15) < 1e-12
 
@@ -145,7 +144,7 @@ def test_matching_resample_exactly_uniform_two_edges():
     event = [(0, 1), (2, 3)]
     start = (1, 0, 3, 2, 5, 4)
     outcomes = exact_outcomes(lambda rng: matching_resample(start, event, rng))
-    assert set(outcomes) == set(enumerate_perfect_matchings(6))
+    assert set(outcomes) == set(PerfectMatchings(6).exact_distribution())
     for pr in outcomes.values():
         assert abs(float(pr) - 1 / 15) < 1e-12
 
@@ -153,7 +152,7 @@ def test_matching_resample_exactly_uniform_two_edges():
 def test_sample_perfect_matching_is_valid():
     rng = random.Random(3)
     for _ in range(50):
-        assert is_perfect_matching(sample_perfect_matching(8, rng))
+        assert is_perfect_matching(PerfectMatchings(8).sample(rng))
 
 
 def test_matching_pairs_normalization():
@@ -166,11 +165,11 @@ def test_matching_pairs_normalization():
 
 def test_tree_counts_match_determinant():
     k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
-    assert len(enumerate_spanning_trees(5)) == 125
+    assert len(SpanningTrees(5).exact_distribution()) == 125
     assert kirchhoff_tree_count(5, k5) == 125
     k6 = [(u, v) for u in range(6) for v in range(u + 1, 6)]
     assert kirchhoff_tree_count(6, k6) == 1296
-    assert len(enumerate_spanning_trees(6)) == 1296
+    assert len(SpanningTrees(6).exact_distribution()) == 1296
 
 
 def test_wilson_uniform_on_cycle():
@@ -228,7 +227,7 @@ def test_tree_resample_needs_occurring_event():
 def test_tree_resample_outputs_spanning_trees():
     rng = random.Random(12)
     for _ in range(200):
-        tree = sample_spanning_tree(7, rng)
+        tree = SpanningTrees(7).sample(rng)
         edges = sorted(tree)
         k = rng.randrange(1, 4)
         event = rng.sample(edges, min(k, len(edges)))
@@ -253,7 +252,7 @@ def test_sample_spanning_tree_matches_a_fresh_complete_graph_walk():
                     tuple(sorted(e))
                     for e in uniform_spanning_tree(complete_multigraph(n), fresh)
                 )
-                assert sample_spanning_tree(n, fast) == expected
+                assert SpanningTrees(n).sample(fast) == expected
             assert fast.getstate() == fresh.getstate()
 
 
@@ -261,7 +260,7 @@ def test_tree_edge_marginal():
     # any fixed edge of K_n lies in 2/n of all spanning trees
     rng = random.Random(21)
     runs = 50_000
-    hits = sum((0, 1) in sample_spanning_tree(5, rng) for _ in range(runs))
+    hits = sum((0, 1) in SpanningTrees(5).sample(rng) for _ in range(runs))
     p = 2 / 5
     sigma = (p * (1 - p) / runs) ** 0.5
     assert abs(hits / runs - p) < 4 * sigma
@@ -395,6 +394,86 @@ def test_holds_equals_its_definition_on_every_state(case):
                     given = VariableState(given, bundle.dists)
                 assert bundle.holds(i, given) is want, (i, state, form)
     assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# structure families
+
+
+#: (family, its item test written out, its items in sorted order)
+FAMILIES = [
+    pytest.param(Permutations(n), lambda pi, c: pi[c[0]] == c[1],
+                 [(u, v) for u in range(n) for v in range(n)], id=f"permutations-{n}")
+    for n in (1, 2, 3, 4)
+] + [
+    pytest.param(PerfectMatchings(n), lambda partner, e: partner[e[0]] == e[1],
+                 [(u, v) for u in range(n) for v in range(u + 1, n)], id=f"matchings-{n}")
+    for n in (2, 4, 6)
+] + [
+    pytest.param(SpanningTrees(n), lambda tree, e: e in tree,
+                 [(u, v) for u in range(n) for v in range(u + 1, n)], id=f"trees-{n}")
+    for n in (1, 2, 3, 4, 5)
+]
+
+
+@pytest.mark.parametrize("family, contains, items", FAMILIES)
+def test_family_items_ranks_and_vertices(family, contains, items):
+    n = family.n
+    assert family.n_items == len(items)
+    x, y = family.vertex_arrays()
+    for r, item in enumerate(items):
+        assert family.rank(item) == r and family.item(r) == item
+        # the conflict geometry: cell (u, v) touches u and n + v, an edge its ends
+        u, v = item
+        want = (u, n + v) if isinstance(family, Permutations) else (u, v)
+        assert family.vertices(item) == want == (x[r], y[r])
+
+
+@pytest.mark.parametrize("family, contains, items", FAMILIES)
+def test_family_states_list_exactly_their_items(family, contains, items):
+    law = family.exact_distribution()
+    assert sum(law.values()) == pytest.approx(1.0)
+    shared_vertex = False
+    for key in law:
+        state = frozenset(key) if isinstance(family, SpanningTrees) else key
+        assert family.valid(state) and family.state_key(state) == key
+        present = [r for r, item in enumerate(items) if contains(state, item)]
+        assert [r for r, item in enumerate(items) if family.holds(state, (item,))] == present
+        assert sorted(family.ranks(state)) == present
+        assert family.holds(state, [items[r] for r in present])
+        touched = [v for r in present for v in family.vertices(items[r])]
+        shared_vertex |= len(touched) != len(set(touched))
+    # exclusive families never hold two items on a shared vertex; trees do
+    assert shared_vertex == (not family.exclusive and family.n > 2)
+
+
+@pytest.mark.parametrize("family, contains, items", FAMILIES)
+def test_family_draws_and_redraws_valid_states(family, contains, items):
+    rng = random.Random(7)
+    law = family.exact_distribution()
+    for _ in range(20):
+        state = family.sample(rng)
+        assert family.state_key(state) in law
+        present = sorted(family.ranks(state))
+        if present:
+            state = family.redraw(state, [items[present[-1]]], rng)
+            assert family.valid(state) and family.state_key(state) in law
+
+
+def test_edge_family_rank_inverts_at_scale():
+    for n in (2, 3, 1024, 1449):
+        family = SpanningTrees(n)
+        last = family.n_items - 1
+        for r in {0, last // 3, last // 2, max(last - 1, 0), last}:
+            assert family.rank(family.item(r)) == r
+        assert family.item(last) == (n - 2, n - 1)
+
+
+def test_families_refuse_impossible_sizes():
+    with pytest.raises(ValueError):
+        PerfectMatchings(5)
+    with pytest.raises(ValueError):
+        Permutations(9).exact_distribution()
 
 
 # ---------------------------------------------------------------------------

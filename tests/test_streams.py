@@ -26,7 +26,7 @@ import locallemma
 from helpers import complete_multigraph, reference_spanning_tree, reference_tree_resample
 from locallemma import streams
 from locallemma.cli import main
-from locallemma.oracles import sample_spanning_tree, tree_resample
+from locallemma.oracles import SpanningTrees, tree_resample
 from locallemma.streams import below, repeated_sum, seqsum, shuffle
 from test_app_indexing import PINNED_RUNS
 from test_cli import PINNED_APP_CRITERIA_RUNS, PINNED_OFFLINE_RUNS, pin_instance, write_instance
@@ -141,7 +141,7 @@ def test_spanning_tree_walks_follow_the_multigraph_walk():
         graph = complete_multigraph(n)
         for seed in SEEDS:
             ours, theirs = random.Random(seed), random.Random(seed)
-            tree = sample_spanning_tree(n, ours)
+            tree = SpanningTrees(n).sample(ours)
             assert tree == reference_spanning_tree(n, theirs, graph)
             if n > 1:
                 pick = random.Random(seed * 1000 + n)
@@ -169,7 +169,7 @@ def test_tree_resample_follows_the_multigraph_walk_on_large_events():
     for n in (3, 6, 11, 30):
         for seed in SEEDS:
             ours, theirs = random.Random(seed), random.Random(seed)
-            tree = sample_spanning_tree(n, ours)
+            tree = SpanningTrees(n).sample(ours)
             reference_spanning_tree(n, theirs)
             edges = sorted(tree)
             event = random.Random(seed).sample(edges, 1 + seed % len(edges))
