@@ -16,18 +16,19 @@ multiplicity and the copy count stay below the stated fraction of n.
 Every event gets the same y = beta * p from its family's data, so the
 vector is a ``Uniform``: one value and the event count, whose bound
 sums take closed form.  Event sets reach the hundreds of thousands at
-contest sizes, so no per-event table is built: events decode in closed
-form (see ``_AppBundle``), and the structures, their items and the
+contest sizes, so no per-event table is built: one sorted table of the
+same-colored item pairs, shared by all copies, decodes every event by
+arithmetic (see ``_AppBundle``), and the structures, their items and the
 vertices those touch come from the structure families of ``oracles``.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,9 +56,11 @@ GAMMA_LATIN = 7**7 / 8**8
 MATCHING_BETA = (4 / 3) ** 4
 
 #: Size caps, checked before any list over the items (matrix cells or
-#: edges of K_n) or over the t(t-1)/2 copy pairs is built.
+#: edges of K_n), the t(t-1)/2 copy pairs or the same-colored item pairs
+#: is built.
 MAX_ITEMS = 1 << 20
 MAX_COPY_PAIRS = 1 << 16
+MAX_PAIRS = 1 << 22
 
 
 def _check_caps(n_items: int, t: int = 1) -> None:
@@ -252,9 +255,36 @@ def _dense_ids(colors: Iterable[int]) -> np.ndarray:
     return np.array([ids.setdefault(c, len(ids)) for c in colors], dtype=np.int64)
 
 
-def _int64(values) -> array:
-    """Compact int64 copy whose elements read back as Python ints."""
-    return array("q", np.asarray(values, dtype=np.int64).tobytes())
+def _pair_keys(family, color: np.ndarray) -> array:
+    """Sorted keys e*N + f of the same-colored rank pairs e < f that fit in
+    one structure of ``family``; refused past MAX_PAIRS candidates."""
+    sizes = np.bincount(color)
+    candidates = int((sizes * (sizes - 1) // 2).sum())
+    if candidates > MAX_PAIRS:
+        raise ValueError(f"{candidates} same-colored pairs exceed the cap MAX_PAIRS = {MAX_PAIRS}")
+    n_items = len(color)
+    # In class order (items stably sorted by color) a class is a run of
+    # increasing ranks, and the item at position j pairs with the rest of
+    # its run: its m-th candidate overall sits at position m - shift[j].
+    order = np.argsort(color, kind="stable").astype(np.int32)
+    later = np.repeat(np.cumsum(sizes), sizes) - np.arange(1, n_items + 1)
+    shift = (np.cumsum(later) - later - np.arange(1, n_items + 1)).astype(np.int32)
+    e = np.repeat(order, later)
+    f = order[np.arange(candidates, dtype=np.int32) - np.repeat(shift, later)]
+    if family.exclusive:
+        x, y = (v.astype(np.int32) for v in family.vertex_arrays())
+        fits = np.ones(candidates, dtype=bool)
+        for side in (x, y):
+            fits &= side[e] != x[f]
+            fits &= side[e] != y[f]
+        e = e[fits]  # one at a time, to keep the build's transient memory small
+        f = f[fits]
+    # Filled and sorted in place, so no second copy of the keys is made.
+    keys = array("q", [0]) * len(e)
+    view = np.multiply(e, n_items, out=np.frombuffer(keys, dtype=np.int64), dtype=np.int64)
+    view += f
+    view.sort()
+    return keys
 
 
 class _AppBundle:
@@ -275,18 +305,13 @@ class _AppBundle:
                                       i < j in lexicographic order, both
                                       contain the item of rank r
 
-    The P same-colored pairs (e, f), e < f, that fit in one structure
-    are numbered in sorted order and shared by all copies.  Call f a
-    partner of e when (e, f) is such a pair, and let later[e] count
-    them; pair k is then e's (k - start[e])-th partner, where
-    start = [0] + cumsum(later) and e is the last rank with
-    start[e] <= k.  Walking e's color class upward in rank order finds
-    the partner, so a build stores only int64 arrays over ranks: the
-    color, the two vertices, the class order (items stably sorted by
-    color), its inverse and start.  The numbering is what run logs
-    record.  Two events interfere when they involve a common copy and
-    their vertex supports meet, that is when their (copy, vertex)
-    conflict keys meet.
+    The P same-colored pairs of ranks (e, f), e < f, that fit in one
+    structure are numbered in sorted order and shared by all copies.  A
+    build stores two int64 arrays: each rank's color and the sorted pair
+    keys e*N + f, so pair k is divmod(key[k], N) and a pair's number is
+    one bisection.  The numbering is what run logs record.  Two events
+    interfere when they involve a common copy and their vertex supports
+    meet, that is when their (copy, vertex) conflict keys meet.
 
     A subclass gives the colors, and for the cluster criterion beta, its
     largest event probability p_num / p_den and clique_size_bounds().
@@ -299,25 +324,11 @@ class _AppBundle:
         """color: each item's dense color id, in rank order."""
         _check_caps(family.n_items, t)
         self.family, self.t, self.size = family, t, family.n
-        x, y = family.vertex_arrays()
-        order = np.argsort(color, kind="stable")
-        later = np.zeros(len(color), dtype=np.int64)
-        # Same-colored ranks are adjacent in class order, so the partners
-        # of the item at class position j sit at positions j + d, d < q.
-        for d in range(1, int(np.bincount(color).max(initial=0))):
-            a, b = order[:-d], order[d:]
-            fits = color[a] == color[b]
-            if family.exclusive:
-                xa, ya, xb, yb = x[a], y[a], x[b], y[b]
-                fits &= (xa != xb) & (xa != yb) & (ya != xb) & (ya != yb)
-            later[a] += fits
-        where = np.empty_like(order)
-        where[order] = np.arange(len(order))
-        self._color, self._order, self._where = _int64(color), _int64(order), _int64(where)
-        self._x, self._y = _int64(x), _int64(y)
-        self._start = _int64(np.concatenate(([0], np.cumsum(later))))
+        # array('q') rather than numpy: elements read back as Python ints
+        self._color = array("q", color.tobytes())
+        self._pairs = _pair_keys(family, color)
         self.n_items = len(color)
-        self.n_pairs = self._start[-1]
+        self.n_pairs = len(self._pairs)
         self.copy_pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
         self.n_type1 = t * self.n_pairs
         self.n = self.n_type1 + len(self.copy_pairs) * self.n_items
@@ -329,30 +340,16 @@ class _AppBundle:
         # until the cyclic collector runs.
         return KeyGraph(self.n, self._keys)
 
-    def _partners(self, e: int):
-        """The partners of rank e in increasing rank: the rest of its class
-        in class order, less the items on a vertex of e when exclusive."""
-        color, order, x, y = self._color, self._order, self._x, self._y
-        c, xe, ye = color[e], x[e], y[e]
-        exclusive = self.family.exclusive
-        for j in range(self._where[e] + 1, self.n_items):
-            f = order[j]
-            if color[f] != c:
-                return
-            if not exclusive or (xe != x[f] and xe != y[f] and ye != x[f] and ye != y[f]):
-                yield f
-
     def _pair(self, k: int) -> tuple[int, int]:
         """Ranks (e, f) of same-colored pair k."""
-        e = bisect_right(self._start, k) - 1
-        return e, next(islice(self._partners(e), k - self._start[e], None))
+        return divmod(self._pairs[k], self.n_items)
 
     def _pair_index(self, e: int, f: int) -> int:
         """Inverse of _pair; KeyError when ranks (e, f) form no pair."""
-        if 0 <= e < self.n_items:
-            for j, g in enumerate(self._partners(e)):
-                if g == f:
-                    return self._start[e] + j
+        key = e * self.n_items + f
+        k = bisect_left(self._pairs, key)
+        if 0 <= f < self.n_items and k < self.n_pairs and self._pairs[k] == key:
+            return k
         raise KeyError((e, f))
 
     def _parts(self, idx: int) -> tuple[tuple, tuple]:
@@ -433,10 +430,8 @@ class _AppBundle:
                 by_color.setdefault(color[r], []).append(r)
             for group in by_color.values():
                 if len(group) > 1:
-                    group.sort()
-                    for a, e in enumerate(group):
-                        for f in group[a + 1:]:
-                            out.append(i * n_pairs + self._pair_index(e, f))
+                    out.extend(i * n_pairs + self._pair_index(e, f)
+                               for e, f in combinations(sorted(group), 2))
         for c, (i, j) in enumerate(self.copy_pairs):
             base = self.n_type1 + c * self.n_items
             out.extend(base + r for r in set(present[i]).intersection(present[j]))

@@ -552,9 +552,10 @@ def main(argv=None) -> int:
         if args.command in APP_KINDS:
             return cmd_app(args.command, args, out)
         raise InputError(f"unknown command {args.command!r}")
-    except (InputError, ValueError) as exc:
-        # a library ValueError is a bad input or flag value, not a crash
-        print(f"error: {exc}", file=sys.stderr)
+    except (InputError, ValueError, MemoryError) as exc:
+        # a library ValueError is a bad input or flag value, and a
+        # MemoryError an input too large to hold; neither is a crash
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -65,8 +65,8 @@ class Uniform(Sequence):
 
 
 def _sum_of(f, vector: Sequence[float]):
-    """seqsum of f over the vector, in closed form for a Uniform."""
-    if isinstance(vector, Uniform):
+    """seqsum of f over the vector; a nonempty Uniform in closed form."""
+    if isinstance(vector, Uniform) and vector.length:
         return repeated_sum(f(vector.value), vector.length)
     return seqsum(map(f, vector))
 

@@ -4,10 +4,10 @@ The bundles decode an event index by arithmetic instead of storing one
 table row per event.  The enumerations below build those rows the long
 way, one loop per event family in index order, and every accessor and
 occurrence scan must agree with them, on fixed instances and on random
-small ones (color multiplicity 1 to 5, color ids negative or past
-int64).  The pinned digests fix the full CLI output at one
-acceptance-size seed per app, so a change to the numbering (which the
-run logs record) cannot pass unnoticed.
+small ones (color multiplicity from 1 up to one color on every item,
+color ids negative or past int64).  The pinned digests fix the full CLI
+output at one acceptance-size seed per app, so a change to the numbering
+(which the run logs record) cannot pass unnoticed.
 """
 
 import hashlib
@@ -131,13 +131,13 @@ COLOR_IDS = st.one_of(st.integers(-8, 8), st.integers(2**63 - 2, 2**64 + 2),
 def app_instances(draw):
     """(bundle, events, contains) of a small app instance, colors capped at q."""
     kind = draw(st.sampled_from(["latin", "tree", "matching"]))
-    q = draw(st.integers(1, 5))
     if kind == "latin":
         n = draw(st.integers(2, 5))
         items = [(u, v) for u in range(n) for v in range(n)]
     else:
         n = draw(st.sampled_from([2, 4, 6, 8]) if kind == "matching" else st.integers(2, 7))
         items = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    q = draw(st.integers(1, len(items)))
     ids = draw(st.lists(COLOR_IDS, min_size=len(items), max_size=len(items), unique=True))
     random.Random(draw(st.integers(0, 2**32))).shuffle(items)
     color = {item: ids[k // q] for k, item in enumerate(items)}

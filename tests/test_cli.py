@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT7
 
+from locallemma import cli
 from locallemma.apps import distinct_color_matrix, rainbow_edge_coloring
 from locallemma.cli import _parse_params, main
 from locallemma.verify import derive_seed
@@ -435,6 +436,12 @@ def test_degenerate_sizes_exit_with_input_error(argv, capsys):
                  "MAX_ITEMS", id="tree-edges"),
     pytest.param(["latin", "--n", "60000", "--multiplicity", "1", "--t", "1"],
                  "MAX_ITEMS", id="latin-cells"),
+    pytest.param(["latin", "--n", "200", "--multiplicity", "1000000", "--t", "1",
+                  "--budget", "10"], "MAX_PAIRS", id="latin-one-colour"),
+    pytest.param(["rainbow-tree", "--n", "300", "--multiplicity", "1000000", "--t", "1",
+                  "--budget", "10"], "MAX_PAIRS", id="tree-one-colour"),
+    pytest.param(["rainbow-matching", "--n", "300", "--multiplicity", "1000000",
+                  "--budget", "10"], "MAX_PAIRS", id="matching-one-colour"),
 ])
 def test_oversized_instances_are_refused_before_allocation(argv, cap, capsys):
     start = time.perf_counter()
@@ -442,6 +449,34 @@ def test_oversized_instances_are_refused_before_allocation(argv, cap, capsys):
     assert time.perf_counter() - start < 0.5
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and cap in err
+
+
+def test_matching_on_two_vertices_solves_with_zero_bounds(tmp_path, capsys):
+    # One event-free matching; its y = beta * p is negative at K_2.
+    code, out, _ = run_cli(["rainbow-matching", "--n", "2", "--multiplicity", "1"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["validated"] and set(report["predicted_bounds"].values()) == {0.0}
+    path = write_instance(tmp_path, {"kind": "rainbow-matching",
+                                     "generator": {"n": 2, "multiplicity": 1, "seed": 0}})
+    code, out, _ = run_cli(["criteria", path], capsys)
+    assert code == 0 and json.loads(out)["n"] == 0
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 256. GiB for an array", "Unable to allocate 256. GiB for an array"),
+    ("", "out of memory"),
+])
+def test_memory_exhaustion_exits_with_one_line(message, line, tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "build_table", exhausted)
+    path = write_instance(tmp_path, {"kind": "custom-graph", "graph": {"n": 25, "edges": []},
+                                     "p": ["1/100"] * 25})
+    code, out, err = run_cli(["criteria", path], capsys)
+    assert code == 3 and out == ""
+    assert err == f"error: {line}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -793,7 +828,7 @@ def flag_argvs(draw):
                              ("--trials", st.integers(-1, 30)), ("--runs", st.integers(-1, 4))):
             argv += [name, str(draw(values))]
     else:
-        optional = {"--n": st.integers(-2, 9), "--multiplicity": st.integers(-1, 6),
+        optional = {"--n": st.integers(-2, 9), "--multiplicity": st.integers(-1, 100),
                     "--jobs": st.integers(-1, 3), "--instance-seed": st.integers(0, 3)}
         if command != "rainbow-matching":
             optional["--t"] = st.integers(-1, 3)

@@ -494,6 +494,12 @@ def test_uniform_bound_sums_equal_the_tuple_sums():
                     assert sums_hex(closed) == sums_hex(loop), (kind, value, n)
                     assert predicted_bounds(closed, (1.0, 7.25)) == \
                         predicted_bounds(loop, (1.0, 7.25))
+    # An empty vector sums to nothing, whatever its value (rainbow matching
+    # on K_2 has y < 0, outside log1p's domain).
+    for kind, field, value in (("cll", "y", -2.0), ("gll", "x", 1.0)):
+        closed = CriterionParams(kind=kind, **{field: Uniform(value, 0)})
+        loop = CriterionParams(kind=kind, **{field: ()})
+        assert sums_hex(closed) == sums_hex(loop), (kind, value)
 
 
 def test_params_validation():
