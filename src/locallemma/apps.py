@@ -16,26 +16,29 @@ multiplicity and the copy count stay below the stated fraction of n.
 Every event gets the same y = beta * p from its family's data, so the
 vector is a ``Uniform``: one value and the event count, whose bound
 sums take closed form.  Event sets reach the hundreds of thousands at
-contest sizes, so no per-event table is built: one sorted table of the
-same-colored item pairs, shared by all copies, decodes every event by
-arithmetic (see ``_AppBundle``), and the structures, their items and the
-vertices those touch come from the structure families of ``oracles``.
+contest sizes, so no per-event table is built.  A coloring is one array
+of color ids in item-rank order, which the bundles take as is; one sorted
+table of the same-colored item pairs, shared by all copies, decodes every
+event by arithmetic (see ``_AppBundle``); the structures, their items and
+the vertices those touch come from the structure families of ``oracles``.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections import Counter
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .engine import RunLog, maximal_set_resample
 from .graphs import KeyGraph
 from .oracles import (
+    _EdgeItems,
     PerfectMatchings,
     Permutations,
     SpanningTrees,
@@ -74,60 +77,122 @@ def _check_caps(n_items: int, t: int = 1) -> None:
 # colored inputs
 
 
-class ColoredCompleteGraph:
-    """Edge coloring of the complete graph on [n]."""
+class _Coloring:
+    """Colors of the N items of a structure family in rank order: ``ids[r]``
+    is the dense color id of the item of rank r, and ``labels[c]`` the
+    caller's id of dense id c.  A generated coloring is labeled by a
+    ``range``, any other by the sorted ids it was given, so that ids past
+    int64 round-trip.  ``ids`` is read-only, as the bundles take it as is."""
 
-    def __init__(self, n: int, color: dict) -> None:
-        self.n = n
-        # Edges given as (u, v) with u < v, as the generators make them,
-        # keep the caller's key object; the rest go through normalize_edge.
-        self.color = {e if u < v else normalize_edge(e): int(c)
-                      for e, c in color.items() for u, v in (e,)}
-        expected = n * (n - 1) // 2
-        if len(self.color) != expected:
-            raise ValueError(
-                f"coloring covers {len(self.color)} edges, K_{n} has {expected}"
-            )
-        if self.color and (min(self.color)[0] < 0 or max(v for _, v in self.color) >= n):
-            raise ValueError(f"coloring has an edge outside K_{n}")
+    def _set(self, n: int, ids: np.ndarray, labels: Sequence[int]):
+        self.n, self.ids, self.labels = n, ids, labels
+        ids.flags.writeable = False
+        return self
+
+    def _set_values(self, n: int, ranks, values: list[int]) -> None:
+        """Store the caller's color ids ``values`` of the items at ``ranks``."""
+        labels = sorted(set(values))
+        dense = {c: k for k, c in enumerate(labels)}
+        ids = np.empty(len(values), dtype=np.int64)
+        ids[ranks] = np.fromiter(map(dense.__getitem__, values), np.int64, len(values))
+        self._set(n, ids, labels)
+
+    @classmethod
+    def _random(cls, n: int, n_items: int, multiplicity: int, rng):
+        """The k-th item in the order of ``Permutations(N).sample`` gets
+        color k // multiplicity."""
+        if multiplicity < 1:
+            raise ValueError("multiplicity must be at least 1")
+        if n < 0:
+            raise ValueError("size must be nonnegative")
+        _check_caps(n_items)
+        ids = np.empty(n_items, dtype=np.int64)
+        ids[np.fromiter(Permutations(n_items).sample(rng), np.int64, n_items)] = (
+            np.arange(n_items) // multiplicity)
+        return cls.__new__(cls)._set(n, ids, range(-(-n_items // multiplicity)))
 
     @property
     def multiplicity(self) -> int:
-        return max(Counter(self.color.values()).values(), default=0)
+        return int(np.bincount(self.ids).max(initial=0))
+
+
+class _EdgeColors(Mapping):
+    """``ColoredCompleteGraph.color``: each edge (u, v), u < v, to the
+    caller's color id, in sorted edge order."""
+
+    def __init__(self, coloring: ColoredCompleteGraph) -> None:
+        self._coloring = coloring
+
+    def __getitem__(self, edge) -> int:
+        g = self._coloring
+        try:
+            u, v = edge
+            if 0 <= u < v < g.n:
+                return g.labels[g.ids[g._edges.rank(edge)]]
+        except (TypeError, ValueError, IndexError):
+            pass
+        raise KeyError(edge)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(*(side.tolist() for side in self._coloring._edges.vertex_arrays()))
+
+    def __len__(self) -> int:
+        return len(self._coloring.ids)
+
+
+class ColoredCompleteGraph(_Coloring):
+    """Edge coloring of the complete graph on [n].  The edge (u, v), u < v,
+    has its position among the sorted edges as rank, and ``color`` maps it
+    to the caller's color id."""
+
+    def __init__(self, n: int, color: dict) -> None:
+        edges = [normalize_edge(e) for e in color]
+        covered, expected = len(set(edges)), n * (n - 1) // 2
+        if covered != expected:
+            raise ValueError(f"coloring covers {covered} edges, K_{n} has {expected}")
+        if edges and (min(edges)[0] < 0 or max(v for _, v in edges) >= n):
+            raise ValueError(f"coloring has an edge outside K_{n}")
+        ranks = _EdgeItems(n).rank(np.array(edges, dtype=np.int64).reshape(-1, 2).T)
+        self._set_values(n, ranks, [int(c) for c in color.values()])
+
+    @cached_property
+    def _edges(self) -> _EdgeItems:
+        return _EdgeItems(self.n)
+
+    @property
+    def color(self) -> Mapping[tuple[int, int], int]:
+        return _EdgeColors(self)
 
     def classes(self) -> dict[int, list[tuple[int, int]]]:
         out: dict[int, list[tuple[int, int]]] = {}
-        for e in sorted(self.color):
-            out.setdefault(self.color[e], []).append(e)
+        for e, c in zip(self.color, self.ids.tolist()):
+            out.setdefault(self.labels[c], []).append(e)
         return out
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "colors": [[u, v, self.color[(u, v)]] for u, v in sorted(self.color)],
-        }
+        labels, ids = self.labels, self.ids.tolist()
+        return {"n": self.n, "colors": [[u, v, labels[c]] for (u, v), c in zip(self.color, ids)]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ColoredCompleteGraph":
         return cls(int(obj["n"]), {(int(u), int(v)): c for u, v, c in obj["colors"]})
 
 
-class ColorMatrix:
-    """Square matrix of color ids."""
+class ColorMatrix(_Coloring):
+    """Square matrix of color ids; the cell (u, v) has rank u*n + v."""
 
     def __init__(self, rows: Sequence[Sequence[int]]) -> None:
-        self.rows = tuple(tuple(int(c) for c in row) for row in rows)
-        n = len(self.rows)
-        if any(len(row) != n for row in self.rows):
+        rows = [[int(c) for c in row] for row in rows]
+        n = len(rows)
+        if any(len(row) != n for row in rows):
             raise ValueError("color matrix must be square")
+        self._set_values(n, slice(None), list(chain.from_iterable(rows)))
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @property
-    def multiplicity(self) -> int:
-        return max(Counter(chain.from_iterable(self.rows)).values(), default=0)
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        labels = self.labels
+        return tuple(tuple(labels[c] for c in row)
+                     for row in self.ids.reshape(self.n, self.n).tolist())
 
     def to_json(self) -> dict:
         return {"matrix": [list(row) for row in self.rows]}
@@ -145,13 +210,7 @@ def random_edge_coloring(n: int, multiplicity: int, rng) -> ColoredCompleteGraph
     """Random coloring of K_n with every color on at most `multiplicity` edges:
     the k-th edge in the order of ``Permutations(N).sample`` gets color
     k // multiplicity, and so does the k-th cell of ``random_color_matrix``."""
-    if multiplicity < 1:
-        raise ValueError("multiplicity must be at least 1")
-    _check_caps(n * (n - 1) // 2)
-    x, y = np.triu_indices(n, 1)
-    order = np.array(Permutations(len(x)).sample(rng), dtype=np.int64)
-    colors = (np.arange(len(x)) // multiplicity).tolist()
-    return ColoredCompleteGraph(n, dict(zip(zip(x[order].tolist(), y[order].tolist()), colors)))
+    return ColoredCompleteGraph._random(n, n * (n - 1) // 2, multiplicity, rng)
 
 
 def rainbow_edge_coloring(n: int) -> ColoredCompleteGraph:
@@ -181,15 +240,7 @@ def round_robin_coloring(n: int) -> ColoredCompleteGraph:
 
 def random_color_matrix(n: int, multiplicity: int, rng) -> ColorMatrix:
     """Random n x n matrix with every color in at most `multiplicity` cells."""
-    if multiplicity < 1:
-        raise ValueError("multiplicity must be at least 1")
-    if n < 0:
-        raise ValueError("matrix size must be nonnegative")
-    _check_caps(n * n)
-    colors = np.empty(n * n, dtype=np.int64)
-    order = np.array(Permutations(n * n).sample(rng), dtype=np.int64)
-    colors[order] = np.arange(n * n) // multiplicity
-    return ColorMatrix(colors.reshape(n, n).tolist())
+    return ColorMatrix._random(n, n * n, multiplicity, rng)
 
 
 def distinct_color_matrix(n: int) -> ColorMatrix:
@@ -200,11 +251,16 @@ def distinct_color_matrix(n: int) -> ColorMatrix:
 # standalone validators (scan raw structures, not event predicates)
 
 
+def _rainbow(coloring: ColoredCompleteGraph, edges: list[tuple[int, int]]) -> bool:
+    """No two of the edges, all edges (u, v), u < v, of K_n, share a color."""
+    ids, rank = coloring.ids, coloring._edges.rank
+    return len({ids[rank(e)] for e in edges}) == len(edges)
+
+
 def validate_rainbow_matching(coloring: ColoredCompleteGraph, partner) -> bool:
     if len(partner) != coloring.n or not is_perfect_matching(partner):
         return False
-    colors = [coloring.color[e] for e in matching_pairs(partner)]
-    return len(colors) == len(set(colors))
+    return _rainbow(coloring, matching_pairs(partner))
 
 
 def validate_rainbow_trees(coloring: ColoredCompleteGraph, trees: Sequence) -> bool:
@@ -212,10 +268,7 @@ def validate_rainbow_trees(coloring: ColoredCompleteGraph, trees: Sequence) -> b
     seen: set[tuple[int, int]] = set()
     for tree in trees:
         edges = [normalize_edge(e) for e in tree]
-        if not is_spanning_tree(n, edges):
-            return False
-        colors = [coloring.color[e] for e in edges]
-        if len(colors) != len(set(colors)):
+        if not is_spanning_tree(n, edges) or not _rainbow(coloring, edges):
             return False
         for e in edges:
             if e in seen:
@@ -225,13 +278,12 @@ def validate_rainbow_trees(coloring: ColoredCompleteGraph, trees: Sequence) -> b
 
 
 def validate_disjoint_transversals(matrix: ColorMatrix, perms: Sequence) -> bool:
-    n = matrix.n
+    n, ids = matrix.n, matrix.ids
     seen_cells: set[tuple[int, int]] = set()
     for pi in perms:
         if len(pi) != n or sorted(pi) != list(range(n)):
             return False
-        colors = [matrix.rows[u][pi[u]] for u in range(n)]
-        if len(set(colors)) != n:
+        if len({ids[u * n + v] for u, v in enumerate(pi)}) != n:
             return False
         for u in range(n):
             cell = (u, pi[u])
@@ -243,16 +295,6 @@ def validate_disjoint_transversals(matrix: ColorMatrix, perms: Sequence) -> bool
 
 # ---------------------------------------------------------------------------
 # application bundles
-
-
-def _dense_ids(colors: Iterable[int]) -> np.ndarray:
-    """Color ids relabeled 0, 1, ... in order of first appearance.
-
-    Ids are arbitrary ints (a JSON file may hold ones past int64); ranks
-    only need equal ids to stay equal and distinct ones distinct.
-    """
-    ids: dict[int, int] = {}
-    return np.array([ids.setdefault(c, len(ids)) for c in colors], dtype=np.int64)
 
 
 def _pair_keys(family, color: np.ndarray) -> array:
@@ -313,8 +355,9 @@ class _AppBundle:
     interfere when they involve a common copy and their vertex supports
     meet, that is when their (copy, vertex) conflict keys meet.
 
-    A subclass gives the colors, and for the cluster criterion beta, its
-    largest event probability p_num / p_den and clique_size_bounds().
+    A subclass passes its coloring's ``ids``, and for the cluster criterion
+    gives beta, its largest event probability p_num / p_den and
+    clique_size_bounds().
     """
 
     beta = BETA
@@ -438,15 +481,6 @@ class _AppBundle:
         return out
 
 
-def _edge_colors(coloring: ColoredCompleteGraph, family) -> np.ndarray:
-    """Dense color ids of the edges of K_n in the family's rank order."""
-    m = len(coloring.color)
-    u, v = np.fromiter(chain.from_iterable(coloring.color), np.int64, 2 * m).reshape(m, 2).T
-    colors = np.empty(m, dtype=np.int64)
-    colors[family.rank((u, v))] = _dense_ids(coloring.color.values())
-    return colors
-
-
 class RainbowTreeBundle(_AppBundle):
     """t independent uniform spanning trees of K_n with collision events.
 
@@ -465,8 +499,7 @@ class RainbowTreeBundle(_AppBundle):
             raise ValueError("spanning trees need at least one vertex")
         self.coloring = coloring
         self.p_den = coloring.n**2
-        family = SpanningTrees(coloring.n)
-        super().__init__(family, t, _edge_colors(coloring, family))
+        super().__init__(SpanningTrees(coloring.n), t, coloring.ids)
 
     def event_prob(self, idx: int) -> float:
         n = self.size
@@ -504,7 +537,7 @@ class RainbowMatchingBundle(_AppBundle):
         family = PerfectMatchings(coloring.n)
         self.coloring = coloring
         self.p_den = (coloring.n - 1) * (coloring.n - 3)
-        super().__init__(family, 1, _edge_colors(coloring, family))
+        super().__init__(family, 1, coloring.ids)
 
     def payload(self, idx: int) -> tuple:
         return super().payload(idx)[1:]
@@ -546,7 +579,7 @@ class LatinBundle(_AppBundle):
             raise ValueError("transversal events need a matrix of size at least 2")
         self.matrix = matrix
         self.p_den = n * (n - 1)
-        super().__init__(Permutations(n), t, _dense_ids(chain.from_iterable(matrix.rows)))
+        super().__init__(Permutations(n), t, matrix.ids)
 
     def event_prob(self, idx: int):
         n = self.size

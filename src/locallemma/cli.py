@@ -43,6 +43,7 @@ from .oracles import (
     VariableEvent,
 )
 from .polynomials import (
+    EXACT_CAP,
     CriterionParams,
     build_table,
     check_cll,
@@ -201,10 +202,9 @@ def _build_app_instance(obj: dict):
 
 
 def _criteria_report(graph: DependencyGraph, probs, params, exact: bool) -> dict:
-    if graph.n > ENUMERATION_CAP:
-        raise InputError(
-            f"instance has {graph.n} events; exact tables stop at {ENUMERATION_CAP}"
-        )
+    name, cap = ("EXACT_CAP", EXACT_CAP) if exact else ("ENUMERATION_CAP", ENUMERATION_CAP)
+    if graph.n > cap:
+        raise InputError(f"instance has {graph.n} events; tables stop at {name} = {cap}")
     p_float = tuple(float(v) for v in probs)
     table = build_table(graph, probs if exact else p_float, exact=exact)
     shearer = shearer_report(table)
@@ -266,7 +266,7 @@ def cmd_criteria(args, out) -> int:
             "clique_size_bounds": bundle.clique_size_bounds(),
             "predicted_bounds": {"cll": tail_bounds(params)},
         }
-        if bundle.n <= ENUMERATION_CAP:
+        if bundle.n <= (EXACT_CAP if args.exact else ENUMERATION_CAP):
             probs = [Fraction(bundle.event_prob(i)) for i in range(bundle.n)]
             exact_report = _criteria_report(bundle.graph, probs, params, args.exact)
             bounds = {**exact_report["predicted_bounds"], **report["predicted_bounds"]}

@@ -31,6 +31,10 @@ from .graphs import (DependencyGraph, ENUMERATION_CAP, independent_set_masks,
                      independent_subset_masks)
 from .streams import repeated_sum, seqsum
 
+#: Most events of an exact (Fraction) table: its time about doubles with
+#: each event, and 20 events already take seconds.
+EXACT_CAP = 20
+
 #: Magnitudes below this are reported as boundary diagnostics rather than
 #: trusted sign information.
 BOUNDARY_TOLERANCE = 1e-12
@@ -193,6 +197,8 @@ def build_table(graph: DependencyGraph, p: Sequence, exact: bool = False,
     n = graph.n
     if n > cap:
         raise ValueError(f"table construction refused for n={n} > cap={cap}")
+    if exact and n > EXACT_CAP:
+        raise ValueError(f"exact table refused for n={n} > EXACT_CAP={EXACT_CAP}")
     if len(p) != n:
         raise ValueError("probability vector length must match vertex count")
     if exact:

@@ -2,11 +2,14 @@
 
 import ast
 import itertools
+import json
 import random
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locallemma.apps import (
     BETA,
@@ -94,7 +97,7 @@ def test_generators_draw_as_random_shuffle_does():
         random.Random(seed).shuffle(edges)
         coloring = random_edge_coloring(20, 3, random.Random(seed))
         assert coloring.color == {e: k // 3 for k, e in enumerate(edges)}
-        assert list(coloring.color) == edges
+        assert list(coloring.color) == sorted(edges)
         cells = [(u, v) for u in range(9) for v in range(9)]
         random.Random(seed).shuffle(cells)
         rows = random_color_matrix(9, 2, random.Random(seed)).rows
@@ -116,6 +119,80 @@ def test_matrix_must_be_square():
 def test_matrix_json_round_trip():
     m = random_color_matrix(5, 2, random.Random(9))
     assert ColorMatrix.from_json(m.to_json()).rows == m.rows
+
+
+def _partition(color) -> bytes:
+    """Color ids relabeled 0, 1, ... in order of first appearance."""
+    first: dict[int, int] = {}
+    return array("q", [first.setdefault(c, len(first)) for c in color]).tobytes()
+
+
+def _bundles(colors) -> list:
+    """The app bundles a coloring or a color matrix admits."""
+    if isinstance(colors, ColorMatrix):
+        return [LatinBundle(colors, 2)] if colors.n >= 2 else []
+    out = [RainbowTreeBundle(colors, 2)] if colors.n >= 1 else []
+    return out + ([RainbowMatchingBundle(colors)] if colors.n % 2 == 0 else [])
+
+
+def assert_same_coloring(a, b):
+    assert (a.n, a.multiplicity, a.to_json()) == (b.n, b.multiplicity, b.to_json())
+    if isinstance(a, ColorMatrix):
+        assert a.rows == b.rows
+    else:
+        assert a.color == b.color and a.classes() == b.classes()
+    for x, y in zip(_bundles(a), _bundles(b), strict=True):
+        assert _partition(x._color) == _partition(y._color)
+        assert x._pairs == y._pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_colorings_agree_however_they_are_made(data):
+    n = data.draw(st.integers(0, 12))
+    seed = data.draw(st.integers(0, 2**32))
+    g = random_edge_coloring(n, data.draw(st.integers(1, max(1, n * (n - 1) // 2))),
+                             random.Random(seed))
+    shuffled = list(g.color.items())
+    random.Random(seed).shuffle(shuffled)
+    for h in (ColoredCompleteGraph(n, dict(g.color)), ColoredCompleteGraph.from_json(g.to_json()),
+              ColoredCompleteGraph(n, {(v, u): c for (u, v), c in shuffled})):
+        assert_same_coloring(g, h)
+    m = random_color_matrix(n, data.draw(st.integers(1, max(1, n * n))), random.Random(seed))
+    for h in (ColorMatrix(m.rows), ColorMatrix.from_json(m.to_json())):
+        assert_same_coloring(m, h)
+
+
+#: Color ids as a JSON file may hold them: small, negative, past int64.
+COLOR_IDS = st.one_of(st.integers(-3, 3), st.sampled_from([2**63, -(2**64), 2**70]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(COLOR_IDS, min_size=n * n, max_size=n * n))))
+def test_color_ids_past_int64_and_negative_round_trip(case):
+    n, ids = case
+    color = dict(zip([(u, v) for u in range(n) for v in range(u + 1, n)], ids))
+    g = ColoredCompleteGraph.from_json(json.loads(json.dumps(
+        ColoredCompleteGraph(n, color).to_json())))
+    assert g.color == color
+    rows = [ids[u * n:(u + 1) * n] for u in range(n)]
+    m = ColorMatrix.from_json(json.loads(json.dumps(ColorMatrix(rows).to_json())))
+    assert m.rows == tuple(map(tuple, rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n - 2).flatmap(
+        lambda u: st.tuples(st.just(u), st.integers(u + 1, n - 1))))))
+def test_edge_colors_refuse_keys_that_are_no_edge(case):
+    n, (u, v) = case
+    g = random_edge_coloring(n, 2, random.Random(n))
+    assert (u, v) in g.color
+    for key in ((v, u), (u, u), (u, n), (-1, v), (u, v, 0)):
+        assert key not in g.color
+        with pytest.raises(KeyError):
+            g.color[key]
 
 
 def test_random_coloring_respects_multiplicity_cap():

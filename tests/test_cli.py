@@ -451,6 +451,18 @@ def test_oversized_instances_are_refused_before_allocation(argv, cap, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and cap in err
 
 
+@pytest.mark.parametrize("n", [21, 25])
+def test_exact_tables_past_the_cap_are_refused_at_once(n, tmp_path, capsys):
+    path = write_instance(tmp_path, {
+        "kind": "custom-graph", "p": ["1/100"] * n,
+        "graph": {"n": n, "edges": [[i, i + 1] for i in range(n - 1)]}})
+    start = time.perf_counter()
+    code, out, err = run_cli(["criteria", path, "--exact"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "EXACT_CAP" in err
+
+
 def test_matching_on_two_vertices_solves_with_zero_bounds(tmp_path, capsys):
     # One event-free matching; its y = beta * p is negative at K_2.
     code, out, _ = run_cli(["rainbow-matching", "--n", "2", "--multiplicity", "1"], capsys)

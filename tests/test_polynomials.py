@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import brute_breve, brute_q, scalar_build_table, subsets
 from locallemma.graphs import DependencyGraph, enumerate_independent_sets
 from locallemma.polynomials import (
+    EXACT_CAP,
     CriterionParams,
     Uniform,
     build_table,
@@ -51,6 +52,12 @@ def random_graph(n, rng, density=0.4):
 
 # ---------------------------------------------------------------------------
 # table values
+
+
+def test_exact_tables_stop_at_their_cap():
+    path = make_graph(EXACT_CAP + 1, [(i, i + 1) for i in range(EXACT_CAP)])
+    with pytest.raises(ValueError, match="EXACT_CAP"):
+        build_table(path, [Fraction(1, 100)] * (EXACT_CAP + 1), exact=True)
 
 
 def test_single_event_closed_forms():
