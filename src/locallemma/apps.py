@@ -118,7 +118,7 @@ class _Coloring:
 
 class _EdgeColors(Mapping):
     """``ColoredCompleteGraph.color``: each edge (u, v), u < v, to the
-    caller's color id, in sorted edge order."""
+    caller's color id, in sorted edge order, read from ``ids`` per lookup."""
 
     def __init__(self, coloring: ColoredCompleteGraph) -> None:
         self._coloring = coloring
@@ -143,16 +143,16 @@ class _EdgeColors(Mapping):
 class ColoredCompleteGraph(_Coloring):
     """Edge coloring of the complete graph on [n].  The edge (u, v), u < v,
     has its position among the sorted edges as rank, and ``color`` maps it
-    to the caller's color id."""
+    to the caller's color id, the last given for an edge listed twice."""
 
     def __init__(self, n: int, color: dict) -> None:
-        edges = [normalize_edge(e) for e in color]
-        covered, expected = len(set(edges)), n * (n - 1) // 2
+        color = dict(zip(map(normalize_edge, color), color.values()))
+        covered, expected = len(color), n * (n - 1) // 2
         if covered != expected:
             raise ValueError(f"coloring covers {covered} edges, K_{n} has {expected}")
-        if edges and (min(edges)[0] < 0 or max(v for _, v in edges) >= n):
+        if color and (min(color)[0] < 0 or max(v for _, v in color) >= n):
             raise ValueError(f"coloring has an edge outside K_{n}")
-        ranks = _EdgeItems(n).rank(np.array(edges, dtype=np.int64).reshape(-1, 2).T)
+        ranks = _EdgeItems(n).rank(np.array(list(color), dtype=np.int64).reshape(-1, 2).T)
         self._set_values(n, ranks, [int(c) for c in color.values()])
 
     @cached_property

@@ -202,9 +202,10 @@ def _build_app_instance(obj: dict):
 
 
 def _criteria_report(graph: DependencyGraph, probs, params, exact: bool) -> dict:
-    name, cap = ("EXACT_CAP", EXACT_CAP) if exact else ("ENUMERATION_CAP", ENUMERATION_CAP)
-    if graph.n > cap:
-        raise InputError(f"instance has {graph.n} events; tables stop at {name} = {cap}")
+    if graph.n > ENUMERATION_CAP:
+        raise InputError(
+            f"instance has {graph.n} events; exact tables stop at {ENUMERATION_CAP}"
+        )
     p_float = tuple(float(v) for v in probs)
     table = build_table(graph, probs if exact else p_float, exact=exact)
     shearer = shearer_report(table)

@@ -84,6 +84,16 @@ def test_coloring_normalizes_and_counts():
     assert g.classes()[5] == [(0, 1), (0, 2)]
 
 
+def test_coloring_keeps_the_last_color_of_an_edge_given_twice():
+    listed = [[0, 1, 5], [1, 0, 6], [0, 2, 7], [1, 2, 8]]
+    for g in (ColoredCompleteGraph(3, {(0, 1): 5, (1, 0): 6, (0, 2): 7, (1, 2): 8}),
+              ColoredCompleteGraph.from_json({"n": 3, "colors": listed})):
+        assert len(g.ids) == 3 and list(g.labels) == [6, 7, 8]
+        assert_same_coloring(g, ColoredCompleteGraph(3, {(0, 1): 6, (0, 2): 7, (1, 2): 8}))
+    with pytest.raises(ValueError):
+        ColoredCompleteGraph(3, {(0, 1): 5, (1, 0): 6, (0, 2): 7})
+
+
 def test_coloring_rejects_degenerate_and_malformed_edges():
     with pytest.raises(ValueError):
         ColoredCompleteGraph(2, {(1, 1): 0})
@@ -156,7 +166,8 @@ def test_colorings_agree_however_they_are_made(data):
     shuffled = list(g.color.items())
     random.Random(seed).shuffle(shuffled)
     for h in (ColoredCompleteGraph(n, dict(g.color)), ColoredCompleteGraph.from_json(g.to_json()),
-              ColoredCompleteGraph(n, {(v, u): c for (u, v), c in shuffled})):
+              ColoredCompleteGraph(n, {(v, u): c for (u, v), c in shuffled}),
+              ColoredCompleteGraph(n, {**{(v, u): -1 for u, v in g.color}, **dict(shuffled)})):
         assert_same_coloring(g, h)
     m = random_color_matrix(n, data.draw(st.integers(1, max(1, n * n))), random.Random(seed))
     for h in (ColorMatrix(m.rows), ColorMatrix.from_json(m.to_json())):
