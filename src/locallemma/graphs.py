@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
-#: Largest n for which exhaustive independent-set enumeration is allowed.
+#: Most events of any exhaustive enumeration over subsets: the 2^n-entry
+#: polynomial table (256 MiB of float64 at 25 events), the list of all
+#: independent sets, and the independent subsets of a partition function.
 ENUMERATION_CAP = 25
 
 
@@ -142,21 +144,20 @@ def independent_subset_masks(adj_masks: list[int], mask: int) -> list[int]:
     return out
 
 
-def independent_set_masks(graph: DependencyGraph, cap: int = ENUMERATION_CAP) -> list[int]:
+def independent_set_masks(graph: DependencyGraph) -> list[int]:
     """All independent sets as bitmasks, ascending by mask value.
 
-    Refuses graphs with more than ``cap`` vertices; the output is
+    Refuses graphs with more than ENUMERATION_CAP vertices; the output is
     exponential in n.
     """
     n = graph.n
-    if n > cap:
-        raise ValueError(f"independent-set enumeration refused for n={n} > cap={cap}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"independent-set enumeration refused for n={n} > "
+                         f"ENUMERATION_CAP={ENUMERATION_CAP}")
     return sorted(independent_subset_masks(graph.adjacency_masks(), (1 << n) - 1))
 
 
-def enumerate_independent_sets(
-    graph: DependencyGraph, cap: int = ENUMERATION_CAP
-) -> list[frozenset[int]]:
+def enumerate_independent_sets(graph: DependencyGraph) -> list[frozenset[int]]:
     """All independent sets (including the empty set) in deterministic order.
 
     Order is ascending bitmask value, i.e. sets containing only low
@@ -164,7 +165,7 @@ def enumerate_independent_sets(
     """
     return [
         frozenset(i for i in range(graph.n) if mask >> i & 1)
-        for mask in independent_set_masks(graph, cap)
+        for mask in independent_set_masks(graph)
     ]
 
 

@@ -57,9 +57,6 @@ class VariableState:
     values: tuple
     dists: tuple
 
-    def key(self) -> tuple:
-        return self.values
-
 
 def _draw(dist, rng):
     values, weights = dist

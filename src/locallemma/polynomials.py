@@ -118,22 +118,20 @@ class CriterionParams:
 
 
 class PolynomialTable:
-    """Dense table of breve_q over all 2^n subsets plus q over independent sets.
+    """Dense table of breve_q over all 2^n subsets; q read from it on demand.
 
     Built by :func:`build_table`.  breve is a numpy array indexed by
-    subset bitmask (float64, or object holding Fractions when exact);
-    q maps each independent set's bitmask to a Python float or Fraction.
-    The helpers accept either a bitmask or an iterable of indices.
+    subset bitmask (float64, or object holding Fractions when exact).
+    q(I) = p^I * breve_q([n] minus Gamma^+(I)) is computed by
+    :meth:`q_of` when asked for; :attr:`q` maps every independent set's
+    bitmask to it, enumerating the sets on first read.  The helpers
+    accept either a bitmask or an iterable of indices.
     """
 
-    __slots__ = ("graph", "p", "breve", "ind_masks", "q", "exact", "_gamma_plus")
-
-    def __init__(self, graph, p, breve, ind_masks, q, exact, gamma_plus):
+    def __init__(self, graph, p, breve, exact, gamma_plus):
         self.graph = graph
         self.p = p
         self.breve = breve
-        self.ind_masks = ind_masks
-        self.q = q
         self.exact = exact
         self._gamma_plus = gamma_plus
 
@@ -157,8 +155,32 @@ class PolynomialTable:
         return self.breve[self._as_mask(subset)]
 
     def q_of(self, subset):
-        """q(I) for independent I; zero for sets that are not independent."""
-        return self.q.get(self._as_mask(subset), Fraction(0) if self.exact else 0.0)
+        """q(I) for independent I; a zero of the table's type for any other set.
+
+        The p_i are multiplied in lowest bit first, as a scalar loop over
+        I's bits does.  A Python float, or a Fraction when exact.
+        """
+        mask = self._as_mask(subset)
+        zero = Fraction(0) if self.exact else 0.0
+        if mask & ~self.full_mask:
+            return zero
+        weight = zero + 1
+        gp = 0
+        m = mask
+        while m:
+            i = (m & -m).bit_length() - 1
+            if gp >> i & 1:
+                # a lower member of the set is adjacent to i
+                return zero
+            weight *= self.p[i]
+            gp |= self._gamma_plus[i]
+            m &= m - 1
+        return weight * self.breve.item(self.full_mask & ~gp)
+
+    @cached_property
+    def q(self) -> dict:
+        """q by bitmask over every independent set, ascending."""
+        return {mask: self.q_of(mask) for mask in independent_set_masks(self.graph)}
 
     @property
     def q0(self):
@@ -169,9 +191,8 @@ class PolynomialTable:
         return self._gamma_plus[i]
 
 
-def build_table(graph: DependencyGraph, p: Sequence, exact: bool = False,
-                cap: int = ENUMERATION_CAP) -> PolynomialTable:
-    """Compute breve_q for every subset and q for every independent set.
+def build_table(graph: DependencyGraph, p: Sequence, exact: bool = False) -> PolynomialTable:
+    """Compute breve_q for every subset.
 
     The recurrence eliminates the lowest set bit a of each subset S:
 
@@ -187,16 +208,12 @@ def build_table(graph: DependencyGraph, p: Sequence, exact: bool = False,
     two IEEE operations on the same operands as a scalar pass over
     ascending masks, so the table is identical to the bit.  breve is a
     float64 array, or an object array of Fraction when exact=True (p
-    entries are converted exactly).
-
-    q(I) multiplies one factor per vertex, lowest bit first, p_i on the
-    bits of I and one elsewhere, which leaves each product exactly as the
-    scalar loop over I's bits makes it, then takes breve_q at the
-    complement of Gamma^+(I).
+    entries are converted exactly).  Graphs above ENUMERATION_CAP events,
+    and exact tables above EXACT_CAP, are refused before allocating.
     """
     n = graph.n
-    if n > cap:
-        raise ValueError(f"table construction refused for n={n} > cap={cap}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"table refused for n={n} > ENUMERATION_CAP={ENUMERATION_CAP}")
     if exact and n > EXACT_CAP:
         raise ValueError(f"exact table refused for n={n} > EXACT_CAP={EXACT_CAP}")
     if len(p) != n:
@@ -229,18 +246,7 @@ def build_table(graph: DependencyGraph, p: Sequence, exact: bool = False,
         np.multiply(cube[(*op, 0, *below_a)], pv[a], out=cls)
         np.subtract(cube[(*above, 0, *below_a)], cls, out=cls)
 
-    ind_masks = independent_set_masks(graph, cap)
-    masks = np.array(ind_masks, dtype=np.int64)
-    weight = np.full(len(ind_masks), one, dtype=breve.dtype)
-    gp = np.zeros(len(ind_masks), dtype=np.int64)
-    for i in range(n):
-        bit = (masks >> i & 1).astype(bool)
-        weight = weight * np.where(bit, pv[i], one)
-        gp |= np.where(bit, gamma_plus[i], 0)
-    q_values = weight * breve[((1 << n) - 1) & ~gp]
-    q: dict[int, object] = dict(zip(ind_masks, q_values.tolist()))
-
-    return PolynomialTable(graph, tuple(pv), breve, ind_masks, q, exact, gamma_plus)
+    return PolynomialTable(graph, tuple(pv), breve, exact, gamma_plus)
 
 
 def in_shearer_region(table: PolynomialTable) -> bool:
@@ -281,18 +287,18 @@ def check_gll(graph: DependencyGraph, p: Sequence[float], x: Sequence[float]) ->
     return True
 
 
-def partition_function(graph, y: Sequence[float], subset: Iterable[int] | int,
-                       cap: int = ENUMERATION_CAP) -> float:
+def partition_function(graph, y: Sequence[float], subset: Iterable[int] | int) -> float:
     """Y_S = sum of y^I over independent subsets I of S."""
     mask = subset if isinstance(subset, int) else sum(1 << i for i in subset)
-    return _partition_sum(graph.adjacency_masks(), y, mask, cap)
+    return _partition_sum(graph.adjacency_masks(), y, mask)
 
 
-def _partition_sum(adj: list[int], y: Sequence[float], mask: int,
-                   cap: int = ENUMERATION_CAP) -> float:
+def _partition_sum(adj: list[int], y: Sequence[float], mask: int) -> float:
     """partition_function over the neighbor bitmasks adj, for a subset mask."""
-    if bin(mask).count("1") > cap:
-        raise ValueError("partition function refused: subset too large to enumerate")
+    size = bin(mask).count("1")
+    if size > ENUMERATION_CAP:
+        raise ValueError(f"partition function refused for a subset of {size} > "
+                         f"ENUMERATION_CAP={ENUMERATION_CAP} events")
     total = 0.0
     for sub in independent_subset_masks(adj, mask):
         term = 1.0
@@ -305,11 +311,10 @@ def _partition_sum(adj: list[int], y: Sequence[float], mask: int,
     return total
 
 
-def check_cll(graph: DependencyGraph, p: Sequence[float], y: Sequence[float],
-              neighborhood_cap: int = ENUMERATION_CAP) -> bool:
+def check_cll(graph: DependencyGraph, p: Sequence[float], y: Sequence[float]) -> bool:
     """p_i * Y_{Gamma^+(i)} <= y_i for every i, with Y exact by enumeration.
 
-    Refuses events whose closed neighborhood exceeds neighborhood_cap;
+    Refuses events whose closed neighborhood exceeds ENUMERATION_CAP;
     application-scale instances should use their structural clique
     bound instead.
     """
@@ -319,13 +324,7 @@ def check_cll(graph: DependencyGraph, p: Sequence[float], y: Sequence[float],
         raise ValueError("y entries must be positive")
     adj = graph.adjacency_masks()
     for i in range(graph.n):
-        gp = adj[i] | (1 << i)
-        if bin(gp).count("1") > neighborhood_cap:
-            raise ValueError(
-                f"closed neighborhood of event {i} too large to enumerate; "
-                "use the structural clique bound for large instances"
-            )
-        if p[i] * _partition_sum(adj, y, gp) > y[i]:
+        if p[i] * _partition_sum(adj, y, adj[i] | (1 << i)) > y[i]:
             return False
     return True
 
@@ -339,7 +338,7 @@ def shearer_slack(table: PolynomialTable) -> float:
     """
     if not in_shearer_region(table):
         raise ValueError("slack is undefined outside the region")
-    singletons = seqsum(table.q[1 << i] for i in range(table.n))
+    singletons = seqsum(table.q_of(1 << i) for i in range(table.n))
     if singletons == 0:
         return math.inf
     return float(table.q0 / (2 * singletons))
@@ -347,7 +346,7 @@ def shearer_slack(table: PolynomialTable) -> float:
 
 def singleton_ratio(table: PolynomialTable, i: int) -> float:
     """q({i}) / q(empty): the expected number of times event i is resampled."""
-    return float(table.q[1 << i] / table.q0)
+    return float(table.q_of(1 << i) / table.q0)
 
 
 #: The tail points every report carries: (label, t) with Pr[more] <= e^-t.

@@ -32,6 +32,10 @@ from .oracles import OracleEventError
 #: Refuse transportation instances beyond this many states.
 SYNTH_STATE_CAP = 4096
 
+#: Most non-neighbours of an event whose subsets check_lopsidependency
+#: enumerates (2^20 subsets, each a pass over the states).
+LOPSIDEPENDENCY_CAP = 20
+
 
 @dataclass(frozen=True)
 class ExplicitSpace:
@@ -275,7 +279,7 @@ def check_lopsided_association(space: ExplicitSpace, i: int) -> bool:
     return isinstance(synthesize(space, i), SynthesizedOracle)
 
 
-def check_lopsidependency(space: ExplicitSpace, i: int, cap: int = 20) -> bool:
+def check_lopsidependency(space: ExplicitSpace, i: int) -> bool:
     """Negative-association inequality for every non-neighbor subset.
 
     For each J disjoint from the closed neighborhood of i with
@@ -283,8 +287,9 @@ def check_lopsidependency(space: ExplicitSpace, i: int, cap: int = 20) -> bool:
     Pr[E_i and no event of J] <= Pr[E_i] * Pr[no event of J], exactly.
     """
     free = non_neighbors(space.graph, i)
-    if len(free) > cap:
-        raise ValueError("too many non-neighbor events to enumerate")
+    if len(free) > LOPSIDEPENDENCY_CAP:
+        raise ValueError(f"{len(free)} non-neighbor events exceed "
+                         f"LOPSIDEPENDENCY_CAP={LOPSIDEPENDENCY_CAP}")
     pe = space.event_prob(i)
     for mask in range(1 << len(free)):
         chosen = [free[k] for k in range(len(free)) if mask >> k & 1]

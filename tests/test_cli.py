@@ -228,6 +228,19 @@ def test_run_explicit_space_budget_exhaustion(tmp_path, capsys):
     assert report["total_resamples"] == 1
 
 
+@pytest.mark.parametrize("argv", [["run"], ["verify-oracle", "synthesized", "--instance"]],
+                         ids=["run", "verify-oracle"])
+def test_space_without_an_oracle_exits_with_one_line(argv, tmp_path, capsys):
+    # two fair states, one event on each: neither event has an oracle
+    path = write_instance(tmp_path, {"kind": "explicit-space", "space": {
+        "states": 2, "prob": ["1/2", "1/2"], "events": [[0], [1]],
+        "graph": {"n": 2, "edges": []}}})
+    code, out, err = run_cli(argv + [path], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: event 0 admits no resampling oracle")
+    assert err.count("\n") == 1
+
+
 def test_run_latin_generator_instant(tmp_path, capsys):
     instance = {
         "kind": "latin",
@@ -461,6 +474,29 @@ def test_exact_tables_past_the_cap_are_refused_at_once(n, tmp_path, capsys):
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "EXACT_CAP" in err
+
+
+def test_float_tables_run_up_to_the_enumeration_cap(tmp_path, capsys):
+    # 2^25 independent sets, none of which the report needs to list
+    path = write_instance(tmp_path, {
+        "kind": "custom-graph", "p": ["1/100"] * 25, "graph": {"n": 25, "edges": []}})
+    start = time.perf_counter()
+    code, out, _ = run_cli(["criteria", path], capsys)
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    ratios = json.loads(out)["singleton_ratios"]
+    assert ratios == [pytest.approx(1 / 99)] * 25
+
+
+def test_tables_past_the_enumeration_cap_are_refused_at_once(tmp_path, capsys):
+    path = write_instance(tmp_path, {
+        "kind": "custom-graph", "p": ["1/100"] * 26,
+        "graph": {"n": 26, "edges": [[i, i + 1] for i in range(25)]}})
+    start = time.perf_counter()
+    code, out, err = run_cli(["criteria", path], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "ENUMERATION_CAP" in err
 
 
 def test_matching_on_two_vertices_solves_with_zero_bounds(tmp_path, capsys):

@@ -5,6 +5,7 @@ from the definition, and the structural identities are exercised on
 random instances with exact rational arithmetic.
 """
 
+import json
 import math
 import random
 from collections.abc import Sequence
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import brute_breve, brute_q, scalar_build_table, subsets
+from locallemma import polynomials
+from locallemma.cli import main
 from locallemma.graphs import DependencyGraph, enumerate_independent_sets
 from locallemma.polynomials import (
     EXACT_CAP,
@@ -31,6 +34,7 @@ from locallemma.polynomials import (
     shearer_report,
     shearer_slack,
     singleton_ratio,
+    tail_bounds,
 )
 
 
@@ -159,6 +163,10 @@ def test_table_equals_the_scalar_recurrence_bit_for_bit():
         assert [v.hex() for v in table.breve.tolist()] == [v.hex() for v in breve]
         assert table.q.keys() == q.keys()
         assert all(table.q[m].hex() == q[m].hex() for m in q)
+        on_demand = [table.q_of(m) for m in range(1 << g.n)]
+        assert all(type(v) is float for v in on_demand)
+        assert [v.hex() for v in on_demand] == [
+            q.get(m, 0.0).hex() for m in range(1 << g.n)]
         lo = min(breve)
         assert in_shearer_region(table) == all(v > 0 for v in breve)
         assert shearer_report(table) == {
@@ -179,10 +187,30 @@ def test_exact_table_equals_the_scalar_recurrence():
         assert table.breve.tolist() == breve
         assert all(type(v) is Fraction for v in table.breve.tolist())
         assert table.q == q
+        on_demand = [table.q_of(m) for m in range(1 << n)]
+        assert all(type(v) is Fraction for v in on_demand)
+        assert on_demand == [q.get(m, Fraction(0)) for m in range(1 << n)]
         lo = min(breve)
         assert shearer_report(table) == {
             "in_region": lo > 0, "min_breve_q": float(lo),
             "boundary": abs(lo) <= 1e-12}
+
+
+def test_tables_and_reports_enumerate_no_independent_sets(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("independent sets enumerated")
+
+    monkeypatch.setattr(polynomials, "independent_set_masks", refuse)
+    g, p = witness_instance(12, random.Random(406))
+    table = build_table(g, p)
+    assert shearer_report(table)["in_region"]
+    assert 0 < shearer_slack(table) < math.inf
+    assert all(singleton_ratio(table, i) > 0 for i in range(g.n))
+    assert set(tail_bounds(CriterionParams("shearer"), table)) == {"t=1", "t=ln(1e4)"}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"kind": "custom-graph", "graph": g.to_json(), "p": p}))
+    assert main(["criteria", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["singleton_ratios"]) == g.n
 
 
 def test_probability_validation():
