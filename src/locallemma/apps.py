@@ -297,9 +297,18 @@ def validate_disjoint_transversals(matrix: ColorMatrix, perms: Sequence) -> bool
 # application bundles
 
 
-def _pair_keys(family, color: np.ndarray) -> array:
+def _int32_array(values: np.ndarray) -> array:
+    """values as an array('i'), whose elements read back as Python ints,
+    filled in place, so no second copy is made."""
+    out = array("i", [0]) * len(values)
+    np.frombuffer(out, dtype=np.int32)[:] = values
+    return out
+
+
+def _pair_keys(family, color: np.ndarray) -> tuple[array, array, array]:
     """Sorted keys e*N + f of the same-colored rank pairs e < f that fit in
-    one structure of ``family``; refused past MAX_PAIRS candidates."""
+    one structure of ``family``, refused past MAX_PAIRS candidates, and the
+    color classes: the ranks in class order and where each class starts."""
     sizes = np.bincount(color)
     candidates = int((sizes * (sizes - 1) // 2).sum())
     if candidates > MAX_PAIRS:
@@ -308,7 +317,8 @@ def _pair_keys(family, color: np.ndarray) -> array:
     # In class order (items stably sorted by color) a class is a run of
     # increasing ranks, and the item at position j pairs with the rest of
     # its run: its m-th candidate overall sits at position m - shift[j].
-    order = np.argsort(color, kind="stable").astype(np.int32)
+    classes = _int32_array(np.argsort(color, kind="stable"))
+    order = np.frombuffer(classes, dtype=np.int32)
     later = np.repeat(np.cumsum(sizes), sizes) - np.arange(1, n_items + 1)
     shift = (np.cumsum(later) - later - np.arange(1, n_items + 1)).astype(np.int32)
     e = np.repeat(order, later)
@@ -326,7 +336,7 @@ def _pair_keys(family, color: np.ndarray) -> array:
     view = np.multiply(e, n_items, out=np.frombuffer(keys, dtype=np.int64), dtype=np.int64)
     view += f
     view.sort()
-    return keys
+    return keys, classes, _int32_array(np.concatenate(([0], np.cumsum(sizes))))
 
 
 class _AppBundle:
@@ -349,11 +359,13 @@ class _AppBundle:
 
     The P same-colored pairs of ranks (e, f), e < f, that fit in one
     structure are numbered in sorted order and shared by all copies.  A
-    build stores two int64 arrays: each rank's color and the sorted pair
-    keys e*N + f, so pair k is divmod(key[k], N) and a pair's number is
-    one bisection.  The numbering is what run logs record.  Two events
-    interfere when they involve a common copy and their vertex supports
-    meet, that is when their (copy, vertex) conflict keys meet.
+    build stores the sorted pair keys e*N + f as int64, so pair k is
+    divmod(key[k], N) and a pair's number is one bisection; the numbering
+    is what run logs record.  Three int32 arrays hold each rank's color,
+    the ranks in color-class order and where each class starts, so
+    ``occurring_near`` lists an item's same-colored partners as one slice.
+    Two events interfere when they involve a common copy and their vertex
+    supports meet, that is when their (copy, vertex) conflict keys meet.
 
     A subclass passes its coloring's ``ids``, and for the cluster criterion
     gives beta, its largest event probability p_num / p_den and
@@ -367,9 +379,9 @@ class _AppBundle:
         """color: each item's dense color id, in rank order."""
         _check_caps(family.n_items, t)
         self.family, self.t, self.size = family, t, family.n
-        # array('q') rather than numpy: elements read back as Python ints
-        self._color = array("q", color.tobytes())
-        self._pairs = _pair_keys(family, color)
+        # dense ids stay below MAX_ITEMS, so int32 holds them
+        self._color = _int32_array(color)
+        self._pairs, self._order, self._starts = _pair_keys(family, color)
         self.n_items = len(color)
         self.n_pairs = len(self._pairs)
         self.copy_pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
@@ -410,13 +422,17 @@ class _AppBundle:
         copies, items = self._parts(idx)
         return copies + items
 
+    def _type2(self, i: int, j: int, r: int) -> int:
+        """Index of the event that copies i < j both hold the item of rank r."""
+        c = i * (2 * self.t - i - 1) // 2 + j - i - 1
+        return self.n_type1 + c * self.n_items + r
+
     def index(self, payload: tuple) -> int:
         """Inverse of payload; KeyError when the payload names no event."""
         rank = self.family.rank
         if isinstance(payload[1], int):
             i, j, item = payload
-            c = i * (2 * self.t - i - 1) // 2 + j - i - 1
-            idx = self.n_type1 + c * self.n_items + rank(item)
+            idx = self._type2(i, j, rank(item))
         else:
             i, e, f = payload
             idx = i * self.n_pairs + self._pair_index(rank(e), rank(f))
@@ -478,6 +494,34 @@ class _AppBundle:
         for c, (i, j) in enumerate(self.copy_pairs):
             base = self.n_type1 + c * self.n_items
             out.extend(base + r for r in set(present[i]).intersection(present[j]))
+        return out
+
+    def occurring_near(self, state, keys) -> set[int]:
+        """The occurring events whose conflict keys meet ``keys``.
+
+        An event that occurs and has the key (i, v) holds an item of copy
+        i at vertex v, so the scan starts from those items: each one's
+        same-colored partners present in copy i give the type-1 events,
+        and the other copies holding it the type-2 events.
+        """
+        family = self.family
+        has = family.has
+        color, order, starts = self._color, self._order, self._starts
+        touched: dict[int, list[int]] = {}
+        for i, v in keys:
+            touched.setdefault(i, []).append(v)
+        out: set[int] = set()
+        for i, vertices in touched.items():
+            structure = state[i]
+            base = i * self.n_pairs
+            for r in family.ranks_at(structure, vertices):
+                c = color[r]
+                for s in order[starts[c]:starts[c + 1]]:
+                    if s != r and has(structure, s):
+                        out.add(base + (self._pair_index(r, s) if r < s else self._pair_index(s, r)))
+                for j in range(self.t):
+                    if j != i and has(state[j], r):
+                        out.add(self._type2(i, j, r) if i < j else self._type2(j, i, r))
         return out
 
 

@@ -17,10 +17,13 @@ Exit codes: 0 success, 1 validation failure, 2 budget exhausted,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .apps import (
     ColorMatrix,
@@ -95,10 +98,79 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(obj: dict, fmt: str, out) -> None:
     if fmt == "json":
-        out.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        parts: list[str] = []
+        _json_parts(obj, 0, parts.append)
+        out.write("".join(parts) + "\n")
         return
     for line in _text_lines(obj, ""):
         out.write(line + "\n")
+
+
+# The JSON format is the bytes of json.dumps(obj, sort_keys=True, indent=2).
+# CPython before 3.13 renders any indent with its pure-Python encoder, so
+# only containers are walked here: scalars and flat runs of scalars go
+# through the C encoder, whose item separator carries the indent.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_NUMBERS = _SCALARS - {str}
+
+
+def _indent(depth: int) -> str:
+    return "\n" + "  " * depth
+
+
+def _refuse(o):
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+@functools.cache
+def _c_encoder(depth: int):
+    """C encoder that writes a scalar as json.dumps does, and a list of
+    scalars as "[a,<indent>b]" with items at ``depth``, its brackets still
+    to be given their own lines."""
+    return c_make_encoder(None, _refuse, encode_basestring_ascii, None, ": ",
+                          "," + _indent(depth), True, False, True)
+
+
+def _json_parts(o, depth: int, put) -> None:
+    """Put the indented JSON of o, which opens at nesting ``depth``."""
+    if isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = _indent(depth + 1)
+        sep = "{" + inner
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(sep + encode_basestring_ascii(key) + ": ")
+            _json_parts(o[key], depth + 1, put)
+            sep = "," + inner
+        put(_indent(depth) + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        outer, inner = _indent(depth), _indent(depth + 1)
+        kinds = set(map(type, o))
+        if kinds <= _SCALARS:
+            put("[" + inner + "".join(_c_encoder(depth + 1)(o, 0))[1:-1] + outer + "]")
+        elif kinds <= {list, tuple} and set(map(type, chain.from_iterable(o))) <= _NUMBERS:
+            # Lists of numbers: every bracket in the C text is structure.
+            deep = _indent(depth + 2)
+            body = "".join(_c_encoder(depth + 2)(o, 0))[1:-1]
+            body = (body.replace("]," + deep + "[", "]," + inner + "[")
+                    .replace("[", "[" + deep).replace("]", inner + "]")
+                    .replace("[" + deep + inner + "]", "[]"))
+            put("[" + inner + body + outer + "]")
+        else:
+            sep = "[" + inner
+            for item in o:
+                put(sep)
+                _json_parts(item, depth + 1, put)
+                sep = "," + inner
+            put(outer + "]")
+    else:
+        put("".join(_c_encoder(depth)(o, 0)))
 
 
 def _text_lines(obj, prefix: str):
@@ -318,8 +390,10 @@ def _run_explicit(obj: dict, seed: int, budget: int) -> tuple[dict, int]:
 
 
 def _run_app(obj: dict, seed: int, budget: int, jobs: int) -> tuple[dict, int]:
+    if jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {jobs}")
     bundle, params = _build_app_instance(obj)
-    if jobs <= 1:
+    if jobs == 1:
         report = solve(bundle, params, seed=seed, budget=budget)
         return report.to_json(), _exit_code(report.terminated, report.validated)
     runs = []

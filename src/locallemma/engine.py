@@ -19,6 +19,10 @@ The engine works against any object satisfying the bundle interface::
     bundle.holds(i, state)         does event i occur in state
     bundle.resample(i, state, rng) resampling oracle for event i
     bundle.occurring(state)        optional: indices of occurring events
+    bundle.occurring_near(state, keys)
+                                   optional: the occurring events whose
+                                   keys meet ``keys``; every event needs
+                                   at least one key
 
 Blocking is by keys: the keys of every pick join one set, and a
 candidate whose keys meet it is skipped, so each candidate is looked at
@@ -30,6 +34,20 @@ occurs now has occurred at every state of the iteration so far, so one
 ``holds`` test at the moment the walk reaches it picks exactly what
 re-testing every remaining candidate after every resample would pick,
 with the same random stream.
+
+The same property lets every iteration after the first scan only near
+the previous one.  Let B be the keys of the previous iteration's picks.
+An event with keys outside B is adjacent to none of those picks, so if
+it occurs now it occurred throughout that iteration: it was a
+candidate, was never blocked and held when the walk reached it, so it
+was picked and its keys lie in B after all.  Every event that occurs at
+the top of an iteration therefore has a key in B, ``occurring_near``
+returns exactly those events, and the candidate lists, picks and run
+log are those of full scans.  No final full scan is made: by the same
+argument, the last, empty iteration shows that no event occurs.
+Checks that do not rely on it stay outside the engine: the app
+solvers' ``validate_solution`` and the final ``holds`` pass over an
+explicit space in the CLI.
 """
 
 from __future__ import annotations
@@ -91,14 +109,21 @@ def maximal_set_resample(bundle, seed: int = 0,
     resample = bundle.resample
     keys = bundle.graph.keys
     occurring = getattr(bundle, "occurring", None)
+    occurring_near = getattr(bundle, "occurring_near", None)
 
     state = bundle.sample(rng)
     iterations: list[list[int]] = []
     total = 0
+    blocked = None
     while True:
-        candidates = sorted(occurring(state)) if occurring is not None else range(bundle.n)
+        if occurring_near is not None and blocked is not None:
+            candidates = sorted(occurring_near(state, blocked))
+        elif occurring is not None:
+            candidates = sorted(occurring(state))
+        else:
+            candidates = range(bundle.n)
         picked: list[int] = []
-        blocked: set = set()
+        blocked = set()
         for i in candidates:
             conflict = keys(i)
             if not blocked.isdisjoint(conflict) or not holds(i, state):

@@ -117,12 +117,18 @@ class _Family:
     items)`` tests that s contains every item (a cell or an edge of K_n) and
     ``redraw(s, items, rng)`` resamples s conditioned on that.  The
     ``n_items`` items rank in sorted order: ``rank(item)``, ``item(rank)``
-    and ``ranks(s)`` of those in s.  ``vertices(item)`` are what an item
-    touches; ``vertex_arrays()`` lists them by rank."""
+    and ``ranks(s)`` of those in s, ``ranks_at(s, vertices)`` of those in s
+    that touch one of the vertices; ``has(s, rank)`` tests one item.
+    ``vertices(item)`` are what an item touches; ``vertex_arrays()`` lists
+    them by rank."""
 
     #: Two items on a shared vertex never sit in one structure together.
     exclusive = True
     holds = staticmethod(_pairs_hold)
+
+    def has(self, structure, rank: int) -> bool:
+        u, v = self.item(rank)
+        return structure[u] == v
 
     def state_key(self, state):
         return state
@@ -219,6 +225,11 @@ class Permutations(_Family):
     def ranks(self, pi) -> list[int]:
         n = self.n
         return [u * n + v for u, v in enumerate(pi)]
+
+    def ranks_at(self, pi, vertices) -> set[int]:
+        """Ranks of the cells of pi on the rows x < n and columns n + y given."""
+        n = self.n
+        return {v * n + pi[v] if v < n else pi.index(v - n) * n + v - n for v in vertices}
 
     def valid(self, pi) -> bool:
         return len(pi) == self.n and sorted(pi) == list(range(self.n))
@@ -353,6 +364,10 @@ class PerfectMatchings(_EdgeItems):
     def ranks(self, partner) -> list[int]:
         offset = self._offset
         return [offset[u] + v for u, v in enumerate(partner) if u < v]
+
+    def ranks_at(self, partner, vertices) -> set[int]:
+        """Ranks of the matching edges on the given vertices."""
+        return {self.rank(normalize_edge((v, partner[v]))) for v in vertices}
 
     def valid(self, partner) -> bool:
         return len(partner) == self.n and is_perfect_matching(partner)
@@ -547,6 +562,14 @@ class SpanningTrees(_EdgeItems):
     def ranks(self, tree) -> list[int]:
         offset = self._offset
         return [offset[u] + v for u, v in tree]
+
+    def has(self, tree, rank: int) -> bool:
+        return self.item(rank) in tree
+
+    def ranks_at(self, tree, vertices) -> list[int]:
+        """Ranks of the tree edges on the given vertices, in one pass."""
+        at, offset = set(vertices), self._offset
+        return [offset[u] + v for u, v in tree if u in at or v in at]
 
     def valid(self, tree) -> bool:
         return is_spanning_tree(self.n, tree)

@@ -148,13 +148,15 @@ def test_r2(bundle, event: int, trials: int, seed: int = 0,
     broke its structure) counts as one violation.  A correct oracle
     yields exactly zero.
     """
+    if trials < 1:
+        raise ValueError("the containment test needs at least one trial")
     others = non_neighbors(bundle.graph, event)
     holds, resample = bundle.holds, bundle.resample
     valid = getattr(bundle, "valid_state", None)
     rng = random.Random(seed)
     violations = 0
     states = _conditioned_states(bundle, event, rng, rejection_budget)
-    for state in islice(states, max(trials, 0)):
+    for state in islice(states, trials):
         off = [j for j in others if not holds(j, state)]
         after = resample(event, state, rng)
         if valid is not None and not valid(after):

@@ -3,11 +3,12 @@
 The bundles decode an event index by arithmetic instead of storing one
 table row per event.  The enumerations below build those rows the long
 way, one loop per event family in index order, and every accessor and
-occurrence scan must agree with them, on fixed instances and on random
-small ones (color multiplicity from 1 up to one color on every item,
-color ids negative or past int64).  The pinned digests fix the full CLI
-output at one acceptance-size seed per app, so a change to the numbering
-(which the run logs record) cannot pass unnoticed.
+occurrence scan, whole-state or local, must agree with them, on fixed
+instances and on random small ones (color multiplicity from 1 up to one
+color on every item, color ids negative or past int64).  The pinned
+digests fix the full CLI output at one acceptance-size seed per app, so a
+change to the numbering (which the run logs record) cannot pass
+unnoticed.
 """
 
 import hashlib
@@ -163,6 +164,26 @@ def test_random_instances_match_explicit_enumeration(instance, seed):
         expected = explicit_occurring(events, state, contains)
         assert sorted(bundle.occurring(state)) == expected
         assert [idx for idx in range(bundle.n) if bundle.holds(idx, state)] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(app_instances(), st.integers(0, 2**32))
+def test_local_scan_is_the_full_scan_filtered_by_keys(instance, seed):
+    bundle, _, _ = instance
+    keys = bundle.graph.keys
+    vertices = 2 * bundle.size if isinstance(bundle, LatinBundle) else bundle.size
+    every_key = [(i, v) for i in range(bundle.t) for v in range(vertices)]
+    rng = random.Random(seed)
+    for _ in range(3):
+        state = bundle.sample(rng)
+        occurring = set(bundle.occurring(state))
+        near = sorted({key for idx in occurring for key in keys(idx)})
+        assert bundle.occurring_near(state, every_key) == occurring
+        for _ in range(4):
+            blocked = set(rng.sample(near, rng.randint(0, len(near))))
+            blocked.update(rng.sample(every_key, min(3, len(every_key))))
+            expected = {idx for idx in occurring if not blocked.isdisjoint(keys(idx))}
+            assert bundle.occurring_near(state, blocked) == expected
 
 
 @pytest.mark.parametrize("bundle, events", cases())

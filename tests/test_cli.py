@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from referencing import Registry, Resource
@@ -432,6 +434,12 @@ def test_verify_oracle_bad_event(capsys):
                  id="no-streak-runs"),
     pytest.param(["verify-oracle", "permutation", "--samples", "0", "--trials", "0"],
                  id="no-samples"),
+    pytest.param(["verify-oracle", "permutation", "--samples", "10", "--trials", "0"],
+                 id="no-trials"),
+    pytest.param(["latin", "--n", "8", "--multiplicity", "2", "--t", "2", "--jobs", "0"],
+                 id="no-jobs"),
+    pytest.param(["latin", "--n", "8", "--multiplicity", "2", "--t", "2", "--jobs", "-1"],
+                 id="negative-jobs"),
     pytest.param(["latin", "--n", "0", "--multiplicity", "1", "--t", "1"], id="latin-n0"),
     pytest.param(["latin", "--n", "1", "--multiplicity", "1", "--t", "2"], id="latin-n1"),
 ])
@@ -440,6 +448,9 @@ def test_degenerate_sizes_exit_with_input_error(argv, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    if "--jobs" in argv:
+        assert "--jobs" in err
 
 
 @pytest.mark.parametrize("argv, cap", [
@@ -602,6 +613,57 @@ def test_identical_inputs_identical_bytes(tmp_path, capsys):
     _, first, _ = run_cli(argv, capsys)
     _, second, _ = run_cli(argv, capsys)
     assert first == second
+
+
+#: Scalars json.dumps accepts, with the spellings it special-cases.
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(2**80), 2**80),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324]),
+    st.text(), st.text(st.characters(max_codepoint=0x1f) | st.sampled_from("é€\"\\/𝄞")))
+#: Lists of number lists, the shape of tree edges, transversals and logs.
+NUMBER_ROWS = st.lists(st.lists(st.one_of(st.integers(), st.floats(), st.booleans(),
+                                          st.none()), max_size=4), max_size=4)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | NUMBER_ROWS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(st.characters(max_codepoint=0x1f) | st.characters()), inner,
+                        max_size=4)),
+    max_leaves=24)
+
+
+def emitted(obj) -> str:
+    buf = io.StringIO()
+    cli._emit(obj, "json", buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_json_output_is_the_bytes_of_indented_json_dumps(obj):
+    assert emitted(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    {1, 2}, {"a": [frozenset()]}, np.int64(3), [np.int64(3)], [[np.int64(3)]],
+    {"a": {"b": (1, {2})}},
+])
+def test_json_output_refuses_what_json_dumps_refuses(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        emitted(obj)
+
+
+@pytest.mark.parametrize("obj", [{1: "int key"}, {"a": {2.5: "b"}}, {None: 0}])
+def test_json_output_refuses_keys_that_are_no_strings(obj):
+    with pytest.raises(TypeError):
+        emitted(obj)
+
+
+def test_json_output_takes_float_subclasses_as_json_dumps_does():
+    obj = {"x": np.float64(0.1), "y": [np.float64(math.nan)], "z": [[np.float64(2.5)]]}
+    assert emitted(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def test_console_entry_point_determinism(tmp_path):

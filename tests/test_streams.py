@@ -296,6 +296,17 @@ def package_calls(wanted):
                 yield path.name, ast.get_source_segment(source, node)
 
 
+def test_no_json_is_indented_by_json_itself():
+    """json.dump(s) with indent runs CPython's pure-Python encoder (before
+    3.13); the CLI writes the same bytes through the C encoder instead."""
+    calls = list(package_calls(
+        lambda f: isinstance(f, ast.Attribute) and f.attr in ("dump", "dumps")))
+    assert calls  # the guard sees the package's own calls
+    indented = [(name, source) for name, source in calls
+                if any(k.arg == "indent" for k in ast.parse(source, mode="eval").body.keywords)]
+    assert indented == []
+
+
 def test_draws_and_float_sums_go_through_streams():
     stray_draws = list(package_calls(
         lambda f: isinstance(f, ast.Attribute) and f.attr in OWNED_DRAWS))

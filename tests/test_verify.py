@@ -220,7 +220,8 @@ def test_rejection_budget_is_one_budget_per_test():
 def test_r2_without_trials_takes_no_draws():
     counting = _CountingBundle(coin_pair_bundle())
     for trials in (0, -3):
-        assert run_r2(counting, 0, trials=trials, seed=1) == 0
+        with pytest.raises(ValueError, match="at least one trial"):
+            run_r2(counting, 0, trials=trials, seed=1)
     assert counting.draws == 0
 
 
