@@ -31,19 +31,18 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
-from .engine import RunLog, maximal_set_resample
+from .engine import DEFAULT_MAX_RESAMPLES, RunLog, maximal_set_resample
 from .graphs import KeyGraph
 from .oracles import (
     _EdgeItems,
     PerfectMatchings,
     Permutations,
     SpanningTrees,
-    is_perfect_matching,
-    is_spanning_tree,
     matching_pairs,
     normalize_edge,
 )
@@ -248,49 +247,26 @@ def distinct_color_matrix(n: int) -> ColorMatrix:
 
 
 # ---------------------------------------------------------------------------
-# standalone validators (scan raw structures, not event predicates)
-
-
-def _rainbow(coloring: ColoredCompleteGraph, edges: list[tuple[int, int]]) -> bool:
-    """No two of the edges, all edges (u, v), u < v, of K_n, share a color."""
-    ids, rank = coloring.ids, coloring._edges.rank
-    return len({ids[rank(e)] for e in edges}) == len(edges)
+# standalone validators: the solution check of the app bundles, run on the
+# structure family and coloring alone, as it reads nothing else
 
 
 def validate_rainbow_matching(coloring: ColoredCompleteGraph, partner) -> bool:
-    if len(partner) != coloring.n or not is_perfect_matching(partner):
-        return False
-    return _rainbow(coloring, matching_pairs(partner))
+    # K_n with n odd has no perfect matching, so no PerfectMatchings family
+    return coloring.n % 2 == 0 and _AppBundle.validate_solution(
+        SimpleNamespace(family=PerfectMatchings(coloring.n), coloring=coloring), [partner])
 
 
 def validate_rainbow_trees(coloring: ColoredCompleteGraph, trees: Sequence) -> bool:
-    n = coloring.n
-    seen: set[tuple[int, int]] = set()
-    for tree in trees:
-        edges = [normalize_edge(e) for e in tree]
-        if not is_spanning_tree(n, edges) or not _rainbow(coloring, edges):
-            return False
-        for e in edges:
-            if e in seen:
-                return False
-            seen.add(e)
-    return True
+    # edges normalized first: a degenerate one raises ValueError
+    return _AppBundle.validate_solution(
+        SimpleNamespace(family=SpanningTrees(coloring.n), coloring=coloring),
+        [[normalize_edge(e) for e in tree] for tree in trees])
 
 
 def validate_disjoint_transversals(matrix: ColorMatrix, perms: Sequence) -> bool:
-    n, ids = matrix.n, matrix.ids
-    seen_cells: set[tuple[int, int]] = set()
-    for pi in perms:
-        if len(pi) != n or sorted(pi) != list(range(n)):
-            return False
-        if len({ids[u * n + v] for u, v in enumerate(pi)}) != n:
-            return False
-        for u in range(n):
-            cell = (u, pi[u])
-            if cell in seen_cells:
-                return False
-            seen_cells.add(cell)
-    return True
+    return _AppBundle.validate_solution(
+        SimpleNamespace(family=Permutations(matrix.n), coloring=matrix), perms)
 
 
 # ---------------------------------------------------------------------------
@@ -362,23 +338,23 @@ class _AppBundle:
     build stores the sorted pair keys e*N + f as int64, so pair k is
     divmod(key[k], N) and a pair's number is one bisection; the numbering
     is what run logs record.  Three int32 arrays hold each rank's color,
-    the ranks in color-class order and where each class starts, so
-    ``occurring_near`` lists an item's same-colored partners as one slice.
+    the ranks in color-class order and where each class starts, so a scan
+    near keys lists an item's same-colored partners as one slice.
     Two events interfere when they involve a common copy and their vertex
     supports meet, that is when their (copy, vertex) conflict keys meet.
 
-    A subclass passes its coloring's ``ids``, and for the cluster criterion
-    gives beta, its largest event probability p_num / p_den and
-    clique_size_bounds().
+    A subclass passes its coloring, whose ``ids`` give each item's dense
+    color id in rank order, and for the cluster criterion gives beta, its
+    largest event probability p_num / p_den and clique_size_bounds().
     """
 
     beta = BETA
     p_num = 1
 
-    def __init__(self, family, t: int, color: np.ndarray) -> None:
-        """color: each item's dense color id, in rank order."""
+    def __init__(self, family, t: int, coloring: _Coloring) -> None:
         _check_caps(family.n_items, t)
         self.family, self.t, self.size = family, t, family.n
+        self.coloring, color = coloring, coloring.ids
         # dense ids stay below MAX_ITEMS, so int32 holds them
         self._color = _int32_array(color)
         self._pairs, self._order, self._starts = _pair_keys(family, color)
@@ -479,41 +455,55 @@ class _AppBundle:
             structures[i] = self.family.redraw(structures[i], items, rng)
         return tuple(structures)
 
-    def occurring(self, state) -> list[int]:
-        out: list[int] = []
-        n_pairs, color = self.n_pairs, self._color
-        present = [self.family.ranks(structure) for structure in state]
-        for i, ranks in enumerate(present):
-            by_color: dict[int, list[int]] = {}
-            for r in ranks:
-                by_color.setdefault(color[r], []).append(r)
-            for group in by_color.values():
-                if len(group) > 1:
-                    out.extend(i * n_pairs + self._pair_index(e, f)
-                               for e, f in combinations(sorted(group), 2))
-        for c, (i, j) in enumerate(self.copy_pairs):
-            base = self.n_type1 + c * self.n_items
-            out.extend(base + r for r in set(present[i]).intersection(present[j]))
-        return out
+    def validate_solution(self, state) -> bool:
+        """Is state a solution: every structure valid in ``family``, no two
+        of its items of one color, and no item in two structures?  Reads
+        only ``family``, ``coloring.ids`` and the structures, never the
+        event model, so it checks the engine's output independently."""
+        family, ids = self.family, self.coloring.ids
+        seen: set[int] = set()
+        for structure in state:
+            if not family.valid(structure):
+                return False
+            ranks = family.ranks(structure)
+            if len(set(ids[ranks].tolist())) < len(ranks) or not seen.isdisjoint(ranks):
+                return False
+            seen.update(ranks)
+        return True
 
-    def occurring_near(self, state, keys) -> set[int]:
-        """The occurring events whose conflict keys meet ``keys``.
+    def occurring(self, state, near=None):
+        """The occurring events, as a list; with ``near``, a set of
+        conflict keys, only those whose keys meet it, as a set.
 
         An event that occurs and has the key (i, v) holds an item of copy
-        i at vertex v, so the scan starts from those items: each one's
-        same-colored partners present in copy i give the type-1 events,
-        and the other copies holding it the type-2 events.
+        i at vertex v, so the scan near keys starts from those items: each
+        one's same-colored partners present in copy i give the type-1
+        events, and the other copies holding it the type-2 events.
         """
-        family = self.family
-        has = family.has
-        color, order, starts = self._color, self._order, self._starts
+        family, n_pairs, color = self.family, self.n_pairs, self._color
+        if near is None:
+            out: list[int] = []
+            present = [family.ranks(structure) for structure in state]
+            for i, ranks in enumerate(present):
+                by_color: dict[int, list[int]] = {}
+                for r in ranks:
+                    by_color.setdefault(color[r], []).append(r)
+                for group in by_color.values():
+                    if len(group) > 1:
+                        out.extend(i * n_pairs + self._pair_index(e, f)
+                                   for e, f in combinations(sorted(group), 2))
+            for c, (i, j) in enumerate(self.copy_pairs):
+                base = self.n_type1 + c * self.n_items
+                out.extend(base + r for r in set(present[i]).intersection(present[j]))
+            return out
+        has, order, starts = family.has, self._order, self._starts
         touched: dict[int, list[int]] = {}
-        for i, v in keys:
+        for i, v in near:
             touched.setdefault(i, []).append(v)
-        out: set[int] = set()
+        out = set()
         for i, vertices in touched.items():
             structure = state[i]
-            base = i * self.n_pairs
+            base = i * n_pairs
             for r in family.ranks_at(structure, vertices):
                 c = color[r]
                 for s in order[starts[c]:starts[c + 1]]:
@@ -541,9 +531,8 @@ class RainbowTreeBundle(_AppBundle):
             raise ValueError("need at least one tree")
         if coloring.n < 1:
             raise ValueError("spanning trees need at least one vertex")
-        self.coloring = coloring
         self.p_den = coloring.n**2
-        super().__init__(SpanningTrees(coloring.n), t, coloring.ids)
+        super().__init__(SpanningTrees(coloring.n), t, coloring)
 
     def event_prob(self, idx: int) -> float:
         n = self.size
@@ -555,9 +544,6 @@ class RainbowTreeBundle(_AppBundle):
     def clique_size_bounds(self) -> dict[str, int]:
         n, t, q = self.size, self.t, self.coloring.multiplicity
         return {"cross-space": (n - 1) * (t - 1), "same-space": (n - 1) * (q - 1)}
-
-    def validate_solution(self, state) -> bool:
-        return validate_rainbow_trees(self.coloring, state)
 
     def solution_json(self, state) -> dict:
         return {"trees": [[list(e) for e in sorted(tree)] for tree in state]}
@@ -579,9 +565,8 @@ class RainbowMatchingBundle(_AppBundle):
 
     def __init__(self, coloring: ColoredCompleteGraph) -> None:
         family = PerfectMatchings(coloring.n)
-        self.coloring = coloring
         self.p_den = (coloring.n - 1) * (coloring.n - 3)
-        super().__init__(family, 1, coloring.ids)
+        super().__init__(family, 1, coloring)
 
     def payload(self, idx: int) -> tuple:
         return super().payload(idx)[1:]
@@ -595,9 +580,6 @@ class RainbowMatchingBundle(_AppBundle):
     def clique_size_bounds(self) -> dict[str, int]:
         q = self.coloring.multiplicity
         return {"vertex": (q - 1) * (self.size - 1)}
-
-    def validate_solution(self, state) -> bool:
-        return validate_rainbow_matching(self.coloring, state[0])
 
     def solution_json(self, state) -> dict:
         return {"matching": [list(e) for e in matching_pairs(state[0])]}
@@ -623,7 +605,7 @@ class LatinBundle(_AppBundle):
             raise ValueError("transversal events need a matrix of size at least 2")
         self.matrix = matrix
         self.p_den = n * (n - 1)
-        super().__init__(Permutations(n), t, matrix.ids)
+        super().__init__(Permutations(n), t, matrix)
 
     def event_prob(self, idx: int):
         n = self.size
@@ -634,9 +616,6 @@ class LatinBundle(_AppBundle):
     def clique_size_bounds(self) -> dict[str, int]:
         n, t, q = self.size, self.t, self.matrix.multiplicity
         return {"cross-space": n * (t - 1), "same-space": n * (q - 1)}
-
-    def validate_solution(self, state) -> bool:
-        return validate_disjoint_transversals(self.matrix, state)
 
     def solution_json(self, state) -> dict:
         return {"transversals": [list(pi) for pi in state]}
@@ -697,11 +676,11 @@ class SolutionReport:
 
 
 def solve(bundle, params: CriterionParams, seed: int = 0,
-          budget: int = 1_000_000) -> SolutionReport:
+          budget: int = DEFAULT_MAX_RESAMPLES) -> SolutionReport:
     """Run the engine on a built instance and validate its output.
 
-    Validation re-derives the target property from the raw structures
-    (colors scanned directly), independent of the event predicates.
+    Validation (``validate_solution``) reads the structures, their family
+    and the coloring, independent of the event model.
     The report carries tail bounds at t = 1 and t = ln 10^4 next to the
     observed resample count; the observed count is the ground truth,
     the bounds are the theory's prediction.

@@ -35,7 +35,7 @@ from .apps import (
     random_edge_coloring,
     solve,
 )
-from .engine import maximal_set_resample
+from .engine import DEFAULT_MAX_RESAMPLES, maximal_set_resample
 from .graphs import DependencyGraph, ENUMERATION_CAP
 from .oracles import (
     MatchingBundle,
@@ -463,6 +463,10 @@ def cmd_verify_oracle(args, out) -> int:
         _emit(payload, args.format, out)
         return EXIT_OK if not report.budget_exhausted else EXIT_BUDGET
 
+    # both counts before either test runs, so a bad one is refused at once
+    for flag, count in (("--samples", args.samples), ("--trials", args.trials)):
+        if count < 1:
+            raise InputError(f"{flag} must be at least 1, got {count}")
     if args.family == "synthesized":
         if args.instance:
             obj = _load_json(args.instance)
@@ -539,8 +543,8 @@ def cmd_app(kind: str, args, out) -> int:
 
 def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    sub.add_argument("--budget", type=int, default=1_000_000,
-                     help="resample cap (default 1000000)")
+    sub.add_argument("--budget", type=int, default=DEFAULT_MAX_RESAMPLES,
+                     help=f"resample cap (default {DEFAULT_MAX_RESAMPLES})")
     sub.add_argument("--format", choices=("json", "text"), default="json",
                      help="output format (default json)")
 

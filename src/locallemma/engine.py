@@ -18,11 +18,12 @@ The engine works against any object satisfying the bundle interface::
     bundle.sample(rng)             fresh state from the product measure
     bundle.holds(i, state)         does event i occur in state
     bundle.resample(i, state, rng) resampling oracle for event i
-    bundle.occurring(state)        optional: indices of occurring events
-    bundle.occurring_near(state, keys)
-                                   optional: the occurring events whose
-                                   keys meet ``keys``; every event needs
-                                   at least one key
+    bundle.occurring(state, near)  optional: indices of the occurring
+                                   events.  ``near`` is None on the first
+                                   iteration and the keys blocked in the
+                                   previous one after that; a bundle may
+                                   list only the events whose keys meet
+                                   it, or ignore it (see below)
 
 Blocking is by keys: the keys of every pick join one set, and a
 candidate whose keys meet it is skipped, so each candidate is looked at
@@ -41,9 +42,11 @@ An event with keys outside B is adjacent to none of those picks, so if
 it occurs now it occurred throughout that iteration: it was a
 candidate, was never blocked and held when the walk reached it, so it
 was picked and its keys lie in B after all.  Every event that occurs at
-the top of an iteration therefore has a key in B, ``occurring_near``
-returns exactly those events, and the candidate lists, picks and run
-log are those of full scans.  No final full scan is made: by the same
+the top of an iteration therefore has a key in B, and ``near`` is B.
+So ``occurring`` may list only the events whose keys meet ``near`` (the
+app bundles do; every event then needs at least one key), or ignore it
+and list them all: the candidate lists, picks and run log are those of
+full scans either way.  No final full scan is made: by the same
 argument, the last, empty iteration shows that no event occurs.
 Checks that do not rely on it stay outside the engine: the app
 solvers' ``validate_solution`` and the final ``holds`` pass over an
@@ -109,19 +112,13 @@ def maximal_set_resample(bundle, seed: int = 0,
     resample = bundle.resample
     keys = bundle.graph.keys
     occurring = getattr(bundle, "occurring", None)
-    occurring_near = getattr(bundle, "occurring_near", None)
 
     state = bundle.sample(rng)
     iterations: list[list[int]] = []
     total = 0
     blocked = None
     while True:
-        if occurring_near is not None and blocked is not None:
-            candidates = sorted(occurring_near(state, blocked))
-        elif occurring is not None:
-            candidates = sorted(occurring(state))
-        else:
-            candidates = range(bundle.n)
+        candidates = range(bundle.n) if occurring is None else sorted(occurring(state, blocked))
         picked: list[int] = []
         blocked = set()
         for i in candidates:

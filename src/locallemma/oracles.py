@@ -572,7 +572,8 @@ class SpanningTrees(_EdgeItems):
         return [offset[u] + v for u, v in tree if u in at or v in at]
 
     def valid(self, tree) -> bool:
-        return is_spanning_tree(self.n, tree)
+        """A spanning tree of edges (u, v) with u < v, which ``ranks`` reads."""
+        return is_spanning_tree(self.n, tree) and all(u < v for u, v in tree)
 
     def state_key(self, tree) -> tuple:
         return tuple(sorted(tree))

@@ -27,7 +27,7 @@ from itertools import islice, repeat
 
 from scipy.special import chdtri
 
-from .engine import maximal_set_resample
+from .engine import DEFAULT_MAX_RESAMPLES, maximal_set_resample
 from .graphs import KeyGraph, non_neighbors
 from .oracles import OracleEventError
 
@@ -243,9 +243,10 @@ class AppendixABundle:
             return state[i] == 0
         return state[self.w_slot] == 1
 
-    def occurring(self, state) -> list[int]:
+    def occurring(self, state, near=None) -> list[int]:
         # The X | Y prefix holds one slot per event before E', so the
-        # occurring ones are exactly its zero bytes.
+        # occurring ones are exactly its zero bytes; a scan of them all
+        # costs no more than one near the keys, so ``near`` is ignored.
         find = bytes(state).find
         end = self.eprime
         out = []
@@ -333,7 +334,7 @@ def longest_streak(iterations, event: int) -> int:
 
 
 def measure_consecutive_runs(bundle: AppendixABundle, runs: int, seed: int = 0,
-                             max_resamples: int = 1_000_000) -> StreakReport:
+                             max_resamples: int = DEFAULT_MAX_RESAMPLES) -> StreakReport:
     """Run the engine repeatedly and histogram the E'-streak lengths."""
     if runs < 1:
         raise ValueError("need at least one run")

@@ -332,6 +332,62 @@ def app_interferes(bundle, a, b):
             and bool(bundle.support(a) & bundle.support(b)))
 
 
+# Brute-force solution checks of the three applications, read through the
+# colorings' public accessors.  Tree edges may come in either orientation;
+# a degenerate edge anywhere raises ValueError, as the package's does.
+
+
+def brute_rainbow_matching(coloring, partner):
+    n = coloring.n
+    if n % 2 or len(partner) != n:
+        return False
+    for v, w in enumerate(partner):
+        if not 0 <= w < n or w == v or partner[w] != v:
+            return False
+    colors = [coloring.color[(v, w)] for v, w in enumerate(partner) if v < w]
+    return len(set(colors)) == len(colors)
+
+
+def brute_rainbow_trees(coloring, trees):
+    n = coloring.n
+    trees = [[tuple(e) for e in tree] for tree in trees]
+    if any(u == v for tree in trees for u, v in tree):
+        raise ValueError("degenerate edge")
+    used = []
+    for tree in trees:
+        edges = [(min(e), max(e)) for e in tree]
+        if len(edges) != n - 1 or len(set(edges)) != len(edges):
+            return False
+        if any(not 0 <= u < v < n for u, v in edges):
+            return False
+        # n - 1 distinct edges that reach every vertex from 0 form a tree
+        reached, frontier = {0}, [0]
+        while frontier:
+            u = frontier.pop()
+            for a, b in edges:
+                w = b if a == u else a if b == u else None
+                if w is not None and w not in reached:
+                    reached.add(w)
+                    frontier.append(w)
+        colors = [coloring.color[e] for e in edges]
+        if len(reached) != n or len(set(colors)) != len(colors):
+            return False
+        used += edges
+    return len(set(used)) == len(used)
+
+
+def brute_disjoint_transversals(matrix, perms):
+    n = matrix.n
+    cells = []
+    for pi in perms:
+        if sorted(pi) != list(range(n)):
+            return False
+        if len({matrix.rows[u][v] for u, v in enumerate(pi)}) != n:
+            return False
+        cells += enumerate(pi)
+    return len(set(cells)) == len(cells)
+
+
 # Scalar and exact-rational kernels as the package computed them before
 # the table recurrence ran on arrays and the transport flow on integers.
 # Their outputs are the reference the fast kernels must equal exactly.
@@ -656,7 +712,7 @@ class TupleAppendixABundle(AppendixABundle):
             return state[self.y_offset + (i - self.k)] == 0
         return state[self.w_slot] == 1
 
-    def occurring(self, state):
+    def occurring(self, state, near=None):
         k, l = self.k, self.l
         out = [i for i in range(k) if state[i] == 0]
         yo = self.y_offset

@@ -178,12 +178,12 @@ def test_local_scan_is_the_full_scan_filtered_by_keys(instance, seed):
         state = bundle.sample(rng)
         occurring = set(bundle.occurring(state))
         near = sorted({key for idx in occurring for key in keys(idx)})
-        assert bundle.occurring_near(state, every_key) == occurring
+        assert bundle.occurring(state, every_key) == occurring
         for _ in range(4):
             blocked = set(rng.sample(near, rng.randint(0, len(near))))
             blocked.update(rng.sample(every_key, min(3, len(every_key))))
             expected = {idx for idx in occurring if not blocked.isdisjoint(keys(idx))}
-            assert bundle.occurring_near(state, blocked) == expected
+            assert bundle.occurring(state, blocked) == expected
 
 
 @pytest.mark.parametrize("bundle, events", cases())

@@ -7,6 +7,7 @@ import random
 from array import array
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +35,13 @@ from locallemma.apps import (
     validate_rainbow_matching,
     validate_rainbow_trees,
 )
+from helpers import (
+    brute_disjoint_transversals,
+    brute_rainbow_matching,
+    brute_rainbow_trees,
+)
 from locallemma import apps, oracles
+from locallemma.engine import maximal_set_resample
 from locallemma.oracles import (
     is_spanning_tree,
     matching_pairs,
@@ -699,6 +706,132 @@ def test_validate_disjoint_transversals():
     assert not validate_disjoint_transversals(m, [(0, 0, 2, 3)])
     constant = ColorMatrix([[0] * 4] * 4)
     assert not validate_disjoint_transversals(constant, [a])
+
+
+@pytest.mark.parametrize("make, seed", [
+    pytest.param(lambda: LatinBundle(random_color_matrix(5, 2, random.Random(1)), 2), 2,
+                 id="latin"),
+    pytest.param(lambda: RainbowTreeBundle(random_edge_coloring(6, 2, random.Random(3)), 2), 1,
+                 id="rainbow-tree"),
+    pytest.param(lambda: RainbowMatchingBundle(round_robin_coloring(8)), 5,
+                 id="rainbow-matching"),
+])
+def test_validate_solution_reads_no_event_model(make, seed, monkeypatch):
+    bundle = make()
+    state, log = maximal_set_resample(bundle, seed, 100_000)
+    assert log.terminated
+
+    def refuse(*args):
+        raise AssertionError("validation read the event model")
+
+    for name in ("_parts", "_pair_index", "occurring"):
+        monkeypatch.setattr(apps._AppBundle, name, refuse)
+    assert bundle.validate_solution(state)
+    # the first structure's items also in a second one, each structure
+    # still a solution on its own
+    shared = (*state, state[0])
+    assert all(bundle.validate_solution((structure,)) for structure in shared)
+    assert not bundle.validate_solution(shared)
+    # two items of one structure given one color
+    first, second = bundle.family.ranks(state[0])[:2]
+    ids = bundle.coloring.ids.copy()
+    ids[second] = ids[first]
+    monkeypatch.setattr(bundle, "coloring", SimpleNamespace(ids=ids))
+    assert not bundle.validate_solution(state)
+
+
+def _outcome(check, *args):
+    """check(*args), or ValueError when it raises one."""
+    try:
+        return check(*args)
+    except ValueError:
+        return ValueError
+
+
+def _shuffled(n, rng):
+    order = list(range(n))
+    rng.shuffle(order)
+    return order
+
+
+MUTATIONS = {
+    "latin": ["none", "length", "repeat", "shared", "color"],
+    "tree": ["none", "lists", "cycle", "shared", "color", "degenerate", "length"],
+    "matching": ["none", "length", "self", "swap", "color"],
+}
+
+
+@st.composite
+def validator_cases(draw):
+    """(validator, reference, coloring, structures, mutation): a small
+    random coloring and random structures of one application, spoilt by
+    one mutation or none.  Tree edges come in random orientation, and
+    matchings on an odd vertex count leave one vertex matched to itself."""
+    kind = draw(st.sampled_from(sorted(MUTATIONS)))
+    mutation = draw(st.sampled_from(MUTATIONS[kind]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "latin":
+        n = rng.randint(1, 4)
+        perms = [_shuffled(n, rng) for _ in range(rng.randint(1, 3))]
+        colors = [[rng.randrange(rng.randint(1, n * n)) for _ in range(n)] for _ in range(n)]
+        if mutation == "length":
+            perms[0] = perms[0][:-1] if rng.random() < 0.5 else perms[0] + [0]
+        elif mutation == "repeat" and n > 1:
+            perms[0][0] = perms[0][1]
+        elif mutation == "shared":
+            perms.append(list(perms[-1]))
+        elif mutation == "color" and n > 1:
+            pi = perms[0]
+            colors[1][pi[1]] = colors[0][pi[0]]
+        return (validate_disjoint_transversals, brute_disjoint_transversals,
+                ColorMatrix(colors), [tuple(pi) for pi in perms], mutation)
+    n = rng.randint(0, 7) if kind == "matching" else rng.randint(1, 6)
+    if kind == "tree":
+        structures = []
+        for _ in range(rng.randint(1, 3)):
+            order = _shuffled(n, rng)
+            structures.append([(order[k], order[rng.randrange(k)]) for k in range(1, n)])
+        edges = [tuple(sorted(e)) for e in structures[0]]
+    else:
+        order, partner = _shuffled(n, rng), list(range(n))
+        for u, v in zip(order[::2], order[1::2]):
+            partner[u], partner[v] = v, u
+        structures = partner
+        edges = matching_pairs(partner)
+    k = rng.randint(1, max(n * (n - 1) // 2, 1))
+    color = {(u, v): rng.randrange(k) for u in range(n) for v in range(u + 1, n)}
+    if mutation == "color" and len(edges) > 1:
+        color[edges[1]] = color[edges[0]]
+    elif kind == "matching":
+        if mutation == "length":
+            structures = partner[:-1]
+        elif mutation == "self" and n:
+            partner[0] = 0
+        elif mutation == "swap" and n > 3:
+            partner[partner[0]] = partner[1]
+    elif mutation == "lists":
+        structures = [[list(e) for e in tree] for tree in structures]
+    elif mutation == "cycle" and n > 2:
+        structures[0][0] = tuple(rng.sample(range(n), 2))
+    elif mutation == "shared":
+        structures.append(list(structures[0]))
+    elif mutation == "degenerate":
+        v = rng.randrange(n)
+        structures[-1][:1] = [(v, v)]
+    elif mutation == "length":
+        structures[0] = structures[0][:-1] if structures[0] else [(0, 1)]
+    validators = {"tree": (validate_rainbow_trees, brute_rainbow_trees),
+                  "matching": (validate_rainbow_matching, brute_rainbow_matching)}
+    return (*validators[kind], ColoredCompleteGraph(n, color), structures, mutation)
+
+
+@settings(max_examples=300, deadline=None)
+@given(validator_cases())
+def test_validators_agree_with_brute_force(case):
+    validator, reference, coloring, structures, mutation = case
+    expected = _outcome(reference, coloring, structures)
+    assert _outcome(validator, coloring, structures) == expected
+    assert (expected is ValueError) == (mutation == "degenerate")
 
 
 # ---------------------------------------------------------------------------

@@ -453,6 +453,18 @@ def test_degenerate_sizes_exit_with_input_error(argv, capsys):
         assert "--jobs" in err
 
 
+@pytest.mark.parametrize("flag", ["--samples", "--trials"])
+def test_verify_oracle_refuses_a_count_before_either_test_runs(flag, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle test ran")
+
+    monkeypatch.setattr(cli, "test_r1", refuse)
+    monkeypatch.setattr(cli, "test_r2", refuse)
+    code, out, err = run_cli(["verify-oracle", "permutation", flag, "0"], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: {flag} must be at least 1, got 0\n"
+
+
 @pytest.mark.parametrize("argv, cap", [
     pytest.param(["latin", "--n", "4", "--multiplicity", "1", "--t", "100000"],
                  "MAX_COPY_PAIRS", id="latin-copies"),

@@ -140,6 +140,33 @@ def test_engine_matches_the_rescanning_loop(make, interferes):
             assert state == ref_state
 
 
+class NearIgnored:
+    """An app bundle whose occurrence scan ignores ``near``: a full scan
+    at every iteration."""
+
+    def __init__(self, bundle):
+        self._bundle = bundle
+
+    def __getattr__(self, name):
+        return getattr(self._bundle, name)
+
+    def occurring(self, state, near=None):
+        return self._bundle.occurring(state)
+
+
+@pytest.mark.parametrize("make", [pytest.param(p.values[0], id=p.id) for p in FIXTURES[-3:]])
+def test_near_is_only_a_hint(make):
+    longest = 0
+    for trial in range(3):
+        bundle = make(random.Random(trial))
+        for seed in range(8):
+            state, log = maximal_set_resample(bundle, seed, max_resamples=200)
+            assert (state, log) == maximal_set_resample(NearIgnored(bundle), seed,
+                                                         max_resamples=200)
+            longest = max(longest, len(log.iterations))
+    assert longest > 2  # some runs scanned near the picks more than once
+
+
 def test_matching_bundle_at_three_thousand_events():
     rng = random.Random(7)
     events = []

@@ -460,6 +460,13 @@ def test_family_draws_and_redraws_valid_states(family, contains, items):
             assert family.valid(state) and family.state_key(state) in law
 
 
+def test_tree_with_an_edge_given_high_end_first_is_not_valid():
+    # ranks() reads each edge (u, v) as u < v, so solution checks need it
+    star = frozenset((0, v) for v in range(1, 5))
+    assert SpanningTrees(5).valid(star)
+    assert not SpanningTrees(5).valid(star - {(0, 4)} | {(4, 0)})
+
+
 def test_edge_family_rank_inverts_at_scale():
     for n in (2, 3, 1024, 1449):
         family = SpanningTrees(n)
