@@ -21,6 +21,9 @@ of color ids in item-rank order, which the bundles take as is; one sorted
 table of the same-colored item pairs, shared by all copies, decodes every
 event by arithmetic (see ``_AppBundle``); the structures, their items and
 the vertices those touch come from the structure families of ``oracles``.
+``solve`` runs, validates and reports any bundle with ``kind``,
+``validate_solution`` and ``solution_json``: these three and the
+explicit spaces of ``synth``.
 """
 
 from __future__ import annotations
@@ -657,33 +660,28 @@ class SolutionReport:
     terminated: bool
     validated: bool
     total_resamples: int
-    predicted_bounds: dict[str, float]
+    predicted_bounds: dict[str, float] | None
     solution: dict
     log: RunLog
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "budget": self.budget,
-            "terminated": self.terminated,
-            "validated": self.validated,
-            "total_resamples": self.total_resamples,
-            "predicted_bounds": self.predicted_bounds,
-            "solution": self.solution,
-            "log": self.log.to_json(),
-        }
+        out = {**vars(self), "log": self.log.to_json()}
+        if self.predicted_bounds is None:
+            del out["predicted_bounds"]
+        return out
 
 
-def solve(bundle, params: CriterionParams, seed: int = 0,
+def solve(bundle, params: CriterionParams | None, seed: int = 0,
           budget: int = DEFAULT_MAX_RESAMPLES) -> SolutionReport:
     """Run the engine on a built instance and validate its output.
 
-    Validation (``validate_solution``) reads the structures, their family
-    and the coloring, independent of the event model.
+    Serves any bundle with ``kind``, ``validate_solution`` and
+    ``solution_json``: the app bundles, whose check reads the structures,
+    their family and the coloring, and ``ExplicitBundle``, whose check
+    reads the event sets; neither goes through the event model.
     The report carries tail bounds at t = 1 and t = ln 10^4 next to the
-    observed resample count; the observed count is the ground truth,
-    the bounds are the theory's prediction.
+    observed resample count, or none when params is None; the observed
+    count is the ground truth, the bounds are the theory's prediction.
     """
     state, log = maximal_set_resample(bundle, seed, budget)
     validated = bool(log.terminated and bundle.validate_solution(state))
@@ -694,7 +692,7 @@ def solve(bundle, params: CriterionParams, seed: int = 0,
         terminated=log.terminated,
         validated=validated,
         total_resamples=log.total_resamples,
-        predicted_bounds=tail_bounds(params),
+        predicted_bounds=None if params is None else tail_bounds(params),
         solution=bundle.solution_json(state),
         log=log,
     )

@@ -35,7 +35,7 @@ from .apps import (
     random_edge_coloring,
     solve,
 )
-from .engine import DEFAULT_MAX_RESAMPLES, maximal_set_resample
+from .engine import DEFAULT_MAX_RESAMPLES
 from .graphs import DependencyGraph, ENUMERATION_CAP
 from .oracles import (
     MatchingBundle,
@@ -366,42 +366,17 @@ def _exit_code(terminated: bool, validated: bool) -> int:
     return EXIT_OK if validated else EXIT_INVALID
 
 
-def _run_explicit(obj: dict, seed: int, budget: int) -> tuple[dict, int]:
-    bundle = ExplicitBundle(_space_from_json(obj.get("space")))
-    state, log = maximal_set_resample(bundle, seed=seed, max_resamples=budget)
-    validated = log.terminated and not any(
-        bundle.holds(i, state) for i in range(bundle.n)
-    )
-    report = {
-        "kind": "explicit-space",
-        "seed": seed,
-        "budget": budget,
-        "terminated": log.terminated,
-        "validated": validated,
-        "total_resamples": log.total_resamples,
-        "solution": {"state": state},
-        "log": log.to_json(),
-    }
-    if "params" in obj:
-        params = _parse_params(obj["params"], bundle.n)
-        if params.kind != "shearer":
-            report["predicted_bounds"] = tail_bounds(params)
-    return report, _exit_code(log.terminated, validated)
-
-
-def _run_app(obj: dict, seed: int, budget: int, jobs: int) -> tuple[dict, int]:
-    if jobs < 1:
-        raise InputError(f"--jobs must be at least 1, got {jobs}")
-    bundle, params = _build_app_instance(obj)
-    if jobs == 1:
-        report = solve(bundle, params, seed=seed, budget=budget)
-        return report.to_json(), _exit_code(report.terminated, report.validated)
+def _run(bundle, params, seed: int, budget: int, jobs: int) -> tuple[dict, int]:
+    """One solve report, or for jobs > 1 a summary of runs at derived seeds."""
+    seeds = [seed] if jobs == 1 else [derive_seed(seed, r) for r in range(jobs)]
     runs = []
-    worst = EXIT_OK
-    for r in range(jobs):
-        rep = solve(bundle, params, seed=derive_seed(seed, r), budget=budget)
+    code = EXIT_OK
+    for s in seeds:
+        rep = solve(bundle, params, seed=s, budget=budget)
         runs.append(rep.to_json())
-        worst = max(worst, _exit_code(rep.terminated, rep.validated))
+        code = max(code, _exit_code(rep.terminated, rep.validated))
+    if jobs == 1:
+        return runs[0], code
     summary = {
         "kind": bundle.kind,
         "jobs": jobs,
@@ -410,18 +385,27 @@ def _run_app(obj: dict, seed: int, budget: int, jobs: int) -> tuple[dict, int]:
         "max_resamples": max(r["total_resamples"] for r in runs),
         "runs": runs,
     }
-    return summary, worst
+    return summary, code
 
 
-def cmd_run(args, out) -> int:
-    obj = _load_json(args.instance)
+def cmd_run(args, out, obj: dict | None = None) -> int:
+    """Run an instance file, or the instance object an app subcommand built."""
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    if obj is None:
+        obj = _load_json(args.instance)
     kind = obj.get("kind")
     if kind == "explicit-space":
-        report, code = _run_explicit(obj, args.seed, args.budget)
+        space = _space_from_json(obj.get("space"))
+        params = _parse_params(obj["params"], space.n_events) if "params" in obj else None
+        if params is not None and params.kind == "shearer":
+            params = None  # shearer bounds need the polynomial table
+        bundle = ExplicitBundle(space)
     elif kind in APP_KINDS:
-        report, code = _run_app(obj, args.seed, args.budget, args.jobs)
+        bundle, params = _build_app_instance(obj)
     else:
         raise InputError(f"instance kind {kind!r} cannot be executed")
+    report, code = _run(bundle, params, args.seed, args.budget, args.jobs)
     _emit(report, args.format, out)
     return code
 
@@ -532,9 +516,7 @@ def cmd_app(kind: str, args, out) -> int:
             "multiplicity": args.multiplicity,
             "seed": args.instance_seed,
         }
-    report, code = _run_app(obj, args.seed, args.budget, args.jobs)
-    _emit(report, args.format, out)
-    return code
+    return cmd_run(args, out, obj)
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,11 @@ app bundles do; every event then needs at least one key), or ignore it
 and list them all: the candidate lists, picks and run log are those of
 full scans either way.  No final full scan is made: by the same
 argument, the last, empty iteration shows that no event occurs.
-Checks that do not rely on it stay outside the engine: the app
-solvers' ``validate_solution`` and the final ``holds`` pass over an
-explicit space in the CLI.
+Checks that do not rely on it stay outside the engine: ``apps.solve``
+serves any bundle with ``kind``, ``validate_solution`` and
+``solution_json``, and checks the final state with ``validate_solution``,
+which the app bundles and ``ExplicitBundle`` answer without the event
+model.
 """
 
 from __future__ import annotations

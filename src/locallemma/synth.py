@@ -24,6 +24,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .graphs import DependencyGraph, non_neighbors
@@ -316,6 +317,8 @@ class ExplicitBundle:
     exist.
     """
 
+    kind = "explicit-space"
+
     def __init__(self, space: ExplicitSpace) -> None:
         self.space = space
         self.graph = space.graph
@@ -328,21 +331,12 @@ class ExplicitBundle:
                     f"carry mass {result.source_mass} but reach only {result.reachable_mass}"
                 )
             self.kernels.append(result)
-        self._cum = []
-        acc = 0.0
-        for p in space.probs:
-            acc += float(p)
-            self._cum.append(acc)
-        self._row_cum: dict[tuple[int, int], tuple[list[float], list[int]]] = {}
-        for i, kernel in enumerate(self.kernels):
-            for u, row in kernel.rows.items():
-                cum, states = [], []
-                acc = 0.0
-                for w, f in row:
-                    acc += float(f)
-                    cum.append(acc)
-                    states.append(w)
-                self._row_cum[(i, u)] = (cum, states)
+        self._cum = list(accumulate(map(float, space.probs)))
+        self._row_cum: dict[tuple[int, int], tuple[list[float], list[int]]] = {
+            (i, u): (list(accumulate(float(f) for _, f in row)), [w for w, _ in row])
+            for i, kernel in enumerate(self.kernels)
+            for u, row in kernel.rows.items()
+        }
 
     @property
     def n(self) -> int:
@@ -363,6 +357,14 @@ class ExplicitBundle:
 
     def state_key(self, state: int) -> int:
         return state
+
+    def validate_solution(self, state: int) -> bool:
+        """Does no event hold in state?  Reads the event sets of the space,
+        never ``holds`` or the kernels."""
+        return not any(state in event for event in self.space.events)
+
+    def solution_json(self, state: int) -> dict:
+        return {"state": state}
 
     def exact_distribution(self) -> dict[int, float]:
         return {s: float(p) for s, p in enumerate(self.space.probs) if p > 0}

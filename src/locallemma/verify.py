@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice, repeat
 
 from scipy.special import chdtri
@@ -58,17 +58,7 @@ class DistributionTestReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "event": self.event,
-            "samples": self.samples,
-            "support_size": self.support_size,
-            "chi_square": self.chi_square,
-            "threshold": self.threshold,
-            "significance": self.significance,
-            "max_abs_deviation": self.max_abs_deviation,
-            "unexpected_states": self.unexpected_states,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _conditioned_states(bundle, event: int, rng, budget: int):

@@ -23,6 +23,7 @@ from referencing.jsonschema import DRAFT7
 from locallemma import cli
 from locallemma.apps import distinct_color_matrix, rainbow_edge_coloring
 from locallemma.cli import _parse_params, main
+from locallemma.synth import ExplicitBundle
 from locallemma.verify import derive_seed
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -228,6 +229,59 @@ def test_run_explicit_space_budget_exhaustion(tmp_path, capsys):
     report = json.loads(out)
     assert report["terminated"] is False
     assert report["total_resamples"] == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_run_explicit_space_refuses_jobs_before_synthesis(jobs, tmp_path, capsys, monkeypatch):
+    def refuse(space):
+        raise AssertionError("a kernel was synthesized")
+
+    monkeypatch.setattr(cli, "ExplicitBundle", refuse)
+    path = write_instance(tmp_path, three_bit_instance())
+    code, out, err = run_cli(["run", path, "--jobs", jobs], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
+def test_run_explicit_space_with_jobs_repeats_at_derived_seeds(tmp_path, capsys):
+    path = write_instance(tmp_path, three_bit_instance())
+    code, out, _ = run_cli(["run", path, "--seed", "5", "--jobs", "2"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    schema_check(report, "solution-report.schema.json")
+    assert (report["kind"], report["jobs"], report["seed"]) == ("explicit-space", 2, 5)
+    assert report["validated_runs"] == 2
+    assert report["max_resamples"] == max(r["total_resamples"] for r in report["runs"])
+    assert len(report["runs"]) == 2
+    for r, run in enumerate(report["runs"]):
+        code, single, _ = run_cli(["run", path, "--seed", str(derive_seed(5, r))], capsys)
+        assert code == 0 and run == json.loads(single)
+
+
+def test_run_explicit_space_checks_params_before_the_run(tmp_path, capsys, monkeypatch):
+    def refuse(self, rng):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(ExplicitBundle, "sample", refuse)
+    instance = dict(three_bit_instance(), params={"kind": "cll", "y": [0.1, 0.1]})
+    path = write_instance(tmp_path, instance)
+    code, out, err = run_cli(["run", path], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: params.y has length 2, expected 3\n"
+
+
+def test_run_explicit_space_validates_through_the_event_sets(tmp_path, capsys, monkeypatch):
+    # one event on both states, so every state violates it; a holds that
+    # answers False lets the engine stop at once, and the check must see it
+    monkeypatch.setattr(ExplicitBundle, "holds", lambda self, i, state: False)
+    path = write_instance(tmp_path, {"kind": "explicit-space", "space": {
+        "states": 2, "prob": ["1/2", "1/2"], "events": [[0, 1]],
+        "graph": {"n": 1, "edges": []}}})
+    code, out, _ = run_cli(["run", path, "--budget", "10"], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["terminated"] and not report["validated"]
+    assert "predicted_bounds" not in report
 
 
 @pytest.mark.parametrize("argv", [["run"], ["verify-oracle", "synthesized", "--instance"]],

@@ -73,6 +73,24 @@ def test_r1_report_on_sound_oracle():
     assert obj["support_size"] == 4
 
 
+@pytest.mark.parametrize("family", ["variable", "permutation", "matching", "tree"])
+def test_r1_report_json_lists_every_field_in_order(family):
+    from locallemma.cli import _default_bundle
+
+    report = run_r1(_default_bundle(family, 0), 0, samples=500, seed=3)
+    assert list(report.to_json().items()) == [
+        ("event", report.event),
+        ("samples", report.samples),
+        ("support_size", report.support_size),
+        ("chi_square", report.chi_square),
+        ("threshold", report.threshold),
+        ("significance", report.significance),
+        ("max_abs_deviation", report.max_abs_deviation),
+        ("unexpected_states", report.unexpected_states),
+        ("passed", report.passed),
+    ]
+
+
 # sha256 over [R1 report JSON, R2 count] for every event of each
 # acceptance fixture, captured before the R1/R2 loops and the oracle hot
 # paths were rewritten: the checks must take the same draws and give the
