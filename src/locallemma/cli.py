@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 validation failure, 2 budget exhausted,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -185,13 +186,8 @@ def _parse_number(value) -> Fraction:
     # accepts JSON numbers, decimal strings, and "a/b" rationals
     if isinstance(value, bool):
         raise InputError(f"expected a probability, got {value!r}")
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float, str)):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad numeric literal {value!r}") from exc
     raise InputError(f"expected a number, got {type(value).__name__}")
 
 
@@ -199,16 +195,27 @@ def _parse_number(value) -> Fraction:
 # instance loading
 
 
+@contextlib.contextmanager
+def _reading(what: str):
+    """The one place where failing to read a file value is an input error."""
+    try:
+        yield
+    except KeyError as exc:
+        raise InputError(f"bad {what}: missing field {exc}") from exc
+    except (TypeError, ValueError, AttributeError, ArithmeticError, RecursionError) as exc:
+        raise InputError(f"bad {what}: {exc}") from exc
+
+
 def _load_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh, _reading(f"JSON file {path}"):
             obj = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError(f"{path}: top-level value must be an object")
+    if not isinstance(obj.get("kind", ""), str):
+        raise InputError(f"{path}: kind must be a string")
     return obj
 
 
@@ -216,32 +223,20 @@ def _parse_params(obj, n: int) -> CriterionParams:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("params must be an object with a 'kind' field")
     kind = obj["kind"]
-    try:
+    with _reading("params"):
         eps = float(obj.get("epsilon", 0.0))
-        if kind == "gll":
-            x = tuple(float(_parse_number(v)) for v in obj["x"])
-            if len(x) != n:
-                raise InputError(f"params.x has length {len(x)}, expected {n}")
-            return CriterionParams(kind="gll", x=x, epsilon=eps)
-        if kind == "cll":
-            y = tuple(float(_parse_number(v)) for v in obj["y"])
-            if len(y) != n:
-                raise InputError(f"params.y has length {len(y)}, expected {n}")
-            return CriterionParams(kind="cll", y=y, epsilon=eps)
         if kind == "shearer":
             return CriterionParams(kind="shearer", epsilon=eps)
-    except KeyError as exc:
-        raise InputError(f"params missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad params: {exc}") from exc
-    raise InputError(f"unknown params kind {kind!r}")
-
-
-def _graph_from_json(obj) -> DependencyGraph:
-    try:
-        return DependencyGraph.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad graph object: {exc}") from exc
+        if kind not in ("gll", "cll"):
+            raise InputError(f"unknown params kind {kind!r}")
+        # the ranges check_gll and check_cll require, which tail_bounds assumes
+        field, high = ("x", 1) if kind == "gll" else ("y", math.inf)
+        vector = tuple(float(_parse_number(v)) for v in obj[field])
+        if len(vector) != n:
+            raise InputError(f"params.{field} has length {len(vector)}, expected {n}")
+        if not all(0 < v < high for v in vector):
+            raise InputError(f"params.{field} has an entry outside (0, {high})")
+        return CriterionParams(kind=kind, epsilon=eps, **{field: vector})
 
 
 def _build_app_instance(obj: dict):
@@ -254,7 +249,7 @@ def _build_app_instance(obj: dict):
                       else (ColoredCompleteGraph.from_json, random_edge_coloring))
     build = {"latin": build_latin_instance, "rainbow-tree": build_rainbow_tree_instance,
              "rainbow-matching": build_rainbow_matching_instance}[kind]
-    try:
+    with _reading(f"{kind} instance"):
         rng = random.Random(int(obj.get("generator", {}).get("seed", 0)))
         t = (int(obj["t"]),) if takes_t else ()
         if field in obj:
@@ -263,10 +258,6 @@ def _build_app_instance(obj: dict):
             gen = obj["generator"]
             colours = generate(int(gen["n"]), int(gen["multiplicity"]), rng)
         return build(colours, *t)
-    except KeyError as exc:
-        raise InputError(f"bad {kind} instance: missing field {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise InputError(f"bad {kind} instance: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +303,22 @@ def cmd_criteria(args, out) -> int:
     obj = _load_json(args.instance)
     kind = obj.get("kind")
     if kind == "custom-graph":
-        graph = _graph_from_json(obj.get("graph"))
+        with _reading("graph object"):
+            graph = DependencyGraph.from_json(obj.get("graph"))
         probs = obj.get("p", [])
         if not isinstance(probs, list):
             raise InputError("p must be a list of probabilities")
-        probs = [_parse_number(v) for v in probs]
+        with _reading("p"):
+            probs = [_parse_number(v) for v in probs]
         if len(probs) != graph.n:
             raise InputError(f"p has length {len(probs)}, expected {graph.n}")
+        if not all(0 <= v < 1 for v in probs):
+            raise InputError("event probabilities must lie in [0,1)")
         params = _parse_params(obj["params"], graph.n) if "params" in obj else None
         report = _criteria_report(graph, probs, params, args.exact)
     elif kind == "explicit-space":
-        space = _space_from_json(obj.get("space"))
+        space, params = _space_from_json(obj)
         probs = [space.event_prob(i) for i in range(space.n_events)]
-        params = _parse_params(obj["params"], space.n_events) if "params" in obj else None
         report = _criteria_report(space.graph, probs, params, args.exact)
     elif kind in APP_KINDS:
         bundle, params = _build_app_instance(obj)
@@ -347,13 +341,14 @@ def cmd_criteria(args, out) -> int:
     return EXIT_OK
 
 
-def _space_from_json(obj) -> ExplicitSpace:
-    if not isinstance(obj, dict):
+def _space_from_json(obj: dict) -> tuple[ExplicitSpace, CriterionParams | None]:
+    """The space of an explicit-space instance, and its params if it has any."""
+    if not isinstance(obj.get("space"), dict):
         raise InputError("explicit-space instance needs a 'space' object")
-    try:
-        return ExplicitSpace.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad space object: {exc}") from exc
+    with _reading("space object"):
+        space = ExplicitSpace.from_json(obj["space"])
+    params = _parse_params(obj["params"], space.n_events) if "params" in obj else None
+    return space, params
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +391,7 @@ def cmd_run(args, out, obj: dict | None = None) -> int:
         obj = _load_json(args.instance)
     kind = obj.get("kind")
     if kind == "explicit-space":
-        space = _space_from_json(obj.get("space"))
-        params = _parse_params(obj["params"], space.n_events) if "params" in obj else None
+        space, params = _space_from_json(obj)
         if params is not None and params.kind == "shearer":
             params = None  # shearer bounds need the polynomial table
         bundle = ExplicitBundle(space)
@@ -453,8 +447,7 @@ def cmd_verify_oracle(args, out) -> int:
             raise InputError(f"{flag} must be at least 1, got {count}")
     if args.family == "synthesized":
         if args.instance:
-            obj = _load_json(args.instance)
-            space = _space_from_json(obj.get("space"))
+            space, _ = _space_from_json(_load_json(args.instance))
         else:
             space = _default_space()
         bundle = ExplicitBundle(space)
@@ -504,9 +497,8 @@ def cmd_app(kind: str, args, out) -> int:
         colours = _load_json(path)
         # A matrix file holds {"matrix": rows}, a coloring file the coloring.
         if field == "matrix":
-            if "matrix" not in colours:
-                raise InputError(f"bad {kind} instance: missing field 'matrix'")
-            colours = colours["matrix"]
+            with _reading(f"{kind} instance"):
+                colours = colours["matrix"]
         obj[field] = colours
     elif args.n is None or args.multiplicity is None:
         raise InputError("need --n and --multiplicity when no input file is given")

@@ -94,8 +94,8 @@ class CriterionParams:
     def __post_init__(self) -> None:
         if self.kind not in ("gll", "cll", "shearer"):
             raise ValueError(f"unknown criterion kind {self.kind!r}")
-        if self.epsilon < 0:
-            raise ValueError("slack must be nonnegative")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("slack must be nonnegative and finite")
 
     @cached_property
     def bound_sums(self) -> tuple[float, float]:

@@ -33,6 +33,8 @@ from .oracles import OracleEventError
 
 DEFAULT_SIGNIFICANCE = 1e-6
 DEFAULT_REJECTION_BUDGET = 10**8
+#: Cap on the k + k*l + 1 events of an AppendixABundle, about 63 bytes each.
+MAX_STREAK_EVENTS = 1 << 20
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -217,6 +219,9 @@ class AppendixABundle:
         self.w_slot = k + k * l + k
         self.n_vars = self.w_slot + 1
         self.eprime = k + k * l    # event index of E'
+        if self.n > MAX_STREAK_EVENTS:
+            raise ValueError(f"{self.n} events exceed the cap MAX_STREAK_EVENTS = "
+                             f"{MAX_STREAK_EVENTS}")
         # Conflict keys: the cluster id, and a cluster of its own for E'.
         clusters = [*range(k), *(c for c in range(k) for _ in range(l)), k]
         self.graph = KeyGraph(self.eprime + 1, [(c,) for c in clusters].__getitem__)

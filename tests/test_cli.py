@@ -1,5 +1,6 @@
 """End-to-end command-line checks: exit codes, output shapes, determinism."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -532,6 +533,8 @@ def test_verify_oracle_refuses_a_count_before_either_test_runs(flag, capsys, mon
                   "--budget", "10"], "MAX_PAIRS", id="tree-one-colour"),
     pytest.param(["rainbow-matching", "--n", "300", "--multiplicity", "1000000",
                   "--budget", "10"], "MAX_PAIRS", id="matching-one-colour"),
+    pytest.param(["verify-oracle", "appendix-a", "--k", "1048576", "--l", "1", "--runs", "1",
+                  "--budget", "10"], "MAX_STREAK_EVENTS", id="streak-events"),
 ])
 def test_oversized_instances_are_refused_before_allocation(argv, cap, capsys):
     start = time.perf_counter()
@@ -908,8 +911,8 @@ def test_streak_output_is_pinned(argv, exit_code, digest, capsys):
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.floats(-1, 2),
                  st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=3),
                  st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2))
-NUMBER = st.one_of(st.floats(-0.5, 1.5), st.sampled_from(["1/2", "1/3", "0.2", "2/0", "x"]),
-                   JUNK)
+NUMBER = st.one_of(st.floats(-0.5, 1.5),
+                   st.sampled_from(["1/2", "1/3", "0.2", "2/0", "x", math.inf, -math.inf]), JUNK)
 COLOR = st.one_of(st.integers(-3, 3), st.sampled_from([2**63, -(2**64), 2**70]))
 
 
@@ -950,7 +953,7 @@ PARAMS = maybe(st.fixed_dictionaries({
 def instances(draw):
     """Instance objects of every kind, each field valid or junk."""
     kind = draw(st.sampled_from(["custom-graph", "explicit-space", "latin",
-                                 "rainbow-matching", "rainbow-tree", "other"]))
+                                 "rainbow-matching", "rainbow-tree", "other", [], {}, 1]))
     obj = {"kind": kind}
     if kind == "custom-graph":
         obj["graph"] = draw(maybe(GRAPHS))
@@ -970,7 +973,7 @@ def instances(draw):
                                                 max_size=4)))
         else:
             obj["generator"] = draw(GENERATORS)
-    elif kind.startswith("rainbow"):
+    elif kind in ("rainbow-matching", "rainbow-tree"):
         if kind == "rainbow-tree":
             obj["t"] = draw(maybe(st.integers(-1, 3)))
         if draw(st.booleans()):
@@ -1044,3 +1047,89 @@ def test_fuzzed_instances_end_in_an_exit_code(obj, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_instance(Path(tmp), obj)
         assert exit_code([command[0], path, *command[1:]]) in (0, 1, 2, 3)
+
+
+def _space_file(**fields):
+    space = {"states": 2, "prob": ["1/2", "1/2"], "events": [[0]], "graph": {"n": 1, "edges": []}}
+    return {"kind": "explicit-space", "space": {**space, **fields}}
+
+
+def _graph_file(**fields):
+    return {"kind": "custom-graph", "graph": {"n": 1, "edges": []}, "p": ["1/2"], **fields}
+
+
+#: Instance files whose reading once ended in a traceback (or, for the
+#: last two, in a run that exited 0), as (id, JSON text). Infinity and
+#: 1e400 both read as math.inf; 10**400 is an int that no float holds.
+BAD_FILES = [
+    ("prob-zero-denominator", json.dumps(_space_file(prob=["1/0", "1/2"]))),
+    ("p-infinite", json.dumps(_graph_file(p=[math.inf]))),
+    ("p-past-float", json.dumps(_graph_file(p=[10**400]))),
+    ("params-y-infinite", json.dumps({**_space_file(), "params": {"kind": "cll", "y": [math.inf]}})),
+    ("prob-infinite", json.dumps(_space_file(prob=[math.inf, "1/2"])).replace("Infinity", "1e400")),
+    ("generator-n-infinite", json.dumps(
+        {"kind": "rainbow-matching", "generator": {"n": math.inf, "multiplicity": 1}})),
+    ("t-infinite", json.dumps(
+        {"kind": "latin", "t": math.inf, "generator": {"n": 4, "multiplicity": 1}})),
+    ("states-infinite", json.dumps(_space_file(states=math.inf)).replace("Infinity", "1e400")),
+    ("graph-n-infinite", json.dumps(_graph_file(graph={"n": math.inf, "edges": []}))),
+    ("colour-infinite", json.dumps({"kind": "latin", "t": 1, "matrix": [[0, 1], [2, 1e400]]})),
+    ("kind-list", json.dumps({"kind": []})),
+    ("kind-object", json.dumps({"kind": {}})),
+    ("nested-100000-deep", "[" * 100_000 + "]" * 100_000),
+    ("params-x-one", json.dumps({**_space_file(), "params": {"kind": "gll", "x": [1]}})),
+    ("params-epsilon-nan", json.dumps(
+        {**_space_file(), "params": {"kind": "cll", "y": [1], "epsilon": "nan"}})),
+    ("params-y-zero", json.dumps({**_space_file(), "params": {"kind": "cll", "y": [0]}})),
+]
+
+
+def _bad_file_runs():
+    """Each bad file under every command its kind allows; FILE is its path."""
+    for name, text in BAD_FILES:
+        commands = [["criteria", "FILE"]]
+        if '"custom-graph"' not in text:
+            commands.append(["run", "FILE", "--budget", "10"])
+        if '"explicit-space"' in text:
+            commands.append(["verify-oracle", "synthesized", "--samples", "10",
+                             "--trials", "10", "--instance", "FILE"])
+        for command in commands:
+            yield pytest.param(text, command, id=f"{name}-{command[0]}")
+
+
+@pytest.mark.parametrize("text, command", _bad_file_runs())
+def test_bad_file_values_exit_with_one_input_error_line(text, command, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    code, out, err = run_cli([str(path) if a == "FILE" else a for a in command], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+#: (function, exception) of every except clause in cli.py: the reading
+#: boundary, the open of a file, and main's report of an input error.
+CLI_EXCEPTS = {
+    *(("_reading", name) for name in ("KeyError", "TypeError", "ValueError",
+                                      "AttributeError", "ArithmeticError", "RecursionError")),
+    ("_load_json", "OSError"),
+    ("main", "InputError"), ("main", "ValueError"), ("main", "MemoryError"),
+}
+
+
+def except_clauses(node, function=None):
+    """(enclosing function, exception name) of each except clause under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ExceptHandler):
+            types = (child.type.elts if isinstance(child.type, ast.Tuple)
+                     else [child.type])
+            for t in types:
+                yield function, "bare" if t is None else ast.unparse(t)
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from except_clauses(child, inner)
+
+
+def test_input_errors_are_decided_at_one_boundary():
+    clauses = set(except_clauses(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))))
+    assert clauses - CLI_EXCEPTS == set()
+    # and the allowlist names no clause the CLI no longer has
+    assert CLI_EXCEPTS - clauses == set()

@@ -542,6 +542,9 @@ def test_params_validation():
         CriterionParams(kind="nope")
     with pytest.raises(ValueError):
         CriterionParams(kind="gll", x=(0.5,), epsilon=-1.0)
+    for epsilon in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            CriterionParams(kind="gll", x=(0.5,), epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
