@@ -43,6 +43,7 @@ from .engine import DEFAULT_MAX_RESAMPLES, RunLog, maximal_set_resample
 from .graphs import KeyGraph
 from .oracles import (
     _EdgeItems,
+    _int32_array,
     PerfectMatchings,
     Permutations,
     SpanningTrees,
@@ -136,7 +137,7 @@ class _EdgeColors(Mapping):
         raise KeyError(edge)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return zip(*(side.tolist() for side in self._coloring._edges.vertex_arrays()))
+        return zip(*(side.tolist() for side in np.triu_indices(self._coloring.n, 1)))
 
     def __len__(self) -> int:
         return len(self._coloring.ids)
@@ -276,14 +277,6 @@ def validate_disjoint_transversals(matrix: ColorMatrix, perms: Sequence) -> bool
 # application bundles
 
 
-def _int32_array(values: np.ndarray) -> array:
-    """values as an array('i'), whose elements read back as Python ints,
-    filled in place, so no second copy is made."""
-    out = array("i", [0]) * len(values)
-    np.frombuffer(out, dtype=np.int32)[:] = values
-    return out
-
-
 def _pair_keys(family, color: np.ndarray) -> tuple[array, array, array]:
     """Sorted keys e*N + f of the same-colored rank pairs e < f that fit in
     one structure of ``family``, refused past MAX_PAIRS candidates, and the
@@ -303,7 +296,7 @@ def _pair_keys(family, color: np.ndarray) -> tuple[array, array, array]:
     e = np.repeat(order, later)
     f = order[np.arange(candidates, dtype=np.int32) - np.repeat(shift, later)]
     if family.exclusive:
-        x, y = (v.astype(np.int32) for v in family.vertex_arrays())
+        x, y = (v.astype(np.int32, copy=False) for v in family.vertex_arrays())
         fits = np.ones(candidates, dtype=bool)
         for side in (x, y):
             fits &= side[e] != x[f]
@@ -683,6 +676,8 @@ def solve(bundle, params: CriterionParams | None, seed: int = 0,
     observed resample count, or none when params is None; the observed
     count is the ground truth, the bounds are the theory's prediction.
     """
+    # bounds first: params whose bounds no report can carry refuse the run
+    bounds = None if params is None else tail_bounds(params)
     state, log = maximal_set_resample(bundle, seed, budget)
     validated = bool(log.terminated and bundle.validate_solution(state))
     return SolutionReport(
@@ -692,7 +687,7 @@ def solve(bundle, params: CriterionParams | None, seed: int = 0,
         terminated=log.terminated,
         validated=validated,
         total_resamples=log.total_resamples,
-        predicted_bounds=None if params is None else tail_bounds(params),
+        predicted_bounds=bounds,
         solution=bundle.solution_json(state),
         log=log,
     )

@@ -303,17 +303,20 @@ def cmd_criteria(args, out) -> int:
     obj = _load_json(args.instance)
     kind = obj.get("kind")
     if kind == "custom-graph":
+        # the event count is checked before the graph's n vertex sets are built
         with _reading("graph object"):
-            graph = DependencyGraph.from_json(obj.get("graph"))
+            n = int(obj.get("graph")["n"])
         probs = obj.get("p", [])
         if not isinstance(probs, list):
             raise InputError("p must be a list of probabilities")
         with _reading("p"):
             probs = [_parse_number(v) for v in probs]
-        if len(probs) != graph.n:
-            raise InputError(f"p has length {len(probs)}, expected {graph.n}")
+        if len(probs) != n:
+            raise InputError(f"p has length {len(probs)}, expected {n}")
         if not all(0 <= v < 1 for v in probs):
             raise InputError("event probabilities must lie in [0,1)")
+        with _reading("graph object"):
+            graph = DependencyGraph.from_json(obj["graph"])
         params = _parse_params(obj["params"], graph.n) if "params" in obj else None
         report = _criteria_report(graph, probs, params, args.exact)
     elif kind == "explicit-space":

@@ -9,7 +9,7 @@ occurring to occur.  States use plain structures:
     variable assignment   VariableState (values plus per-variable laws)
     permutation of [n]    tuple pi, pi[x] is the image of x
     perfect matching      tuple partner, partner[v] is v's partner
-    spanning tree of K_n  frozenset of (u, v) pairs with u < v
+    spanning tree of K_n  TreeState, a frozenset of (u, v) pairs with u < v
 
 The streak bundle of the verify layer (AppendixABundle) keeps its fair
 bits as bytes, one byte per bit.
@@ -26,10 +26,11 @@ does not hold; the engine never does this.
 from __future__ import annotations
 
 import itertools
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import isqrt
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -312,6 +313,14 @@ def matching_resample(partner: Sequence[int], event_edges: Iterable, rng) -> tup
     return tuple(par)
 
 
+def _int32_array(values: np.ndarray) -> array:
+    """values as an array('i'), whose elements read back as Python ints,
+    filled in place, so no second copy is made."""
+    out = array("i", [0]) * len(values)
+    np.frombuffer(out, dtype=np.int32)[:] = values
+    return out
+
+
 class _EdgeItems(_Family):
     """Items that are the edges (u, v), u < v, of K_n, ranked in sorted
     order; an edge touches its two ends."""
@@ -322,11 +331,20 @@ class _EdgeItems(_Family):
         # rank(u, v) = _offset[u] + v, for the scans of whole structures
         self._offset = [self.rank((u, 0)) for u in range(n)]
 
+    @cached_property
+    def _ends(self) -> tuple[array, array]:
+        """The two ends of every edge, by rank, made on first use and kept."""
+        return tuple(_int32_array(side) for side in np.triu_indices(self.n, 1))
+
     def vertices(self, edge) -> tuple[int, int]:
         return edge
 
     def vertex_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.triu_indices(self.n, 1)
+        """Read-only int32 views of the ends that ``item`` reads."""
+        views = tuple(np.frombuffer(side, dtype=np.int32) for side in self._ends)
+        for view in views:
+            view.flags.writeable = False
+        return views
 
     def rank(self, edge):
         """The rank of (u, v); also elementwise, for arrays u and v."""
@@ -334,10 +352,8 @@ class _EdgeItems(_Family):
         return u * (2 * self.n - u - 1) // 2 + v - u - 1
 
     def item(self, rank: int) -> tuple[int, int]:
-        # k = n - 2 - u is the largest with k(k+1)/2 edges after u's ones
-        # at most the count of edges ranked after this one.
-        u = self.n - 2 - (isqrt(8 * (self.n_items - 1 - rank) + 1) - 1) // 2
-        return u, rank - self._offset[u]
+        low, high = self._ends
+        return low[rank], high[rank]
 
 
 class PerfectMatchings(_EdgeItems):
@@ -360,6 +376,10 @@ class PerfectMatchings(_EdgeItems):
             partner[u] = v
             partner[v] = u
         return tuple(partner)
+
+    def has(self, partner, rank: int) -> bool:
+        low, high = self._ends
+        return partner[low[rank]] == high[rank]
 
     def ranks(self, partner) -> list[int]:
         offset = self._offset
@@ -396,14 +416,14 @@ class PerfectMatchings(_EdgeItems):
 # spanning trees of the complete graph
 
 
-def is_spanning_tree(n: int, edges: Iterable[tuple[int, int]]) -> bool:
-    es = list(edges)
-    if len(es) != n - 1:
+def is_spanning_tree(n: int, edges: Collection[tuple[int, int]]) -> bool:
+    """Do the edges (u, v), each with 0 <= u < v < n, span a tree of K_n?"""
+    if len(edges) != n - 1:
         return False
     # union-find with path halving: an edge within one component closes a cycle
     parent = list(range(n))
-    for u, v in es:
-        if not (0 <= u < n and 0 <= v < n):
+    for u, v in edges:
+        if not 0 <= u < v < n:
             return False
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
@@ -436,8 +456,9 @@ def _wilson(nw: int, sizes: Sequence[int], rng) -> list[int]:
             if u < nw:
                 r = random() * total
                 if r < top:
-                    k = int(r)
-                    v = k + (k >= u)
+                    v = int(r)
+                    if v >= u:
+                        v += 1
                 else:
                     v = nw + bisect_right(cum, r, 1) - 1
             else:
@@ -454,6 +475,52 @@ def _wilson(nw: int, sizes: Sequence[int], rng) -> list[int]:
     return succ
 
 
+class TreeState(frozenset):
+    """A spanning tree of K_n: the frozenset of its edges (u, v), u < v,
+    which is all that ``holds``, ``ranks``, ``valid`` and the solution
+    checks read, plus what a redraw reads near its event.  ``parent[v]``
+    is v's neighbour toward vertex 0 (``parent[0]`` is 0) and ``adj[v]``
+    lists v's neighbours: None in a sampled tree, whose first redraw makes
+    it from the parent array.  Trees of one chain of redraws share these
+    lists, so none is changed in place: a redraw copies both and replaces
+    only the entries it touches."""
+
+    __slots__ = ("parent", "adj")
+
+
+def _kept(tree) -> tuple[list[int], list[list[int]], bool]:
+    """(parent, adjacency, shared) of a tree.  A TreeState gives its own
+    lists, its adjacency made from the parent array when it has none yet;
+    a plain edge set gives both made from its edges, ValueError when they
+    span no tree.  shared says whether the adjacency is kept by a tree:
+    a new one is the caller's to change."""
+    if type(tree) is TreeState:
+        parent, adj = tree.parent, tree.adj
+        if adj is not None:
+            return parent, adj, True
+        adj = [[p] for p in parent]
+        adj[0] = []
+        for v in range(1, len(parent)):
+            adj[parent[v]].append(v)
+        return parent, adj, False
+    n = len(tree) + 1
+    adj = [[] for _ in range(n)]
+    for u, v in tree:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-1] * n
+    parent[0] = 0
+    reached = [0]
+    for x in reached:
+        for y in adj[x]:
+            if parent[y] < 0:
+                parent[y] = x
+                reached.append(y)
+    if len(reached) < n:
+        raise ValueError(f"{n - 1} edges that span no tree of K_{n}")
+    return parent, adj, False
+
+
 def tree_resample(tree: frozenset, event_edges: Iterable, rng) -> frozenset:
     """Resample a uniform spanning tree of K_n conditioned on given edges.
 
@@ -465,69 +532,141 @@ def tree_resample(tree: frozenset, event_edges: Iterable, rng) -> frozenset:
     banned from the redraw).  A uniform spanning tree of that multigraph
     (``_wilson``), with each component edge then landed on a uniform
     member vertex (``below``, in node order), extends the frozen forest
-    back to a uniform conditioned tree.
+    back to a uniform conditioned tree.  Components are nodes in the
+    order of their smallest members, and a landing is the member of
+    that rank in sorted order.
+
+    The Python work stays near W (``TreeState``).  Rooted at vertex 0,
+    every component but the one holding vertex 0 hangs below W and is
+    found by a search down from its top, a child of a W-vertex.  Vertex
+    0's component, when 0 is not in W, is all the other vertices: its
+    size comes by subtraction and its k-th member is the k-th vertex
+    outside the rest.  The new parent array points the contracted tree
+    at vertex 0 and re-roots each hanging component at the landing of
+    its edge toward it; the new adjacency and edge set change only at W
+    and at the vertices joined to W before or after.
     """
-    n = len(tree) + 1
-    edges = {normalize_edge(e) for e in event_edges}
-    missing = edges.difference(tree)
-    if missing:
-        raise OracleEventError(f"edge {min(missing)} not in the tree")
+    edges = set()
+    in_w = set()
+    for u, v in event_edges:
+        edges.add((u, v) if u < v else (v, u))
+        in_w.add(u)
+        in_w.add(v)
+    # a degenerate edge is in no tree, so it is missing too
+    if not edges <= tree:
+        raise OracleEventError(f"edge {min(edges.difference(tree))} not in the tree")
     if not edges:
         return tree
-    w_verts = sorted({v for e in edges for v in e})
-    in_w = [False] * n
-    for v in w_verts:
-        in_w[v] = True
-    # The frozen forest, joined by union-find with path halving; the roots
-    # only name the components.
-    forest = []
-    parent = list(range(n))
-    for e in tree:
-        u, v = e
-        if in_w[u] or in_w[v]:
-            continue
-        forest.append(e)
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        parent[u] = v
-    # Dicts keep insertion order, so components come by smallest member.
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        if not in_w[v]:
-            r = v
-            while parent[r] != r:
-                parent[r] = r = parent[parent[r]]
-            groups.setdefault(r, []).append(v)
-    components = list(groups.values())
-
+    parent, adj, shared = _kept(tree)
+    w_verts = sorted(in_w)
+    # One pass over the edges at W: they leave the edge set, the rows of
+    # their other ends lose W, and each child of W outside W tops a
+    # hanging component.  A shared row is copied before its first change.
+    kept = set(tree)
+    new_adj = adj.copy() if shared else adj
+    components = []
+    for w in w_verts:
+        for x in adj[w]:
+            if x in in_w:
+                if w < x:
+                    kept.discard((w, x))
+                continue
+            kept.discard((w, x) if w < x else (x, w))
+            row = new_adj[x]
+            if shared and row is adj[x]:
+                new_adj[x] = row = row.copy()
+            row.remove(w)
+            if parent[x] == w:
+                comp = [x]
+                for y in comp:
+                    up = parent[y]
+                    for z in adj[y]:
+                        if z != up and z not in in_w:
+                            comp.append(z)
+                comp.sort()
+                components.append(comp)
+        # W rows are read only in this pass, each in its own turn
+        new_adj[w] = []
+    components.sort()
+    sizes = list(map(len, components))
     nw = len(w_verts)
-    succ = _wilson(nw, [len(comp) for comp in components], rng)
+    root = 0  # vertex 0's node, which the new parent array points at
+    if w_verts[0]:
+        others = sorted(itertools.chain(w_verts, *components))
+        sizes.insert(0, len(parent) - len(others))
+        components.insert(0, None)
+        root = nw
+    succ = _wilson(nw, sizes, rng)
+    # the contracted tree pointed at root: Wilson's, rooted at node 0,
+    # with the path from root to node 0 reversed
+    up = succ
+    if root:
+        up = succ.copy()
+        prev, v = -1, root
+        while v >= 0:
+            up[v], prev, v = prev, v, succ[v]
+    new_parent = parent.copy()
     for v in range(1, len(succ)):
-        a, b = (v, succ[v]) if v < succ[v] else (succ[v], v)
+        b = succ[v]
+        if v < b:
+            a = v
+        else:
+            a, b = b, v
         w = w_verts[a]
         if b < nw:
-            forest.append((w, w_verts[b]))
+            x = w_verts[b]
         else:
-            comp = components[b - nw]
-            c = comp[below(len(comp), rng)]
-            forest.append((w, c) if w < c else (c, w))
-    return frozenset(forest)
+            j = b - nw
+            k = below(sizes[j], rng)
+            comp = components[j]
+            if comp is None:
+                x = k
+                for y in others:
+                    if y > x:
+                        break
+                    x += 1
+            else:
+                x = comp[k]
+        kept.add((w, x) if w < x else (x, w))
+        new_adj[w].append(x)
+        row = new_adj[x]
+        if shared and row is adj[x]:
+            new_adj[x] = row = row.copy()
+        row.append(w)
+        if up[a] == b:
+            new_parent[w] = x
+        elif b < nw:
+            new_parent[x] = w
+        else:
+            # the component hangs from w at x: reverse the path from x up
+            # to its top, the member whose parent was in W
+            p = w
+            while True:
+                y = parent[x]
+                new_parent[x] = p
+                if y in in_w:
+                    break
+                p, x = x, y
+    out = TreeState(kept)
+    out.parent, out.adj = new_parent, new_adj
+    return out
 
 
 class SpanningTrees(_EdgeItems):
-    """Uniform spanning trees of K_n as frozensets of edges; edges on a
-    shared vertex may sit in one tree together."""
+    """Uniform spanning trees of K_n as ``TreeState`` edge sets; edges on a
+    shared vertex may sit in one tree together.  Any frozenset of the
+    edges of a spanning tree is a state too: a redraw or a scan of one
+    makes its parent array and adjacency first."""
 
     exclusive = False
     redraw = staticmethod(tree_resample)
 
-    def sample(self, rng) -> frozenset:
+    def sample(self, rng) -> TreeState:
         """Wilson's algorithm on K_n: ``_wilson`` without component nodes,
         one float per walk step.  A step from u takes k = int(random() *
         (n - 1)) and goes to k + (k >= u); each loop-erased path adds its
-        edges as it joins the tree."""
+        edges as it joins the tree, and the successors rooted at vertex 0
+        are the tree's parent array."""
         n = self.n
         if n < 1:
             raise ValueError("spanning trees need at least one vertex")
@@ -540,8 +679,9 @@ class SpanningTrees(_EdgeItems):
         for start in range(1, n):
             u = start
             while not in_tree[u]:
-                k = int(random() * top)
-                v = k + (k >= u)
+                v = int(random() * top)
+                if v >= u:
+                    v += 1
                 succ[u] = v
                 u = v
             u = start
@@ -550,7 +690,9 @@ class SpanningTrees(_EdgeItems):
                 v = succ[u]
                 edges.append((u, v) if u < v else (v, u))
                 u = v
-        return frozenset(edges)
+        tree = TreeState(edges)
+        tree.parent, tree.adj = succ, None
+        return tree
 
     @staticmethod
     def holds(tree, edges) -> bool:
@@ -564,16 +706,17 @@ class SpanningTrees(_EdgeItems):
         return [offset[u] + v for u, v in tree]
 
     def has(self, tree, rank: int) -> bool:
-        return self.item(rank) in tree
+        low, high = self._ends
+        return (low[rank], high[rank]) in tree
 
-    def ranks_at(self, tree, vertices) -> list[int]:
-        """Ranks of the tree edges on the given vertices, in one pass."""
-        at, offset = set(vertices), self._offset
-        return [offset[u] + v for u, v in tree if u in at or v in at]
+    def ranks_at(self, tree, vertices) -> set[int]:
+        """Ranks of the tree edges on the given vertices, from the adjacency."""
+        adj, offset = _kept(tree)[1], self._offset
+        return {offset[u] + v if u < v else offset[v] + u for u in vertices for v in adj[u]}
 
     def valid(self, tree) -> bool:
         """A spanning tree of edges (u, v) with u < v, which ``ranks`` reads."""
-        return is_spanning_tree(self.n, tree) and all(u < v for u, v in tree)
+        return is_spanning_tree(self.n, tree)
 
     def state_key(self, tree) -> tuple:
         return tuple(sorted(tree))

@@ -379,28 +379,34 @@ def predicted_bounds(params: CriterionParams, ts: Sequence[float],
     The sums that do not depend on t are taken once per params object
     (``CriterionParams.bound_sums``), in the same order as a single call
     takes them, so every value equals predicted_bound's bit for bit.
+    ValueError, naming epsilon, when a bound is not finite (a tiny
+    epsilon overflows the division), since no report can carry it.
     """
     eps = params.epsilon
     if params.kind in ("gll", "cll"):
         log_sum, scale = params.bound_sums
         if eps > 0 and params.kind == "gll":
-            return [(t + log_sum) / eps for t in ts]
-        if eps > 0:
-            return [2 * (log_sum + t) / eps for t in ts]
-        return [scale * (log_sum + 1 + t) for t in ts]
-    # shearer
-    if table is None:
+            bounds = [(t + log_sum) / eps for t in ts]
+        elif eps > 0:
+            bounds = [2 * (log_sum + t) / eps for t in ts]
+        else:
+            bounds = [scale * (log_sum + 1 + t) for t in ts]
+    elif table is None:
         raise ValueError("shearer bound requires the polynomial table")
-    if eps > 0:
+    elif eps > 0:
         scaled = build_table(table.graph, [float(pi) * (1 + eps) for pi in table.p])
         if not in_shearer_region(scaled):
             raise ValueError("claimed slack leaves the region")
         log_q0 = math.log(1 / float(scaled.q0))
-        return [2 * (log_q0 + t) / eps for t in ts]
-    ratios = [singleton_ratio(table, i) for i in range(table.n)]
-    scale = 4 * seqsum(ratios)
-    log_sum = seqsum(math.log1p(r) for r in ratios)
-    return [scale * (log_sum + 1 + t) for t in ts]
+        bounds = [2 * (log_q0 + t) / eps for t in ts]
+    else:
+        ratios = [singleton_ratio(table, i) for i in range(table.n)]
+        scale = 4 * seqsum(ratios)
+        log_sum = seqsum(math.log1p(r) for r in ratios)
+        bounds = [scale * (log_sum + 1 + t) for t in ts]
+    if not all(map(math.isfinite, bounds)):
+        raise ValueError(f"epsilon = {eps!r} gives a tail bound that is not finite")
+    return bounds
 
 
 def tail_bounds(params: CriterionParams,

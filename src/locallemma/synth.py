@@ -90,6 +90,9 @@ class ExplicitSpace:
         if len(probs) != int(obj["states"]):
             raise ValueError("state count does not match probability list")
         events = tuple(frozenset(int(s) for s in ev) for ev in obj["events"])
+        # checked before the graph's vertex sets are built
+        if int(obj["graph"]["n"]) != len(events):
+            raise ValueError("event count must match the dependency graph")
         return cls(probs, events, DependencyGraph.from_json(obj["graph"]))
 
 

@@ -43,6 +43,7 @@ from helpers import (
 from locallemma import apps, oracles
 from locallemma.engine import maximal_set_resample
 from locallemma.oracles import (
+    TreeState,
     is_spanning_tree,
     matching_pairs,
     matching_resample,
@@ -670,6 +671,26 @@ def test_validate_rainbow_trees():
     assert not validate_rainbow_trees(g, [star, star])  # shared edges
     mono = coloring_with_pair(5, (0, 1), (0, 2))
     assert not validate_rainbow_trees(mono, [star])  # repeated color
+
+
+def test_tree_solutions_are_checked_on_their_edge_sets_alone():
+    # the parent arrays and adjacency a tree keeps for its redraws are not
+    # read: corrupting them leaves every verdict as it was
+    coloring = random_edge_coloring(12, 2, random.Random(5))
+    bundle = RainbowTreeBundle(coloring, 2)
+    state, log = maximal_set_resample(bundle, 3)
+    assert log.terminated
+    first = state[0]
+    for trees in (state, (first, first), (first, first - {min(first)})):
+        verdict = bundle.validate_solution(trees)
+        corrupted = []
+        for tree in trees:
+            bad = TreeState(tree)
+            bad.parent, bad.adj = [0] * 12, [[]] * 12
+            corrupted.append(bad)
+        assert bundle.validate_solution(corrupted) == verdict
+        assert validate_rainbow_trees(coloring, corrupted) == verdict
+    assert bundle.validate_solution(state)
 
 
 def test_validate_solution_flags_broken_oracle_output(monkeypatch):

@@ -1106,6 +1106,32 @@ def test_bad_file_values_exit_with_one_input_error_line(text, command, tmp_path,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["criteria"], ["run", "--budget", "10"]])
+def test_tail_bounds_that_are_not_finite_are_refused(command, tmp_path, capsys):
+    # (t + ln 1/(1 - x)) / epsilon overflows at the least positive epsilon
+    path = write_instance(tmp_path, {
+        **_space_file(), "params": {"kind": "gll", "x": [0.9], "epsilon": 5e-324}})
+    code, out, err = run_cli([command[0], path, *command[1:]], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "epsilon" in err
+
+
+@pytest.mark.parametrize("obj, command", [
+    pytest.param({"kind": "custom-graph", "graph": {"n": 10**8, "edges": []}, "p": []},
+                 "criteria", id="custom-graph-criteria"),
+    *(pytest.param(_space_file(graph={"n": 10**8, "edges": []}), command,
+                   id=f"explicit-space-{command}") for command in ("criteria", "run")),
+])
+def test_event_count_is_checked_before_the_graph_is_built(obj, command, tmp_path, capsys):
+    # a graph of 10^8 vertex sets would take about 22 GB
+    path = write_instance(tmp_path, obj)
+    start = time.perf_counter()
+    code, out, err = run_cli([command, path], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 #: (function, exception) of every except clause in cli.py: the reading
 #: boundary, the open of a file, and main's report of an input error.
 CLI_EXCEPTS = {

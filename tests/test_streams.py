@@ -16,6 +16,7 @@ import operator
 import random
 import sys
 from bisect import bisect_right
+from collections import Counter
 from functools import reduce
 from pathlib import Path
 
@@ -176,6 +177,45 @@ def test_tree_resample_follows_the_multigraph_walk_on_large_events():
             assert tree_resample(tree, event, ours) == reference_tree_resample(
                 tree, event, theirs)
             assert ours.random() == theirs.random()
+
+
+def assert_kept_structure_is_the_tree(tree, n):
+    """parent[v] is v's neighbour toward vertex 0, and the adjacency, once
+    made, lists every tree edge at both of its ends.  In a tree, the n - 1
+    vertices other than 0 taking n - 1 distinct edges of their own point
+    toward 0, so the edge check covers the direction."""
+    parent, adj = tree.parent, tree.adj
+    assert len(parent) == n and parent[0] == 0
+    assert {(v, p) if v < p else (p, v) for v, p in enumerate(parent) if v} == tree
+    if adj is not None:
+        ends = Counter((u, v) if u < v else (v, u) for u in range(n) for v in adj[u])
+        assert ends == dict.fromkeys(tree, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 30, 256, 1024])
+def test_chained_tree_redraws_follow_the_multigraph_walk(n):
+    # as the engine makes them: each redraw of 1-3 edges starts from the
+    # tree the last one left, and a plain frozenset of its edges redraws alike
+    for seed in range(2 if n > 100 else 8):
+        ours = random.Random(seed)
+        tree = SpanningTrees(n).sample(ours)
+        assert_kept_structure_is_the_tree(tree, n)
+        theirs, plain = random.Random(), random.Random()
+        theirs.setstate(ours.getstate())
+        pick = random.Random(seed * 1000 + n)
+        for _ in range(50 if n > 1 else 0):
+            edges = sorted(tree)
+            event = pick.sample(edges, min(len(edges), pick.randint(1, 3)))
+            plain.setstate(ours.getstate())
+            expected = reference_tree_resample(tree, event, theirs)
+            from_plain = tree_resample(frozenset(tree), event, plain)
+            before, tree = tree, tree_resample(tree, event, ours)
+            assert tree == from_plain == expected
+            assert ours.getstate() == plain.getstate() == theirs.getstate()
+            # the lists a chain shares are copied, never changed in place
+            assert_kept_structure_is_the_tree(before, n)
+            assert_kept_structure_is_the_tree(tree, n)
+            assert_kept_structure_is_the_tree(from_plain, n)
 
 
 # ---------------------------------------------------------------------------
