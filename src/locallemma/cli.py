@@ -526,7 +526,10 @@ def _add_common(sub):
                      help="output format (default json)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     parser = _Parser(prog="locallemma",
                      description="Resampling-oracle solver and verification suite")
     subs = parser.add_subparsers(dest="command", required=True,

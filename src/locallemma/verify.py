@@ -25,8 +25,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import islice, repeat
 
-from scipy.special import chdtri
-
 from .engine import DEFAULT_MAX_RESAMPLES, maximal_set_resample
 from .graphs import KeyGraph, non_neighbors
 from .oracles import OracleEventError
@@ -114,7 +112,11 @@ def test_r1(bundle, event: int, samples: int, seed: int = 0,
         max_dev = max(max_dev, abs(observed / samples - prob))
     df = max(len(exact) - 1, 1)
     # chi2.ppf(1 - s, df) evaluates chdtri(df, 1 - (1 - s)); calling it
-    # directly gives the same float without importing scipy.stats.
+    # directly gives the same float without importing scipy.stats, and
+    # importing it here keeps scipy (about 0.25 s and 20 MB) out of every
+    # process that runs no R1 test.
+    from scipy.special import chdtri
+
     threshold = float(chdtri(df, 1 - (1 - significance)))
     return DistributionTestReport(
         event=event,

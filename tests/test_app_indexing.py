@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,10 +25,12 @@ from locallemma.apps import (
     LatinBundle,
     RainbowMatchingBundle,
     RainbowTreeBundle,
+    _pair_keys,
     random_color_matrix,
     random_edge_coloring,
 )
 from locallemma.cli import main
+from locallemma.oracles import PerfectMatchings, Permutations, SpanningTrees
 from locallemma.verify import derive_seed
 
 
@@ -164,6 +167,37 @@ def test_random_instances_match_explicit_enumeration(instance, seed):
         expected = explicit_occurring(events, state, contains)
         assert sorted(bundle.occurring(state)) == expected
         assert [idx for idx in range(bundle.n) if bundle.holds(idx, state)] == expected
+
+
+@st.composite
+def family_colorings(draw):
+    """(family, dense color ids) with one color, all colors distinct or random ids."""
+    kind = draw(st.sampled_from(["latin", "tree", "matching"]))
+    if kind == "latin":
+        n = draw(st.integers(1, 12))
+        items = [(u, v) for u in range(n) for v in range(n)]
+    else:
+        n = draw(st.sampled_from(range(2, 21, 2)) if kind == "matching" else st.integers(2, 20))
+        items = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    size = len(items)
+    ids = draw(st.one_of(
+        st.builds(lambda c: [c] * size, COLOR_IDS),
+        st.lists(COLOR_IDS, min_size=size, max_size=size, unique=True),
+        st.lists(COLOR_IDS, min_size=size, max_size=size)))
+    color = dict(zip(items, ids))
+    if kind == "latin":
+        matrix = ColorMatrix([[color[(u, v)] for v in range(n)] for u in range(n)])
+        return Permutations(n), matrix.ids
+    family = SpanningTrees(n) if kind == "tree" else PerfectMatchings(n)
+    return family, ColoredCompleteGraph(n, color).ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_colorings())
+def test_class_order_is_the_stable_argsort_of_the_colors(instance):
+    family, color = instance
+    _, classes, _ = _pair_keys(family, color)
+    assert classes.tolist() == np.argsort(color, kind="stable").tolist()
 
 
 @settings(max_examples=60, deadline=None)

@@ -638,13 +638,69 @@ def test_tree_event_outside_the_graph_is_an_input_error():
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # scipy.stats alone takes most of a second to import; the R1 threshold
-    # comes from scipy.special instead
-    cmd = [sys.executable, "-c",
-           "import locallemma.cli, sys; print('scipy.stats' in sys.modules)"]
+    # scipy takes about half of a CLI process's start-up; only the R1
+    # threshold needs it, and R1 imports it itself
+    cmd = [sys.executable, "-c", "import locallemma.cli, sys; "
+           "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"]
     result = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+#: Runs commands through ``main`` in one process and prints, after the
+#: commands without an R1 test and again after ``verify-oracle variable``,
+#: whether any scipy module is loaded, then the sha256 of the last output.
+SCIPY_PROBE = """
+import contextlib, hashlib, io, sys
+from locallemma.cli import main
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+def scipy_loaded():
+    return any(m.split(".")[0] == "scipy" for m in sys.modules)
+
+run(["latin", "--n", "6", "--multiplicity", "2", "--t", "2"])
+run(["run", sys.argv[1], "--seed", "7"])
+run(["verify-oracle", "appendix-a", "--k", "2", "--l", "1", "--runs", "50"])
+print(scipy_loaded())
+out = run(["verify-oracle", "variable", "--samples", "3000", "--trials", "500"])
+print("scipy.special" in sys.modules, hashlib.sha256(out.encode()).hexdigest())
+"""
+
+
+def test_scipy_is_loaded_only_by_an_r1_test(tmp_path):
+    space = write_instance(tmp_path, explicit_space_pin_instance())
+    result = subprocess.run([sys.executable, "-c", SCIPY_PROBE, space],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    # the digest was captured while verify imported scipy at module load
+    assert result.stdout.split() == [
+        "False", "True",
+        "393b968d3a5d5cd56f88826d14bfe62a729327e79b034bad115c2ffe20708ff4"]
+
+
+def test_reused_parser_gives_the_bytes_of_a_fresh_process(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; a usage error or --help on
+    # the shared parser must leave later calls as a fresh process has them
+    monkeypatch.setenv("COLUMNS", "80")
+    space = write_instance(tmp_path, explicit_space_pin_instance())
+    latin = ["latin", "--n", "6", "--multiplicity", "2", "--t", "2", "--seed", "4"]
+    for argv in (["verify-oracle", "quantum"], ["--help"], latin + ["--format", "text"],
+                 latin, ["run", space, "--jobs", "2"]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "locallemma.cli", *argv],
+                               capture_output=True, text=True, timeout=120)
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_unknown_family_exits_with_input_error(capsys):
