@@ -26,6 +26,7 @@ does not hold; the engine never does this.
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -734,9 +735,18 @@ class SpanningTrees(_EdgeItems):
 # single-space bundles
 
 
+#: Most joint values _product_law enumerates (the product of the factor sizes).
+PRODUCT_LAW_CAP = 2_000_000
+
+
 def _product_law(factors: Iterable[Iterable[tuple]]) -> dict:
     """Law of independent factors, each given as (value, probability) pairs:
-    each tuple of values maps to 1.0 times its probabilities, left to right."""
+    each tuple of values maps to 1.0 times its probabilities, left to right.
+    Refused before enumerating beyond PRODUCT_LAW_CAP joint values."""
+    factors = [list(f) for f in factors]
+    if math.prod(map(len, factors)) > PRODUCT_LAW_CAP:
+        raise ValueError("product support too large to enumerate "
+                         f"(PRODUCT_LAW_CAP={PRODUCT_LAW_CAP})")
     law: dict[tuple, float] = {}
     for combo in itertools.product(*factors):
         prob = 1.0
@@ -952,10 +962,4 @@ class ProductBundle:
         )
 
     def exact_distribution(self) -> dict:
-        dists = [space.exact_distribution() for space in self.spaces]
-        total = 1
-        for d in dists:
-            total *= len(d)
-        if total > 2_000_000:
-            raise ValueError("product support too large to enumerate")
-        return _product_law(d.items() for d in dists)
+        return _product_law(space.exact_distribution().items() for space in self.spaces)

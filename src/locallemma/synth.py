@@ -15,16 +15,20 @@ is decided by an exact max-flow over the rational masses scaled to
 integers; infeasibility yields a Hall-type certificate, a set of source
 states whose conditioned mass exceeds the total mass of every target
 they may reach.
+
+The max-flow is Edmonds-Karp specialised to that transport network: its
+searches go by levels of sources and targets with set operations, yet
+take the paths of the edge-by-edge search, so the kernels and
+certificates are those of plain Edmonds-Karp.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 from .graphs import DependencyGraph, non_neighbors
@@ -134,71 +138,92 @@ def _signature(space: ExplicitSpace, free: Sequence[int], state: int) -> frozens
     return frozenset(j for j in free if state in space.events[j])
 
 
-class _FlowNetwork:
-    """Edmonds-Karp max flow over integer capacities."""
+def _transport(supply: list[int], demand: list[int], allowed: list[list[int]]):
+    """Edmonds-Karp max flow on the network s -> sources -> targets -> t.
 
-    def __init__(self, n: int) -> None:
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+    Source a holds supply[a], target b takes demand[b], and a ships any
+    amount to the ascending targets allowed[a] (``synthesize`` gives those
+    edges capacity 2*D, above any flow).  A forward edge never closes and
+    the residuals of s->a and b->t only fall, so the breadth-first search
+    needs no edge-by-edge scan: a row's first target with demand left is a
+    pointer that only moves forward, the first source with supply and such
+    a target ends a search at once, and otherwise the search goes by
+    levels, the unseen targets of a level's rows, then the unseen sources
+    with flow into them, each in (discoverer, index) order.  Returns
+    (flow, seen): flow[a] maps target to positive flow; seen is None when
+    every supply ships, else the sorted sources the last search reached.
+    """
+    supply, demand = list(supply), list(demand)
+    flow: list[dict[int, int]] = [{} for _ in supply]
+    into: list[set[int]] = [set() for _ in demand]
+    # per row, not per source: the sources of one row reach the same target
+    sets = {key: frozenset(row) for key, row in {id(row): row for row in allowed}.items()}
+    ptr = dict.fromkeys(sets, 0)
 
-    def add(self, u: int, v: int, cap: int) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
+    def reach(a: int) -> int:
+        row = allowed[a]
+        k = ptr[id(row)]
+        while k < len(row) and not demand[row[k]]:
+            k += 1
+        ptr[id(row)] = k
+        return row[k] if k < len(row) else -1
 
-    def max_flow(self, s: int, t: int) -> int:
-        adj, to, cap = self.adj, self.to, self.cap
-        # the edge from each node into t (one at most in the transport
-        # network).  The search dequeues nodes in the order it finds
-        # them, so the first node found with residual capacity into t
-        # is the one whose scan would reach t: the search stops there,
-        # on the path a full breadth-first search would take.
-        into_t = {to[eid]: eid ^ 1 for eid in adj[t]}
-        total = 0
-        while True:
-            prev_edge = [-1] * len(adj)
-            prev_edge[s] = -2
-            last = s if s in into_t and cap[into_t[s]] > 0 else -1
-            queue = deque([s])
-            while queue and last == -1:
-                u = queue.popleft()
-                for eid in adj[u]:
-                    v = to[eid]
-                    if prev_edge[v] == -1 and cap[eid] > 0:
-                        prev_edge[v] = eid
-                        if v in into_t and cap[into_t[v]] > 0:
-                            last = v
-                            break
-                        queue.append(v)
-            if last == -1:
-                return total
-            path = [into_t[last]]
-            v = last
-            while v != s:
-                eid = prev_edge[v]
-                path.append(eid)
-                v = to[eid ^ 1]
-            bottleneck = min(cap[eid] for eid in path)
-            for eid in path:
-                cap[eid] -= bottleneck
-                cap[eid ^ 1] += bottleneck
-            total += bottleneck
-
-    def reachable(self, s: int) -> set[int]:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for eid in self.adj[u]:
-                v = self.to[eid]
-                if v not in seen and self.cap[eid] > 0:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+    first = 0  # sources before it have no supply or no target to reach
+    while True:
+        while first < len(supply) and not (supply[first] and reach(first) >= 0):
+            first += 1
+        by_target: dict[int, int] = {}  # the source that found each target
+        by_source: dict[int, int] = {}  # the target that found each source
+        if first < len(supply):
+            end = first, reach(first)
+        else:
+            level = [a for a, x in enumerate(supply) if x]
+            if not level:
+                return flow, None
+            seen, unseen = set(level), set(range(len(demand)))
+            rows = dict(sets)  # the rows no source of this search has scanned
+            end = None
+            while level and end is None:
+                targets = []
+                for a in level:
+                    new = unseen.intersection(rows.pop(id(allowed[a]), ()))
+                    if new:
+                        unseen -= new
+                        targets += sorted(new)
+                        by_target.update(dict.fromkeys(new, a))
+                # each new source is found by the first target it feeds
+                rank = dict(zip(targets, range(len(targets))))
+                fed = set().union(*map(into.__getitem__, targets)) - seen
+                seen |= fed
+                found = sorted((min(map(rank.get, flow[a], repeat(len(rank)))), a) for a in fed)
+                by_source.update((a, targets[k]) for k, a in found)
+                level = [a for _, a in found]
+                for a in level:
+                    if reach(a) >= 0:
+                        end = a, reach(a)
+                        break
+            if end is None:
+                return flow, sorted(seen)
+        a, b = end
+        ahead, back = [end], []
+        bottleneck = demand[b]
+        while a in by_source:
+            b = by_source[a]
+            back.append((a, b))
+            bottleneck = min(bottleneck, flow[a][b])
+            a = by_target[b]
+            ahead.append((a, b))
+        bottleneck = min(bottleneck, supply[a])
+        supply[a] -= bottleneck
+        demand[end[1]] -= bottleneck
+        for a, b in ahead:
+            flow[a][b] = flow[a].get(b, 0) + bottleneck
+            into[b].add(a)
+        for a, b in back:
+            flow[a][b] -= bottleneck
+            if not flow[a][b]:
+                del flow[a][b]
+                into[b].discard(a)
 
 
 def synthesize(space: ExplicitSpace, i: int):
@@ -231,50 +256,35 @@ def synthesize(space: ExplicitSpace, i: int):
         # proportionally: the kernel just draws a fresh state
         fresh = tuple((w, space.probs[w]) for w in targets)
         return SynthesizedOracle(event=i, rows={u: fresh for u in sources})
-    sig_u = {u: _signature(space, free, u) for u in sources}
-    sig_w = {w: _signature(space, free, w) for w in targets}
+    # targets grouped by signature; the sources of a signature share a row
+    groups: dict[frozenset[int], list[int]] = {}
+    for b, w in enumerate(targets):
+        groups.setdefault(_signature(space, free, w), []).append(b)
+    sig_u = [_signature(space, free, u) for u in sources]
+    rows_of = {sig: sorted(b for g, bs in groups.items() if g <= sig for b in bs)
+               for sig in set(sig_u)}
+    allowed = [rows_of[sig] for sig in sig_u]
 
-    source_mass = {u: space.probs[u] / pe for u in sources}
-    scale = math.lcm(*(source_mass[u].denominator for u in sources),
-                     *(space.probs[w].denominator for w in targets))
-    source_id = {u: 2 + k for k, u in enumerate(sources)}
-    target_id = {w: 2 + len(sources) + k for k, w in enumerate(targets)}
-    net = _FlowNetwork(2 + len(sources) + len(targets))
-    for u in sources:
-        net.add(0, source_id[u], int(source_mass[u] * scale))
-    for w in targets:
-        net.add(target_id[w], 1, int(space.probs[w] * scale))
-    allowed: dict[int, list[int]] = {}
-    for u in sources:
-        row = [w for w in targets if sig_w[w] <= sig_u[u]]
-        allowed[u] = row
-        for w in row:
-            net.add(source_id[u], target_id[w], 2 * scale)
-
-    value = net.max_flow(0, 1)
-    if value != scale:
-        cut = net.reachable(0)
-        blocked = tuple(u for u in sources if source_id[u] in cut)
-        reach = {w for u in blocked for w in allowed[u]}
+    source_mass = [space.probs[u] / pe for u in sources]
+    target_mass = [space.probs[w] for w in targets]
+    scale = math.lcm(*(m.denominator for m in source_mass),
+                     *(m.denominator for m in target_mass))
+    flow, seen = _transport([m.numerator * (scale // m.denominator) for m in source_mass],
+                            [m.numerator * (scale // m.denominator) for m in target_mass],
+                            allowed)
+    if seen is not None:
+        blocked = tuple(sources[a] for a in seen)
+        reach = {targets[b] for a in seen for b in allowed[a]}
         return HallCertificate(
             event=i,
             states=blocked,
             source_mass=sum((space.probs[u] for u in blocked), Fraction(0)) / pe,
             reachable_mass=sum((space.probs[w] for w in reach), Fraction(0)),
         )
-
-    rows: dict[int, tuple[tuple[int, Fraction], ...]] = {}
-    for u in sources:
-        mass = source_mass[u]
-        row = []
-        for eid in net.adj[source_id[u]]:
-            v = net.to[eid]
-            # flow on a forward edge equals the residual on its twin
-            if v != 0 and eid % 2 == 0 and net.cap[eid ^ 1] > 0:
-                w = targets[v - 2 - len(sources)]
-                row.append((w, Fraction(net.cap[eid ^ 1], scale) / mass))
-        row.sort()
-        rows[u] = tuple(row)
+    # Fraction(f, scale) / mass, normalized by one gcd
+    rows = {u: tuple((targets[b], Fraction(f * m.denominator, scale * m.numerator))
+                     for b, f in sorted(flow[a].items()))
+            for (a, u), m in zip(enumerate(sources), source_mass)}
     return SynthesizedOracle(event=i, rows=rows)
 
 

@@ -428,12 +428,14 @@ def scalar_build_table(graph, p, exact=False):
 
 
 class _FractionFlowNetwork:
-    """Edmonds-Karp max flow with exact Fraction capacities."""
+    """Edmonds-Karp max flow with exact Fraction capacities.  path_edges
+    lists the edge count of each augmenting path, in the order taken."""
 
     def __init__(self, n):
         self.adj = [[] for _ in range(n)]
         self.to = []
         self.cap = []
+        self.path_edges = []
 
     def add(self, u, v, cap):
         self.adj[u].append(len(self.to))
@@ -460,10 +462,12 @@ class _FractionFlowNetwork:
                 return total
             bottleneck = None
             v = t
+            self.path_edges.append(0)
             while v != s:
                 eid = prev_edge[v]
                 bottleneck = self.cap[eid] if bottleneck is None else min(bottleneck, self.cap[eid])
                 v = self.to[eid ^ 1]
+                self.path_edges[-1] += 1
             v = t
             while v != s:
                 eid = prev_edge[v]

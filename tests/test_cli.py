@@ -579,6 +579,16 @@ def test_tables_past_the_enumeration_cap_are_refused_at_once(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "ENUMERATION_CAP" in err
 
 
+@pytest.mark.parametrize("size", [21, 26])
+def test_variable_laws_past_the_product_cap_are_refused_at_once(size, capsys):
+    # 2^size joint values: --size 26 used to enumerate for tens of seconds
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify-oracle", "variable", "--size", str(size)], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "PRODUCT_LAW_CAP" in err
+
+
 def test_matching_on_two_vertices_solves_with_zero_bounds(tmp_path, capsys):
     # One event-free matching; its y = beta * p is negative at K_2.
     code, out, _ = run_cli(["rainbow-matching", "--n", "2", "--multiplicity", "1"], capsys)

@@ -20,6 +20,7 @@ from helpers import (
     uniform_spanning_tree,
 )
 from locallemma.oracles import (
+    PRODUCT_LAW_CAP,
     MatchingBundle,
     OracleEventError,
     PatternEvent,
@@ -549,6 +550,17 @@ def test_product_exact_distribution_is_product():
     assert sum(dist.values()) == pytest.approx(1.0)
     for pr in dist.values():
         assert pr == pytest.approx(1 / 16)
+
+
+def test_product_laws_past_the_cap_are_refused_before_enumerating():
+    # 2^21 joint values for the bits alone, 2^22 for a product of two
+    bits = VariableBundle([((0, 1), None)] * 21, [VariableEvent((0,), bool)])
+    with pytest.raises(ValueError, match="PRODUCT_LAW_CAP"):
+        bits.exact_distribution()
+    half = VariableBundle([((0, 1), None)] * 11, [VariableEvent((0,), bool)])
+    with pytest.raises(ValueError, match="PRODUCT_LAW_CAP"):
+        ProductBundle([half, half], [((0, 0),)]).exact_distribution()
+    assert 2**20 <= PRODUCT_LAW_CAP < 2**21
 
 
 def test_product_r1_r2_statistical():

@@ -1,13 +1,17 @@
 """Oracle synthesis on explicit finite spaces: feasibility, exactness, certificates."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import fraction_synthesize, linear_scan
+from helpers import _FractionFlowNetwork, fraction_synthesize, linear_scan
+from locallemma.cli import main
 from locallemma.engine import maximal_set_resample
 from locallemma.graphs import DependencyGraph
 from locallemma.oracles import OracleEventError
@@ -17,6 +21,7 @@ from locallemma.synth import (
     ExplicitSpace,
     HallCertificate,
     SynthesizedOracle,
+    _transport,
     check_lopsided_association,
     check_lopsidependency,
     synthesize,
@@ -300,25 +305,28 @@ def random_graph_space(seed):
     return ExplicitSpace(probs, events, DependencyGraph(4, edges))
 
 
-def ring_space(seed):
-    """256 states: 8 independent bits with P(bit=0) drawn from {4/16..12/16}.
+def ring_space(seed, n_events=4):
+    """4^n_events states: 2*n_events independent bits with P(bit=0) drawn
+    from {4/16..12/16}; 256 states for the default 4 events.
 
-    Event i (of 4) is "bits 2i, 2i+1, 2i+2 (mod 8) are all 0", so the
-    events sharing a bit form a 4-cycle.
+    Event i is "bits 2i, 2i+1, 2i+2 (mod 2*n_events) are all 0", so the
+    events sharing a bit form a cycle.
     """
     rng = random.Random(seed)
-    zero = [Fraction(rng.randint(4, 12), 16) for _ in range(8)]
+    n_bits = 2 * n_events
+    zero = [Fraction(rng.randint(4, 12), 16) for _ in range(n_bits)]
     probs = []
-    for s in range(256):
+    for s in range(1 << n_bits):
         p = Fraction(1)
-        for b in range(8):
+        for b in range(n_bits):
             p *= zero[b] if not s >> b & 1 else 1 - zero[b]
         probs.append(p)
-    bits = [{(2 * i + d) % 8 for d in range(3)} for i in range(4)]
-    events = tuple(frozenset(s for s in range(256) if all(not s >> b & 1 for b in bs))
+    bits = [{(2 * i + d) % n_bits for d in range(3)} for i in range(n_events)]
+    events = tuple(frozenset(s for s in range(1 << n_bits) if all(not s >> b & 1 for b in bs))
                    for bs in bits)
-    edges = [(i, j) for i in range(4) for j in range(i + 1, 4) if bits[i] & bits[j]]
-    return ExplicitSpace(tuple(probs), events, DependencyGraph(4, edges))
+    edges = [(i, j) for i in range(n_events) for j in range(i + 1, n_events)
+             if bits[i] & bits[j]]
+    return ExplicitSpace(tuple(probs), events, DependencyGraph(n_events, edges))
 
 
 def test_kernels_and_certificates_equal_the_fraction_flow():
@@ -341,6 +349,101 @@ def test_kernels_and_certificates_equal_the_fraction_flow():
                 assert got.rows == want.rows
             seen[type(want)] += 1
     assert seen[SynthesizedOracle] > 100 and seen[HallCertificate] > 100
+
+
+#: sha256 of the sorted-key JSON list of every event's ``to_json()``,
+#: captured from the general Edmonds-Karp solver the level search replaced.
+PINNED_KERNELS = [
+    pytest.param((0,), "a0437628adf2f441b579d5120e8a0d77394fa5e3ec9e04e4c099005bd3da008b",
+                 id="ring-256-seed0"),
+    pytest.param((1,), "b47248067d9bff6975f4d36e314d9da7100a3e446253f2303779f6b0bcde7250",
+                 id="ring-256-seed1"),
+    pytest.param((0, 5), "521f0216103bfcafafcd931d1aeff25fdf11aefcccd81300a94c98f6363b405e",
+                 id="ring-1024-seed0"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_KERNELS)
+def test_kernels_are_pinned(args, digest):
+    space = ring_space(*args)
+    kernels = [synthesize(space, i) for i in range(space.n_events)]
+    text = json.dumps([kernel.to_json() for kernel in kernels], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_verify_oracle_on_a_1024_state_space_is_pinned(tmp_path, capsys):
+    # the kernels of ExplicitBundle, end to end: sha256 of stdout, captured
+    # from the general Edmonds-Karp solver the level search replaced
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"kind": "explicit-space", "space": ring_space(0, 5).to_json()}))
+    code = main(["verify-oracle", "synthesized", "--instance", str(path), "--event", "1",
+                 "--samples", "2000", "--trials", "200", "--seed", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b5cde6b8329bcc081d43515b5cb4466f875acbec33cbb9a22f8e60ff9afcead5")
+
+
+@st.composite
+def transport_instances(draw):
+    """Supplies, demands and sparse allowed rows, some rows shared as
+    ``synthesize`` shares them.  The masses are the margins of a random
+    flow on the allowed edges, so the supply ships, unless the demands
+    are then permuted, which often strands some; one instance in three is
+    scaled past 2^63."""
+    n_sources, n_targets = draw(st.integers(1, 12)), draw(st.integers(2, 12))
+    pool = [sorted(draw(st.sets(st.integers(0, n_targets - 1), min_size=1, max_size=4)))
+            for _ in range(draw(st.integers(1, n_sources)))]
+    allowed = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n_sources)]
+    supply, demand = [0] * n_sources, [0] * n_targets
+    for a, row in enumerate(allowed):
+        for b in row:
+            x = draw(st.integers(0, 4)) + (b == row[0])
+            supply[a] += x
+            demand[b] += x
+    demand = [x or 1 for x in demand]
+    if draw(st.booleans()):
+        demand = draw(st.permutations(demand))
+    scale = draw(st.sampled_from([1, 1, 3**41]))
+    return [scale * x for x in supply], [scale * x for x in demand], allowed
+
+
+def test_transport_takes_the_paths_of_the_fraction_flow():
+    """Same flow on every edge and the same cut as a full breadth-first
+    Edmonds-Karp over Fractions, on feasible and infeasible instances."""
+    longest, short = [], []
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(transport_instances())
+    def check(instance):
+        supply, demand, allowed = instance
+        n = len(supply)
+        net = _FractionFlowNetwork(2 + n + len(demand))
+        for a, x in enumerate(supply):
+            net.add(0, 2 + a, x)
+        for b, x in enumerate(demand):
+            net.add(2 + n + b, 1, x)
+        edge = {}
+        for a, row in enumerate(allowed):
+            for b in row:
+                edge[a, b] = len(net.to)
+                net.add(2 + a, 2 + n + b, 2 * sum(supply))
+        value = net.max_flow(0, 1)
+        flow, seen = _transport(supply, demand, allowed)
+        assert {(a, b): f for a, out in enumerate(flow) for b, f in out.items()} == {
+            key: net.cap[eid ^ 1] for key, eid in edge.items() if net.cap[eid ^ 1] > 0}
+        cut = net.reachable(0)
+        assert (seen is None) == (value == sum(supply))
+        assert (seen or []) == [a for a in range(n) if 2 + a in cut]
+        assert {b for a in seen or [] for b in allowed[a]} == {
+            b for b in range(len(demand)) if 2 + n + b in cut}
+        longest.append(max(net.path_edges, default=0))
+        short.append(seen is not None)
+
+    check()
+    # s, then a source and a target per step, then t: 7 edges pass 3 sources
+    assert sum(edges >= 7 for edges in longest) >= 10
+    assert 40 <= sum(short) <= 360
 
 
 # ---------------------------------------------------------------------------
