@@ -166,12 +166,6 @@ class ColoredCompleteGraph(_Coloring):
     def color(self) -> Mapping[tuple[int, int], int]:
         return _EdgeColors(self)
 
-    def classes(self) -> dict[int, list[tuple[int, int]]]:
-        out: dict[int, list[tuple[int, int]]] = {}
-        for e, c in zip(self.color, self.ids.tolist()):
-            out.setdefault(self.labels[c], []).append(e)
-        return out
-
     def to_json(self) -> dict:
         labels, ids = self.labels, self.ids.tolist()
         return {"n": self.n, "colors": [[u, v, labels[c]] for (u, v), c in zip(self.color, ids)]}
@@ -419,12 +413,6 @@ class _AppBundle:
             raise KeyError(payload)
         return idx
 
-    def spaces(self, idx: int) -> frozenset[int]:
-        return frozenset(self._parts(idx)[0])
-
-    def support(self, idx: int) -> frozenset[int]:
-        return frozenset(v for item in self._parts(idx)[1] for v in self.family.vertices(item))
-
     def _keys(self, idx: int) -> list[tuple[int, int]]:
         """(copy, vertex) for every copy and vertex of the event."""
         copies, items = self._parts(idx)
@@ -606,7 +594,6 @@ class LatinBundle(_AppBundle):
         n = matrix.n
         if n < 2:
             raise ValueError("transversal events need a matrix of size at least 2")
-        self.matrix = matrix
         self.p_den = n * (n - 1)
         super().__init__(Permutations(n), t, matrix)
 
@@ -617,7 +604,7 @@ class LatinBundle(_AppBundle):
         return 1 / n**2
 
     def clique_size_bounds(self) -> dict[str, int]:
-        n, t, q = self.size, self.t, self.matrix.multiplicity
+        n, t, q = self.size, self.t, self.coloring.multiplicity
         return {"cross-space": n * (t - 1), "same-space": n * (q - 1)}
 
     def solution_json(self, state) -> dict:

@@ -735,25 +735,9 @@ class SpanningTrees(_EdgeItems):
 # single-space bundles
 
 
-#: Most joint values _product_law enumerates (the product of the factor sizes).
+#: Most joint values VariableBundle.exact_distribution enumerates (the
+#: product of the variables' support sizes).
 PRODUCT_LAW_CAP = 2_000_000
-
-
-def _product_law(factors: Iterable[Iterable[tuple]]) -> dict:
-    """Law of independent factors, each given as (value, probability) pairs:
-    each tuple of values maps to 1.0 times its probabilities, left to right.
-    Refused before enumerating beyond PRODUCT_LAW_CAP joint values."""
-    factors = [list(f) for f in factors]
-    if math.prod(map(len, factors)) > PRODUCT_LAW_CAP:
-        raise ValueError("product support too large to enumerate "
-                         f"(PRODUCT_LAW_CAP={PRODUCT_LAW_CAP})")
-    law: dict[tuple, float] = {}
-    for combo in itertools.product(*factors):
-        prob = 1.0
-        for _, pr in combo:
-            prob *= pr
-        law[tuple(v for v, _ in combo)] = prob
-    return law
 
 
 class VariableBundle:
@@ -789,6 +773,11 @@ class VariableBundle:
         return state.values
 
     def exact_distribution(self) -> dict:
+        """Each tuple of values maps to 1.0 times its probabilities, left to
+        right.  Refused before enumerating beyond PRODUCT_LAW_CAP joint values."""
+        if math.prod(len(values) for values, _ in self.dists) > PRODUCT_LAW_CAP:
+            raise ValueError("product support too large to enumerate "
+                             f"(PRODUCT_LAW_CAP={PRODUCT_LAW_CAP})")
         supports = []
         for values, weights in self.dists:
             if weights is None:
@@ -796,7 +785,13 @@ class VariableBundle:
             else:
                 total = seqsum(weights)
                 supports.append([(v, w / total) for v, w in zip(values, weights)])
-        return _product_law(supports)
+        law: dict[tuple, float] = {}
+        for combo in itertools.product(*supports):
+            prob = 1.0
+            for _, pr in combo:
+                prob *= pr
+            law[tuple(v for v, _ in combo)] = prob
+        return law
 
 
 class _StructureBundle:
@@ -805,7 +800,6 @@ class _StructureBundle:
 
     def __init__(self, family, events: list, items: list) -> None:
         self.family = family
-        self.size = family.n
         self.events = events
         self._items = items
         self._holds, self._redraw = family.holds, family.redraw
@@ -901,65 +895,3 @@ class TreeBundle(_StructureBundle):
         super().__init__(SpanningTrees(n), events, events)
         self.graph = self._vertex_keys()
 
-
-# ---------------------------------------------------------------------------
-# product composition
-
-
-class ProductBundle:
-    """Independent product of bundles with joint events.
-
-    A joint event is a set of (space, event) pairs, at most one per
-    space; it occurs when every constituent occurs, and is resampled by
-    applying each constituent oracle in space order.  Two joint events
-    interfere when some space carries interfering constituents.
-    """
-
-    def __init__(self, spaces: Sequence, joint_events: Sequence[Iterable]) -> None:
-        self.spaces = list(spaces)
-        normalized = []
-        for ev in joint_events:
-            parts = tuple(sorted((int(s), int(e)) for s, e in ev))
-            if len({s for s, _ in parts}) != len(parts):
-                raise ValueError("joint event uses a space more than once")
-            if not parts:
-                raise ValueError("joint event must involve at least one space")
-            normalized.append(parts)
-        self.events = normalized
-        # Sharing an identical constituent is not interference: a
-        # constituent of the other event that currently fails cannot be
-        # flipped on by resampling a non-neighbor on its space.  Keys
-        # cannot say that, so the relation is stored, once, pair by pair.
-        parts = [dict(ev) for ev in normalized]
-        self.graph = DependencyGraph(len(normalized), [
-            (i, j) for i in range(len(parts)) for j in range(i + 1, len(parts))
-            if any(s in parts[j] and self.spaces[s].graph.adjacent(e, parts[j][s])
-                   for s, e in parts[i].items())
-        ])
-
-    @property
-    def n(self) -> int:
-        return len(self.events)
-
-    def sample(self, rng) -> tuple:
-        return tuple(space.sample(rng) for space in self.spaces)
-
-    def holds(self, i: int, state) -> bool:
-        return all(self.spaces[s].holds(e, state[s]) for s, e in self.events[i])
-
-    def resample(self, i: int, state, rng) -> tuple:
-        if not self.holds(i, state):
-            raise OracleEventError(f"joint event {i} does not hold")
-        parts = list(state)
-        for s, e in self.events[i]:
-            parts[s] = self.spaces[s].resample(e, parts[s], rng)
-        return tuple(parts)
-
-    def state_key(self, state) -> tuple:
-        return tuple(
-            space.state_key(part) if hasattr(space, "state_key") else part
-            for space, part in zip(self.spaces, state)
-        )
-
-    def exact_distribution(self) -> dict:
-        return _product_law(space.exact_distribution().items() for space in self.spaces)

@@ -27,8 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import (DependencyGraph, ENUMERATION_CAP, independent_set_masks,
-                     independent_subset_masks)
+from .graphs import DependencyGraph, ENUMERATION_CAP, independent_subset_masks
 from .streams import repeated_sum, seqsum
 
 #: Most events of an exact (Fraction) table: its time about doubles with
@@ -123,9 +122,8 @@ class PolynomialTable:
     Built by :func:`build_table`.  breve is a numpy array indexed by
     subset bitmask (float64, or object holding Fractions when exact).
     q(I) = p^I * breve_q([n] minus Gamma^+(I)) is computed by
-    :meth:`q_of` when asked for; :attr:`q` maps every independent set's
-    bitmask to it, enumerating the sets on first read.  The helpers
-    accept either a bitmask or an iterable of indices.
+    :meth:`q_of` when asked for, one set at a time.  The helpers accept
+    either a bitmask or an iterable of indices.
     """
 
     def __init__(self, graph, p, breve, exact, gamma_plus):
@@ -176,11 +174,6 @@ class PolynomialTable:
             gp |= self._gamma_plus[i]
             m &= m - 1
         return weight * self.breve.item(self.full_mask & ~gp)
-
-    @cached_property
-    def q(self) -> dict:
-        """q by bitmask over every independent set, ascending."""
-        return {mask: self.q_of(mask) for mask in independent_set_masks(self.graph)}
 
     @property
     def q0(self):

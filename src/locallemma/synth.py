@@ -90,7 +90,9 @@ class ExplicitSpace:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExplicitSpace":
-        probs = tuple(Fraction(p) for p in obj["prob"])
+        # a JSON number stands for its decimal text, not its binary float
+        probs = tuple(Fraction(repr(p)) if isinstance(p, float) else Fraction(p)
+                      for p in obj["prob"])
         if len(probs) != int(obj["states"]):
             raise ValueError("state count does not match probability list")
         events = tuple(frozenset(int(s) for s in ev) for ev in obj["events"])
@@ -111,9 +113,6 @@ class SynthesizedOracle:
 
     event: int
     rows: dict[int, tuple[tuple[int, Fraction], ...]]
-
-    def support(self, u: int) -> list[int]:
-        return [w for w, _ in self.rows[u]]
 
     def to_json(self) -> dict:
         return {
@@ -286,11 +285,6 @@ def synthesize(space: ExplicitSpace, i: int):
                      for b, f in sorted(flow[a].items()))
             for (a, u), m in zip(enumerate(sources), source_mass)}
     return SynthesizedOracle(event=i, rows=rows)
-
-
-def check_lopsided_association(space: ExplicitSpace, i: int) -> bool:
-    """Does an exact resampling oracle for event i exist?"""
-    return isinstance(synthesize(space, i), SynthesizedOracle)
 
 
 def check_lopsidependency(space: ExplicitSpace, i: int) -> bool:

@@ -12,7 +12,8 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from locallemma.graphs import DependencyGraph
+from locallemma.apps import _AppBundle
+from locallemma.graphs import DependencyGraph, independent_set_masks
 from locallemma.oracles import (
     MatchingBundle,
     OracleEventError,
@@ -309,16 +310,6 @@ def tree_interferes(bundle, i, j):
     return bool(verts[0] & verts[1])
 
 
-def product_interferes(bundle, i, j):
-    a = dict(bundle.events[i])
-    b = dict(bundle.events[j])
-    for s, e in a.items():
-        other = b.get(s)
-        if other is not None and bundle.spaces[s].graph.adjacent(e, other):
-            return True
-    return False
-
-
 def appendix_a_interferes(bundle, a, b):
     if a >= bundle.eprime or b >= bundle.eprime:
         return False
@@ -327,9 +318,29 @@ def appendix_a_interferes(bundle, a, b):
     return ca == cb
 
 
+def app_event_parts(bundle, idx):
+    """(copies, vertices) of an app event: every copy and every vertex of
+    the event's items, decoded from its payload, never from its keys.  The
+    payload is read with its copy indices, which the matching drops."""
+    payload = _AppBundle.payload(bundle, idx)
+    k = 1 if idx < bundle.n_type1 else 2
+    vertices = bundle.family.vertices
+    return (frozenset(payload[:k]),
+            frozenset(v for item in payload[k:] for v in vertices(item)))
+
+
 def app_interferes(bundle, a, b):
-    return (bool(bundle.spaces(a) & bundle.spaces(b))
-            and bool(bundle.support(a) & bundle.support(b)))
+    copies_a, vertices_a = app_event_parts(bundle, a)
+    copies_b, vertices_b = app_event_parts(bundle, b)
+    return bool(copies_a & copies_b) and bool(vertices_a & vertices_b)
+
+
+def color_classes(coloring):
+    """Each color of an edge coloring to its edges, in sorted edge order."""
+    out = {}
+    for edge, color in coloring.color.items():
+        out.setdefault(color, []).append(edge)
+    return out
 
 
 # Brute-force solution checks of the three applications, read through the
@@ -395,8 +406,6 @@ def brute_disjoint_transversals(matrix, perms):
 
 def scalar_build_table(graph, p, exact=False):
     """(breve, q): breve_q as a list over ascending masks, q by mask."""
-    from locallemma.graphs import independent_set_masks
-
     n = graph.n
     if exact:
         pv = [v if isinstance(v, Fraction) else Fraction(v) for v in p]
@@ -425,6 +434,11 @@ def scalar_build_table(graph, p, exact=False):
             m &= m - 1
         q[mask] = weight * breve[full & ~gp]
     return breve, q
+
+
+def q_by_mask(table):
+    """A PolynomialTable's q over every independent set, by ascending mask."""
+    return {m: table.q_of(m) for m in independent_set_masks(table.graph)}
 
 
 class _FractionFlowNetwork:

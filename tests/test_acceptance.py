@@ -47,6 +47,7 @@ from helpers import (
     acceptance_fixtures,
     matching_fixture,
     permutation_fixture,
+    q_by_mask,
     three_bit_space,
     tree_fixture,
     two_bit_space,
@@ -124,7 +125,7 @@ def test_criterion_01_polynomial_identity_suite():
 
         # complement sums and total mass, via one zeta transform over q
         qvec = [one * 0] * (1 << n)
-        for mask, val in table.q.items():
+        for mask, val in q_by_mask(table).items():
             qvec[mask] = val
         qsos = subset_sums(qvec)
         assert abs(qsos[full] - 1) <= tol
@@ -132,7 +133,7 @@ def test_criterion_01_polynomial_identity_suite():
             assert abs(breve[mask] - qsos[full ^ mask]) <= tol
 
         # q expands as p^I times the q-mass of the closed neighborhood
-        for mask, val in table.q.items():
+        for mask, val in q_by_mask(table).items():
             gp = 0
             coeff = one
             m = mask
@@ -287,7 +288,7 @@ def test_criterion_07_sequence_mass_bound():
         p = [rng.uniform(0.02, 0.2) for _ in range(n)]
         table = build_table(g, p)
         assert in_shearer_region(table)
-        for mask, qval in table.q.items():
+        for mask, qval in q_by_mask(table).items():
             if mask == 0:
                 continue
             start = [i for i in range(n) if mask >> i & 1]

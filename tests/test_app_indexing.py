@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import color_classes
 from locallemma.apps import (
     ColoredCompleteGraph,
     ColorMatrix,
@@ -68,7 +69,7 @@ def latin_events(matrix, t):
 
 def tree_events(coloring, t):
     n = coloring.n
-    pairs = _same_color_pairs(coloring.classes(), lambda e, f: True)
+    pairs = _same_color_pairs(color_classes(coloring), lambda e, f: True)
     events = []
     for i in range(t):
         for e, f in pairs:
@@ -83,7 +84,7 @@ def tree_events(coloring, t):
 
 def matching_events(coloring):
     m = coloring.n
-    pairs = _same_color_pairs(coloring.classes(), lambda e, f: not (set(e) & set(f)))
+    pairs = _same_color_pairs(color_classes(coloring), lambda e, f: not (set(e) & set(f)))
     return [((e, f), frozenset((0,)), frozenset(e) | frozenset(f), 1 / ((m - 1) * (m - 3)))
             for e, f in pairs]
 
@@ -102,11 +103,9 @@ def cases():
 def assert_accessors_match(bundle, events):
     assert bundle.n == len(events)
     assert bundle.n_type1 == sum(1 for _, spaces, _, _ in events if len(spaces) == 1)
-    for idx, (payload, spaces, support, prob) in enumerate(events):
+    for idx, (payload, _, _, prob) in enumerate(events):
         assert bundle.payload(idx) == payload, idx
         assert bundle.index(payload) == idx, payload
-        assert bundle.spaces(idx) == spaces, idx
-        assert bundle.support(idx) == support, idx
         assert bundle.event_prob(idx) == prob, idx
     assert len(bundle.params().y) == len(events)
 

@@ -36,9 +36,11 @@ from locallemma.apps import (
     validate_rainbow_trees,
 )
 from helpers import (
+    app_event_parts,
     brute_disjoint_transversals,
     brute_rainbow_matching,
     brute_rainbow_trees,
+    color_classes,
 )
 from locallemma import apps, oracles
 from locallemma.engine import maximal_set_resample
@@ -89,7 +91,7 @@ def test_coloring_normalizes_and_counts():
     g = ColoredCompleteGraph(3, {(1, 0): 5, (2, 0): 5, (1, 2): 7})
     assert g.color[(0, 1)] == 5
     assert g.multiplicity == 2
-    assert g.classes()[5] == [(0, 1), (0, 2)]
+    assert color_classes(g)[5] == [(0, 1), (0, 2)]
 
 
 def test_coloring_keeps_the_last_color_of_an_edge_given_twice():
@@ -158,7 +160,7 @@ def assert_same_coloring(a, b):
     if isinstance(a, ColorMatrix):
         assert a.rows == b.rows
     else:
-        assert a.color == b.color and a.classes() == b.classes()
+        assert a.color == b.color and color_classes(a) == color_classes(b)
     for x, y in zip(_bundles(a), _bundles(b), strict=True):
         assert _partition(x._color) == _partition(y._color)
         assert x._pairs == y._pairs
@@ -235,7 +237,7 @@ def test_rainbow_coloring_is_injective():
 def test_round_robin_is_a_proper_one_factorization():
     n = 8
     g = round_robin_coloring(n)
-    classes = g.classes()
+    classes = color_classes(g)
     assert len(classes) == n - 1
     for edges in classes.values():
         touched = [v for e in edges for v in e]
@@ -351,7 +353,7 @@ def test_tree_event_order_type1_first_lexicographic():
     bundle = RainbowTreeBundle(g, 2)
     pairs = sorted(
         (e, f)
-        for edges in g.classes().values()
+        for edges in color_classes(g).values()
         for a, e in enumerate(edges)
         for f in edges[a + 1:]
     )
@@ -422,15 +424,15 @@ def neighborhood_clique_cover(bundle, idx, same_bound, cross_bound):
     size, giving at most 4 + 4 cliques in total.
     """
     g = bundle.graph
-    support = bundle.support(idx)
-    spaces = bundle.spaces(idx)
+    spaces, support = app_event_parts(bundle, idx)
     groups: dict[tuple, list[int]] = {}
     for j in range(bundle.n):
         if j == idx or not g.adjacent(idx, j):
             continue
-        shared = sorted(bundle.support(j) & support)
+        spaces_j, support_j = app_event_parts(bundle, j)
+        shared = sorted(support_j & support)
         assert shared, "adjacency without a shared vertex"
-        same = bundle.spaces(j) <= spaces
+        same = spaces_j <= spaces
         groups.setdefault((shared[0], same), []).append(j)
     assert sum(1 for _, same in groups if same) <= 4
     assert sum(1 for _, same in groups if not same) <= 4
@@ -528,7 +530,7 @@ def per_family_criterion(bundle):
         p = 4 / n**2
         return y, p * (1 + (n - 1) * (t - 1) * y) ** 4 * (1 + (n - 1) * (q - 1) * y) ** 4 <= y
     if isinstance(bundle, LatinBundle):
-        n, t, q = bundle.size, bundle.t, bundle.matrix.multiplicity
+        n, t, q = bundle.size, bundle.t, bundle.coloring.multiplicity
         p = 1 / (n * (n - 1))
         y = BETA * p
         return (BETA / (n * (n - 1)),
@@ -649,7 +651,7 @@ def test_app_oracles_respect_declared_dependencies():
 
 def test_validate_rainbow_matching():
     g = round_robin_coloring(6)
-    edges = g.classes()[0]
+    edges = color_classes(g)[0]
     partner = [0] * 6
     for u, v in edges:
         partner[u], partner[v] = v, u

@@ -298,6 +298,25 @@ def test_space_without_an_oracle_exits_with_one_line(argv, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_float_probabilities_read_as_their_decimal_text(tmp_path, capsys):
+    # two independent bits at P = 0.3; as binary floats the four numbers
+    # sum to 1 - 2.8e-17, and event 0 would have no exact oracle
+    outputs = []
+    for name, prob in (("float", [0.49, 0.21, 0.21, 0.09]),
+                       ("decimal", ["0.49", "0.21", "0.21", "0.09"]),
+                       ("fraction", ["49/100", "21/100", "21/100", "9/100"])):
+        path = write_instance(tmp_path, {"kind": "explicit-space", "space": {
+            "states": 4, "prob": prob, "events": [[2, 3], [1, 3]],
+            "graph": {"n": 2, "edges": []}}}, name=f"{name}.json")
+        outputs.append([run_cli(argv, capsys) for argv in (
+            ["run", path, "--seed", "4"],
+            ["verify-oracle", "synthesized", "--instance", path,
+             "--samples", "2000", "--trials", "200", "--seed", "3"],
+            ["criteria", path, "--exact"])])
+    assert [code for code, _, _ in outputs[0]] == [0, 0, 0]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_run_latin_generator_instant(tmp_path, capsys):
     instance = {
         "kind": "latin",

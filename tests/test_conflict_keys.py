@@ -19,7 +19,6 @@ from helpers import (
     appendix_a_interferes,
     matching_interferes,
     permutation_interferes,
-    product_interferes,
     reference_resample_run,
     tree_interferes,
     variable_interferes,
@@ -36,7 +35,6 @@ from locallemma.oracles import (
     MatchingBundle,
     PatternEvent,
     PermutationBundle,
-    ProductBundle,
     TreeBundle,
     VariableBundle,
     VariableEvent,
@@ -80,20 +78,11 @@ def tree_bundle(rng):
                           for _ in range(9)])
 
 
-def product_bundle(rng):
-    spaces = [variable_bundle(rng), matching_bundle(rng)]
-    events = [[(0, rng.randrange(spaces[0].n)), (1, rng.randrange(spaces[1].n))]
-              for _ in range(6)]
-    events += [[(0, 2)], [(0, 2), (1, 3)], [(1, 3)], [(1, 0)], [(1, 8)]]
-    return ProductBundle(spaces, events)
-
-
 FIXTURES = [
     pytest.param(variable_bundle, variable_interferes, id="variable"),
     pytest.param(permutation_bundle, permutation_interferes, id="permutation"),
     pytest.param(matching_bundle, matching_interferes, id="matching"),
     pytest.param(tree_bundle, tree_interferes, id="tree"),
-    pytest.param(product_bundle, product_interferes, id="product"),
     pytest.param(lambda rng: appendix_a_bundle(4, 3), appendix_a_interferes, id="appendix-a"),
     pytest.param(lambda rng: LatinBundle(random_color_matrix(5, 3, rng), 3),
                  app_interferes, id="latin"),

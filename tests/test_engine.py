@@ -11,7 +11,6 @@ from locallemma.oracles import (
     MatchingBundle,
     PatternEvent,
     PermutationBundle,
-    ProductBundle,
     TreeBundle,
     VariableBundle,
     VariableEvent,
@@ -96,8 +95,6 @@ def bundles_for_cross_check():
     yield PermutationBundle(4, [PatternEvent(((0, 0),)), PatternEvent(((1, 1),))])
     yield MatchingBundle(6, [((0, 1),), ((2, 3),)])
     yield TreeBundle(5, [((0, 1),), ((2, 3),)])
-    inner = coin_bundle(2, [bit_is(0, 1), bit_is(1, 1)])
-    yield ProductBundle([inner, inner], [((0, 0),), ((0, 1), (1, 0)), ((1, 1),)])
     yield ExplicitBundle(explicit_space_three_bits())
 
 

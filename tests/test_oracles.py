@@ -27,7 +27,6 @@ from locallemma.oracles import (
     PerfectMatchings,
     PermutationBundle,
     Permutations,
-    ProductBundle,
     SpanningTrees,
     TreeBundle,
     VariableBundle,
@@ -486,92 +485,15 @@ def test_families_refuse_impossible_sizes():
 
 
 # ---------------------------------------------------------------------------
-# products
-
-
-def two_bit_space():
-    events = [
-        VariableEvent(variables=(0,), predicate=lambda v: v == 1),
-        VariableEvent(variables=(1,), predicate=lambda v: v == 1),
-    ]
-    return VariableBundle([((0, 1), None)] * 2, events)
-
-
-def test_product_rejects_repeated_space_use():
-    space = two_bit_space()
-    with pytest.raises(ValueError):
-        ProductBundle([space, space], [((0, 0), (0, 1))])
-    with pytest.raises(ValueError):
-        ProductBundle([space], [()])
-
-
-def test_product_adjacency_is_strict():
-    space = two_bit_space()
-    bundle = ProductBundle(
-        [space, space],
-        [((0, 0),), ((0, 0), (1, 0)), ((0, 1), (1, 1)), ((1, 0),)],
-    )
-    # identical constituent on space 0, nothing adjacent: not interfering
-    assert not bundle.graph.adjacent(0, 1)
-    assert not bundle.graph.adjacent(0, 2)
-    assert not bundle.graph.adjacent(0, 3)
-    assert not bundle.graph.adjacent(1, 2)
-    assert not bundle.graph.adjacent(1, 3)  # same constituent on space 1
-    assert not bundle.graph.adjacent(2, 3)
-
-
-def test_product_adjacency_through_adjacent_constituents():
-    events = [
-        VariableEvent(variables=(0,), predicate=lambda v: v == 1),
-        VariableEvent(variables=(0, 1), predicate=lambda a, b: a == b == 1),
-    ]
-    space = VariableBundle([((0, 1), None)] * 2, events)
-    bundle = ProductBundle([space, space], [((0, 0),), ((0, 1),), ((1, 0),)])
-    assert bundle.graph.adjacent(0, 1)
-    assert not bundle.graph.adjacent(0, 2)
-
-
-def test_product_resample_only_touches_named_spaces():
-    space = two_bit_space()
-    bundle = ProductBundle([space, space], [((0, 0),), ((1, 1),)])
-    rng = random.Random(1)
-    state = bundle.sample(rng)
-    while not bundle.holds(0, state):
-        state = bundle.sample(rng)
-    new = bundle.resample(0, state, rng)
-    assert new[1] == state[1]
-
-
-def test_product_exact_distribution_is_product():
-    space = two_bit_space()
-    bundle = ProductBundle([space, space], [((0, 0),)])
-    dist = bundle.exact_distribution()
-    assert len(dist) == 16
-    assert sum(dist.values()) == pytest.approx(1.0)
-    for pr in dist.values():
-        assert pr == pytest.approx(1 / 16)
+# product laws
 
 
 def test_product_laws_past_the_cap_are_refused_before_enumerating():
-    # 2^21 joint values for the bits alone, 2^22 for a product of two
+    # 2^21 joint values
     bits = VariableBundle([((0, 1), None)] * 21, [VariableEvent((0,), bool)])
     with pytest.raises(ValueError, match="PRODUCT_LAW_CAP"):
         bits.exact_distribution()
-    half = VariableBundle([((0, 1), None)] * 11, [VariableEvent((0,), bool)])
-    with pytest.raises(ValueError, match="PRODUCT_LAW_CAP"):
-        ProductBundle([half, half], [((0, 0),)]).exact_distribution()
     assert 2**20 <= PRODUCT_LAW_CAP < 2**21
-
-
-def test_product_r1_r2_statistical():
-    space = two_bit_space()
-    bundle = ProductBundle(
-        [space, space],
-        [((0, 0), (1, 0)), ((0, 1),), ((1, 1),)],
-    )
-    report = check_r1(bundle, 0, samples=40_000, seed=9)
-    assert report.passed, report.to_json()
-    assert check_r2(bundle, 0, trials=20_000, seed=10) == 0
 
 
 # ---------------------------------------------------------------------------

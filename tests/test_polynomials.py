@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_breve, brute_q, scalar_build_table, subsets
+from helpers import brute_breve, brute_q, q_by_mask, scalar_build_table, subsets
 from locallemma import polynomials
 from locallemma.cli import main
 from locallemma.graphs import DependencyGraph, enumerate_independent_sets
@@ -161,8 +161,9 @@ def test_table_equals_the_scalar_recurrence_bit_for_bit():
         breve, q = scalar_build_table(g, p)
         assert table.breve.dtype == np.float64
         assert [v.hex() for v in table.breve.tolist()] == [v.hex() for v in breve]
-        assert table.q.keys() == q.keys()
-        assert all(table.q[m].hex() == q[m].hex() for m in q)
+        table_q = q_by_mask(table)
+        assert table_q.keys() == q.keys()
+        assert all(table_q[m].hex() == q[m].hex() for m in q)
         on_demand = [table.q_of(m) for m in range(1 << g.n)]
         assert all(type(v) is float for v in on_demand)
         assert [v.hex() for v in on_demand] == [
@@ -186,7 +187,7 @@ def test_exact_table_equals_the_scalar_recurrence():
         assert table.breve.dtype == object
         assert table.breve.tolist() == breve
         assert all(type(v) is Fraction for v in table.breve.tolist())
-        assert table.q == q
+        assert q_by_mask(table) == q
         on_demand = [table.q_of(m) for m in range(1 << n)]
         assert all(type(v) is Fraction for v in on_demand)
         assert on_demand == [q.get(m, Fraction(0)) for m in range(1 << n)]
@@ -200,7 +201,7 @@ def test_tables_and_reports_enumerate_no_independent_sets(monkeypatch, tmp_path,
     def refuse(*args):
         raise AssertionError("independent sets enumerated")
 
-    monkeypatch.setattr(polynomials, "independent_set_masks", refuse)
+    monkeypatch.setattr(polynomials, "independent_subset_masks", refuse)
     g, p = witness_instance(12, random.Random(406))
     table = build_table(g, p)
     assert shearer_report(table)["in_region"]

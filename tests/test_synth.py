@@ -22,7 +22,6 @@ from locallemma.synth import (
     HallCertificate,
     SynthesizedOracle,
     _transport,
-    check_lopsided_association,
     check_lopsidependency,
     synthesize,
 )
@@ -129,7 +128,7 @@ def test_fresh_sample_kernel_skips_null_states():
     kernel = synthesize(space, 0)
     # state 1 carries no mass: absent as a source and as a target
     assert set(kernel.rows) == {0}
-    assert kernel.support(0) == [0, 2]
+    assert [w for w, _ in kernel.rows[0]] == [0, 2]
 
 
 def test_two_bit_kernel_redraws_only_the_event_bit():
@@ -170,8 +169,8 @@ def test_positively_correlated_pair_is_feasible():
     # only helps the other
     space = ExplicitSpace((Fraction(1, 2), Fraction(1, 2)),
                           (frozenset({0}), frozenset({0})), DependencyGraph(2))
-    assert check_lopsided_association(space, 0)
-    assert check_lopsided_association(space, 1)
+    assert isinstance(synthesize(space, 0), SynthesizedOracle)
+    assert isinstance(synthesize(space, 1), SynthesizedOracle)
     kernel = synthesize(space, 0)
     assert isinstance(kernel, SynthesizedOracle)
 
@@ -186,7 +185,7 @@ def test_anti_correlated_pair_is_infeasible():
     assert cert.source_mass == 1
     assert cert.reachable_mass == Fraction(1, 2)
     assert cert.source_mass > cert.reachable_mass
-    assert not check_lopsided_association(space, 0)
+    assert not isinstance(synthesize(space, 0), SynthesizedOracle)
     # disjoint events also fail the plain conditional inequality
     assert not check_lopsidependency(space, 0)
 
@@ -194,7 +193,7 @@ def test_anti_correlated_pair_is_infeasible():
 def test_independent_events_are_feasible_and_lopsidependent():
     space = two_bit_space()
     for i in range(2):
-        assert check_lopsided_association(space, i)
+        assert isinstance(synthesize(space, i), SynthesizedOracle)
         assert check_lopsidependency(space, i)
 
 
@@ -229,7 +228,7 @@ def lopsided_but_not_associated_space():
 def test_lopsidependency_does_not_imply_association():
     space = lopsided_but_not_associated_space()
     assert check_lopsidependency(space, 2)
-    assert not check_lopsided_association(space, 2)
+    assert not isinstance(synthesize(space, 2), SynthesizedOracle)
     cert = synthesize(space, 2)
     assert isinstance(cert, HallCertificate)
     assert cert.states == (2, 3)
@@ -258,7 +257,7 @@ def test_association_implies_lopsidependency_on_random_spaces():
     for seed in range(300):
         space = random_space(seed)
         for i in range(space.n_events):
-            if check_lopsided_association(space, i):
+            if isinstance(synthesize(space, i), SynthesizedOracle):
                 feasible += 1
                 assert check_lopsidependency(space, i)
             else:
@@ -288,7 +287,7 @@ def test_product_spaces_are_always_feasible():
         for i in range(3):
             if space.event_prob(i) == 0:
                 continue
-            assert check_lopsided_association(space, i)
+            assert isinstance(synthesize(space, i), SynthesizedOracle)
 
 
 def random_graph_space(seed):
