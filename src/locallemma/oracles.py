@@ -4,9 +4,10 @@ Each oracle family fixes a product-like measure, a class of events, and
 a resampling procedure with two contract properties: resampling event i
 from the conditioned measure restores the unconditioned measure, and
 resampling event i never causes a non-neighbor event that was not
-occurring to occur.  States use plain structures:
+occurring to occur.  States are plain hashable structures, each itself
+a key of its bundle's exact_distribution():
 
-    variable assignment   VariableState (values plus per-variable laws)
+    variable assignment   tuple values, values[v] is variable v's value
     permutation of [n]    tuple pi, pi[x] is the image of x
     perfect matching      tuple partner, partner[v] is v's partner
     spanning tree of K_n  TreeState, a frozenset of (u, v) pairs with u < v
@@ -17,7 +18,7 @@ bits as bytes, one byte per bit.
 The last three are the structure families Permutations(n),
 PerfectMatchings(n) and SpanningTrees(n) (see ``_Family``), through which
 the single-space bundles here and the application bundles of ``apps``
-draw, test, redraw and key their structures.
+draw, test and redraw their structures.
 
 Oracles raise OracleEventError when asked to resample an event that
 does not hold; the engine never does this.
@@ -47,19 +48,6 @@ class OracleEventError(ValueError):
 # variable spaces
 
 
-@dataclass(frozen=True)
-class VariableState:
-    """Assignment to finitely many independent variables.
-
-    dists holds one (values, weights) pair per variable; weights None
-    means uniform.  The laws ride along with the state so resampling is
-    self-contained.
-    """
-
-    values: tuple
-    dists: tuple
-
-
 def _draw(dist, rng):
     values, weights = dist
     if weights is None:
@@ -74,15 +62,6 @@ def _draw(dist, rng):
     return values[-1]
 
 
-def variable_resample(state: VariableState, variables: Iterable[int], rng) -> VariableState:
-    """Redraw the given variables from their own laws; others untouched."""
-    values = list(state.values)
-    dists = state.dists
-    for v in sorted(set(variables)):
-        values[v] = _draw(dists[v], rng)
-    return VariableState(tuple(values), dists)
-
-
 @dataclass(frozen=True)
 class VariableEvent:
     """Event depending on a fixed variable subset through a predicate."""
@@ -90,8 +69,7 @@ class VariableEvent:
     variables: tuple[int, ...]
     predicate: Callable = field(compare=False)
 
-    def holds(self, state: VariableState) -> bool:
-        values = state.values
+    def holds(self, values: Sequence) -> bool:
         return bool(self.predicate(*[values[v] for v in self.variables]))
 
 
@@ -132,9 +110,6 @@ class _Family:
         u, v = self.item(rank)
         return structure[u] == v
 
-    def state_key(self, state):
-        return state
-
 
 # ---------------------------------------------------------------------------
 # permutations
@@ -153,14 +128,6 @@ class PatternEvent:
         ys = [y for _, y in pairs]
         if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
             raise ValueError("pattern pairs must have distinct domains and ranges")
-
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(x for x, _ in self.pairs)
-
-    @property
-    def range(self) -> frozenset[int]:
-        return frozenset(y for _, y in self.pairs)
 
 
 def permutation_resample(pi: Sequence[int], event, rng) -> tuple[int, ...]:
@@ -719,15 +686,12 @@ class SpanningTrees(_EdgeItems):
         """A spanning tree of edges (u, v) with u < v, which ``ranks`` reads."""
         return is_spanning_tree(self.n, tree)
 
-    def state_key(self, tree) -> tuple:
-        return tuple(sorted(tree))
-
     def exact_distribution(self) -> dict:
-        """Keyed by state_key: combinations of the sorted edges come sorted."""
+        """Keyed by edge frozensets, which a TreeState equals and hashes as."""
         if self.n > 7:
             raise ValueError("tree enumeration refused beyond n=7")
         edges = list(itertools.combinations(range(self.n), 2))
-        return _uniform(combo for combo in itertools.combinations(edges, self.n - 1)
+        return _uniform(frozenset(combo) for combo in itertools.combinations(edges, self.n - 1)
                         if is_spanning_tree(self.n, combo))
 
 
@@ -743,6 +707,8 @@ PRODUCT_LAW_CAP = 2_000_000
 class VariableBundle:
     """Independent variables with events on variable subsets.
 
+    A state is the tuple of the variables' values; dists holds one
+    (values, weights) pair per variable, weights None meaning uniform.
     Two events are dependent exactly when their variable sets meet.
     """
 
@@ -758,19 +724,22 @@ class VariableBundle:
     def n(self) -> int:
         return len(self.events)
 
-    def sample(self, rng) -> VariableState:
-        return VariableState(tuple([_draw(d, rng) for d in self.dists]), self.dists)
+    def sample(self, rng) -> tuple:
+        return tuple([_draw(d, rng) for d in self.dists])
 
-    def holds(self, i: int, state: VariableState) -> bool:
+    def holds(self, i: int, state) -> bool:
         return self.events[i].holds(state)
 
-    def resample(self, i: int, state: VariableState, rng) -> VariableState:
-        if not self.events[i].holds(state):
+    def resample(self, i: int, state, rng) -> tuple:
+        """Redraw the event's variables from their own laws in increasing
+        order; the others are untouched."""
+        event = self.events[i]
+        if not event.holds(state):
             raise OracleEventError(f"event {i} does not hold")
-        return variable_resample(state, self.events[i].variables, rng)
-
-    def state_key(self, state: VariableState):
-        return state.values
+        values = list(state)
+        for v in sorted(set(event.variables)):
+            values[v] = _draw(self.dists[v], rng)
+        return tuple(values)
 
     def exact_distribution(self) -> dict:
         """Each tuple of values maps to 1.0 times its probabilities, left to
@@ -804,7 +773,7 @@ class _StructureBundle:
         self._items = items
         self._holds, self._redraw = family.holds, family.redraw
         self.sample, self.valid_state = family.sample, family.valid
-        self.state_key, self.exact_distribution = family.state_key, family.exact_distribution
+        self.exact_distribution = family.exact_distribution
 
     @property
     def n(self) -> int:

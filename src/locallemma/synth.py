@@ -57,7 +57,7 @@ class ExplicitSpace:
         if any(p < 0 for p in probs):
             raise ValueError("state probabilities must be nonnegative")
         total = sum(probs)
-        if abs(total - 1) > Fraction(1, 10**12):
+        if total != 1:
             raise ValueError(f"state probabilities sum to {total}, not 1")
         if len(self.events) != self.graph.n:
             raise ValueError("event count must match the dependency graph")
@@ -325,6 +325,8 @@ class ExplicitBundle:
     """
 
     kind = "explicit-space"
+    # the space's own event test, kept on the class so a subclass can replace it
+    holds = property(lambda self: self.space.holds)
 
     def __init__(self, space: ExplicitSpace) -> None:
         self.space = space
@@ -338,7 +340,10 @@ class ExplicitBundle:
                     f"carry mass {result.source_mass} but reach only {result.reachable_mass}"
                 )
             self.kernels.append(result)
-        self._cum = list(accumulate(map(float, space.probs)))
+        # cut after the last state of positive probability, so a draw
+        # past a float total below 1 clamps to a state of the law
+        last = max(s for s, p in enumerate(space.probs) if p > 0)
+        self._cum = list(accumulate(map(float, space.probs[:last + 1])))
         self._row_cum: dict[tuple[int, int], tuple[list[float], list[int]]] = {
             (i, u): (list(accumulate(float(f) for _, f in row)), [w for w, _ in row])
             for i, kernel in enumerate(self.kernels)
@@ -352,18 +357,12 @@ class ExplicitBundle:
     def sample(self, rng) -> int:
         return min(bisect_right(self._cum, rng.random()), len(self._cum) - 1)
 
-    def holds(self, i: int, state: int) -> bool:
-        return state in self.space.events[i]
-
     def resample(self, i: int, state: int, rng) -> int:
         row = self._row_cum.get((i, state))
         if row is None:
             raise OracleEventError(f"event {i} does not hold in state {state}")
         cum, states = row
         return states[min(bisect_right(cum, rng.random()), len(cum) - 1)]
-
-    def state_key(self, state: int) -> int:
-        return state
 
     def validate_solution(self, state: int) -> bool:
         """Does no event hold in state?  Reads the event sets of the space,

@@ -88,18 +88,18 @@ def test_r1(bundle, event: int, samples: int, seed: int = 0,
     Draws `samples` states from the conditioned measure (rejection, at
     most `rejection_budget` draws in all), resamples each once, and
     chi-square-tests the outputs against bundle.exact_distribution().
-    Passing means the statistic stays below the upper quantile at the
-    given significance and no output (a broken structure included) fell
-    outside the exact support.
+    The states themselves are counted, so each must be hashable and equal
+    to its key in the exact law.  Passing means the statistic stays below
+    the upper quantile at the given significance and no output (a broken
+    structure included) fell outside the exact support.
     """
     if samples < 1:
         raise ValueError("the distribution test needs at least one sample")
     exact = bundle.exact_distribution()
-    key = getattr(bundle, "state_key", None)
     rng = random.Random(seed)
     states = islice(_conditioned_states(bundle, event, rng, rejection_budget), samples)
     outs = map(bundle.resample, repeat(event), states, repeat(rng))
-    counts = Counter(outs if key is None else map(key, outs))
+    counts = Counter(outs)
 
     unexpected = sum(c for k, c in counts.items() if k not in exact)
     stat = 0.0
@@ -278,9 +278,6 @@ class AppendixABundle:
             vals[zo:w - 1] = vals[zo + 1:w]
             vals[w - 1] = rng.getrandbits(1)
         return bytes(vals)
-
-    def state_key(self, state):
-        return state
 
     def exact_distribution(self) -> dict:
         if self.n_vars > 20:

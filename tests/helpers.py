@@ -295,8 +295,8 @@ def variable_interferes(bundle, i, j):
 
 
 def permutation_interferes(bundle, i, j):
-    a, b = bundle.events[i], bundle.events[j]
-    return bool(a.domain & b.domain or a.range & b.range)
+    a, b = bundle.events[i].pairs, bundle.events[j].pairs
+    return bool({x for x, _ in a} & {x for x, _ in b} or {y for _, y in a} & {y for _, y in b})
 
 
 def matching_interferes(bundle, i, j):

@@ -317,6 +317,22 @@ def test_float_probabilities_read_as_their_decimal_text(tmp_path, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.mark.parametrize("argv", [
+    ["run"], ["criteria"], ["verify-oracle", "synthesized", "--instance"],
+], ids=["run", "criteria", "verify-oracle"])
+def test_probabilities_must_sum_to_exactly_one(argv, tmp_path, capsys):
+    # two independent bits at P = 1/3, rounded to 13 decimals: the total
+    # falls 1e-13 short of 1
+    path = write_instance(tmp_path, {"kind": "explicit-space", "space": {
+        "states": 4, "prob": ["0.4444444444444", "0.2222222222222", "0.2222222222222",
+                              "0.1111111111111"],
+        "events": [[2, 3], [1, 3]], "graph": {"n": 2, "edges": []}}})
+    code, out, err = run_cli(argv + [path], capsys)
+    assert code == 3 and out == ""
+    assert err == ("error: bad space object: state probabilities sum to "
+                   "9999999999999/10000000000000, not 1\n")
+
+
 def test_run_latin_generator_instant(tmp_path, capsys):
     instance = {
         "kind": "latin",

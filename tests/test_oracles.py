@@ -31,7 +31,6 @@ from locallemma.oracles import (
     TreeBundle,
     VariableBundle,
     VariableEvent,
-    VariableState,
     is_perfect_matching,
     is_spanning_tree,
     matching_pairs,
@@ -274,10 +273,8 @@ def test_variable_weighted_draw_exact():
     dists = [((0, 1, 2), (0.5, 0.25, 0.25))]
     events = [VariableEvent(variables=(0,), predicate=lambda v: v == 0)]
     bundle = VariableBundle(dists, events)
-    state0 = bundle.sample(random.Random(0))
     # resample from the conditioned state: value 0 occurs, redraw variable
-    conditioned = type(state0)((0,), state0.dists)
-    law = exact_outcomes(lambda rng: bundle.resample(0, conditioned, rng).values)
+    law = exact_outcomes(lambda rng: bundle.resample(0, (0,), rng))
     assert law == {
         (0,): Fraction(1, 2),
         (1,): Fraction(1, 4),
@@ -389,10 +386,7 @@ def test_holds_equals_its_definition_on_every_state(case):
             want = definition(ev, state)
             seen.add(want)
             for form in forms:
-                given = form(state)
-                if isinstance(bundle, VariableBundle):
-                    given = VariableState(given, bundle.dists)
-                assert bundle.holds(i, given) is want, (i, state, form)
+                assert bundle.holds(i, form(state)) is want, (i, state, form)
     assert seen == {True, False}
 
 
@@ -434,9 +428,8 @@ def test_family_states_list_exactly_their_items(family, contains, items):
     law = family.exact_distribution()
     assert sum(law.values()) == pytest.approx(1.0)
     shared_vertex = False
-    for key in law:
-        state = frozenset(key) if isinstance(family, SpanningTrees) else key
-        assert family.valid(state) and family.state_key(state) == key
+    for state in law:
+        assert family.valid(state)
         present = [r for r, item in enumerate(items) if contains(state, item)]
         assert [r for r, item in enumerate(items) if family.holds(state, (item,))] == present
         assert [r for r in range(len(items)) if family.has(state, r)] == present
@@ -454,11 +447,11 @@ def test_family_draws_and_redraws_valid_states(family, contains, items):
     law = family.exact_distribution()
     for _ in range(20):
         state = family.sample(rng)
-        assert family.state_key(state) in law
+        assert state in law
         present = sorted(family.ranks(state))
         if present:
             state = family.redraw(state, [items[present[-1]]], rng)
-            assert family.valid(state) and family.state_key(state) in law
+            assert family.valid(state) and state in law
 
 
 def test_tree_with_an_edge_given_high_end_first_is_not_valid():

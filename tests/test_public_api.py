@@ -1,6 +1,9 @@
-"""The package's public names: ``__all__`` and what ``__init__`` binds agree."""
+"""The package's public names: ``__all__`` and what ``__init__`` binds
+agree, and the optional bundle hooks the package probes for."""
 
+import ast
 import types
+from pathlib import Path
 
 import locallemma
 
@@ -24,3 +27,16 @@ def test_star_import_binds_every_export():
     namespace.pop("__builtins__")
     assert set(namespace) == set(locallemma.__all__)
     assert all(namespace[name] is getattr(locallemma, name) for name in namespace)
+
+
+def test_the_optional_bundle_hooks_are_the_known_ones():
+    # every getattr(bundle, "<name>", ...) in the package names one
+    # optional hook; a new one widens what every bundle may be asked for
+    probed = set()
+    for path in Path(locallemma.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "getattr" and len(node.args) == 3
+                    and isinstance(node.args[0], ast.Name) and node.args[0].id == "bundle"):
+                probed.add(ast.literal_eval(node.args[1]))
+    assert probed == {"occurring", "valid_state", "kernels"}

@@ -519,7 +519,22 @@ def test_bundle_exact_distribution_and_keys():
     dist = bundle.exact_distribution()
     assert set(dist) == set(range(8))
     assert all(abs(p - 0.125) < 1e-12 for p in dist.values())
-    assert bundle.state_key(5) == 5
+
+
+class _TopDraw:
+    """A stream whose random() is the largest float below 1."""
+
+    def random(self):
+        return 1 - 2**-53
+
+
+def test_bundle_sample_never_draws_a_state_of_probability_zero():
+    # ten floats of 1/10 sum to 1 - 2**-53, so a draw at the top of [0, 1)
+    # passes every cumulative sum and clamps to the last state
+    space = ExplicitSpace((Fraction(1, 10),) * 10 + (Fraction(0),), (), DependencyGraph(0))
+    bundle = ExplicitBundle(space)
+    assert bundle.sample(_TopDraw()) == 9
+    assert 9 in bundle.exact_distribution()
 
 
 def test_engine_clears_all_bits():

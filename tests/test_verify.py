@@ -117,6 +117,39 @@ def test_r1_and_r2_are_pinned_on_every_fixture_event(f):
     assert digest == R1_R2_DIGESTS[f]
 
 
+def _r1_bundle(name):
+    """A bundle that R1 runs on: the CLI's defaults, the streak bundle and
+    the fixtures of this file."""
+    from locallemma.cli import _default_bundle, _default_space
+    from locallemma.synth import ExplicitBundle
+
+    if name == "explicit":
+        return ExplicitBundle(_default_space())
+    if name == "appendix-a":
+        return appendix_a_bundle(2, 1)
+    if name == "coin-pair":
+        return coin_pair_bundle()
+    if name.startswith("fixture-"):
+        return acceptance_fixtures()[int(name[-1])]
+    return _default_bundle(name, 0)
+
+
+@pytest.mark.parametrize("name", ["variable", "permutation", "matching", "tree", "explicit",
+                                  "appendix-a", "coin-pair",
+                                  *(f"fixture-{f}" for f in range(5))])
+def test_states_are_keys_of_their_own_law(name):
+    # R1 counts the resampled states themselves against the exact law
+    bundle = _r1_bundle(name)
+    exact = bundle.exact_distribution()
+    rng = random.Random(8)
+    for event in range(bundle.n):
+        state = bundle.sample(rng)
+        assert state in exact
+        while not bundle.holds(event, state):
+            state = bundle.sample(rng)
+        assert bundle.resample(event, state, rng) in exact
+
+
 class _StuckOracle:
     """Two fair bits, one event on bit 0, resample that returns its input.
 
@@ -134,9 +167,6 @@ class _StuckOracle:
         return state[0] == 0
 
     def resample(self, i, state, rng):
-        return state
-
-    def state_key(self, state):
         return state
 
     def exact_distribution(self):
@@ -425,7 +455,7 @@ def test_streak_bundle_exact_distribution_keys_are_the_bytes_states():
     exact = b.exact_distribution()
     assert set(exact) == {bytes(s) for s in all_states(b.n_vars)}
     state = b.sample(random.Random(0))
-    assert type(state) is bytes and b.state_key(state) in exact
+    assert type(state) is bytes and state in exact
 
 
 # ---------------------------------------------------------------------------
