@@ -34,7 +34,6 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -249,22 +248,35 @@ def distinct_color_matrix(n: int) -> ColorMatrix:
 # structure family and coloring alone, as it reads nothing else
 
 
+def _valid_solution(family, ids: np.ndarray, structures) -> bool:
+    """Is every structure valid in ``family``, with no two of its items of
+    one color (``ids`` gives each item's color id in rank order) and no
+    item in two structures?"""
+    seen: set[int] = set()
+    for structure in structures:
+        if not family.valid(structure):
+            return False
+        ranks = family.ranks(structure)
+        if len(set(ids[ranks].tolist())) < len(ranks) or not seen.isdisjoint(ranks):
+            return False
+        seen.update(ranks)
+    return True
+
+
 def validate_rainbow_matching(coloring: ColoredCompleteGraph, partner) -> bool:
     # K_n with n odd has no perfect matching, so no PerfectMatchings family
-    return coloring.n % 2 == 0 and _AppBundle.validate_solution(
-        SimpleNamespace(family=PerfectMatchings(coloring.n), coloring=coloring), [partner])
+    return coloring.n % 2 == 0 and _valid_solution(
+        PerfectMatchings(coloring.n), coloring.ids, [partner])
 
 
 def validate_rainbow_trees(coloring: ColoredCompleteGraph, trees: Sequence) -> bool:
     # edges normalized first: a degenerate one raises ValueError
-    return _AppBundle.validate_solution(
-        SimpleNamespace(family=SpanningTrees(coloring.n), coloring=coloring),
-        [[normalize_edge(e) for e in tree] for tree in trees])
+    return _valid_solution(SpanningTrees(coloring.n), coloring.ids,
+                           [[normalize_edge(e) for e in tree] for tree in trees])
 
 
 def validate_disjoint_transversals(matrix: ColorMatrix, perms: Sequence) -> bool:
-    return _AppBundle.validate_solution(
-        SimpleNamespace(family=Permutations(matrix.n), coloring=matrix), perms)
+    return _valid_solution(Permutations(matrix.n), matrix.ids, perms)
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +463,7 @@ class _AppBundle:
         of its items of one color, and no item in two structures?  Reads
         only ``family``, ``coloring.ids`` and the structures, never the
         event model, so it checks the engine's output independently."""
-        family, ids = self.family, self.coloring.ids
-        seen: set[int] = set()
-        for structure in state:
-            if not family.valid(structure):
-                return False
-            ranks = family.ranks(structure)
-            if len(set(ids[ranks].tolist())) < len(ranks) or not seen.isdisjoint(ranks):
-                return False
-            seen.update(ranks)
-        return True
+        return _valid_solution(self.family, self.coloring.ids, state)
 
     def occurring(self, state, near=None):
         """The occurring events, as a list; with ``near``, a set of

@@ -57,7 +57,7 @@ from .polynomials import (
     singleton_ratio,
     tail_bounds,
 )
-from .synth import ExplicitBundle, ExplicitSpace
+from .synth import ExplicitBundle, ExplicitSpace, parse_probability
 from .verify import (
     appendix_a_bundle,
     derive_seed,
@@ -182,15 +182,6 @@ def _text_lines(obj, prefix: str):
         yield f"{prefix[:-1]}: {json.dumps(obj, sort_keys=True)}"
 
 
-def _parse_number(value) -> Fraction:
-    # accepts JSON numbers, decimal strings, and "a/b" rationals
-    if isinstance(value, bool):
-        raise InputError(f"expected a probability, got {value!r}")
-    if isinstance(value, (int, float, str)):
-        return Fraction(value)
-    raise InputError(f"expected a number, got {type(value).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # instance loading
 
@@ -231,7 +222,7 @@ def _parse_params(obj, n: int) -> CriterionParams:
             raise InputError(f"unknown params kind {kind!r}")
         # the ranges check_gll and check_cll require, which tail_bounds assumes
         field, high = ("x", 1) if kind == "gll" else ("y", math.inf)
-        vector = tuple(float(_parse_number(v)) for v in obj[field])
+        vector = tuple(float(parse_probability(v)) for v in obj[field])
         if len(vector) != n:
             raise InputError(f"params.{field} has length {len(vector)}, expected {n}")
         if not all(0 < v < high for v in vector):
@@ -310,7 +301,7 @@ def cmd_criteria(args, out) -> int:
         if not isinstance(probs, list):
             raise InputError("p must be a list of probabilities")
         with _reading("p"):
-            probs = [_parse_number(v) for v in probs]
+            probs = [parse_probability(v) for v in probs]
         if len(probs) != n:
             raise InputError(f"p has length {len(probs)}, expected {n}")
         if not all(0 <= v < 1 for v in probs):
@@ -448,18 +439,21 @@ def cmd_verify_oracle(args, out) -> int:
     for flag, count in (("--samples", args.samples), ("--trials", args.trials)):
         if count < 1:
             raise InputError(f"{flag} must be at least 1, got {count}")
+    event = args.event if args.event is not None else 0
     if args.family == "synthesized":
         if args.instance:
             space, _ = _space_from_json(_load_json(args.instance))
         else:
             space = _default_space()
-        bundle = ExplicitBundle(space)
+        n = space.n_events
     else:
         bundle = _default_bundle(args.family, args.size)
-
-    event = args.event if args.event is not None else 0
-    if not 0 <= event < bundle.n:
-        raise InputError(f"event index {event} out of range for {bundle.n} events")
+        n = bundle.n
+    if not 0 <= event < n:
+        raise InputError(f"event index {event} out of range for {n} events")
+    if args.family == "synthesized":
+        # R1 and R2 resample no other event, so no other kernel is built
+        bundle = ExplicitBundle(space, [event])
     r1 = test_r1(bundle, event, samples=args.samples, seed=args.seed)
     violations = test_r2(bundle, event, trials=args.trials, seed=args.seed + 1)
     payload = {

@@ -12,9 +12,10 @@ The engine works against any object satisfying the bundle interface::
     bundle.n                       number of events
     bundle.graph.keys(i)           conflict keys of event i: two distinct
                                    events are adjacent exactly when their
-                                   keys meet
-    bundle.graph.adjacent(i, j)    the same relation, for the verification
-                                   and polynomial layers
+                                   keys meet (the graph is a
+                                   ``graphs.KeyGraph``, whose other queries
+                                   serve the verification and polynomial
+                                   layers)
     bundle.sample(rng)             fresh state from the product measure
     bundle.holds(i, state)         does event i occur in state
     bundle.resample(i, state, rng) resampling oracle for event i

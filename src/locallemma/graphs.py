@@ -1,15 +1,13 @@
 """Dependency graphs, independent sets, and stable set sequences.
 
-Events are indexed 0..n-1.  A dependency graph records which pairs of
-events may interfere.  The independence polynomials, the convergence
-criteria and the oracle checks ask two questions of it: how many events
-there are, and whether two events are adjacent.  The resampling engine
-asks which conflict keys an event carries, two distinct events being
-adjacent exactly when their keys meet.  ``DependencyGraph`` stores
-adjacency explicitly (its keys are edge ids) and suits desk-scale work
-and relations that keys cannot express; ``KeyGraph`` reads adjacency
-off the keys alone and suits application instances whose edge sets are
-far too large to materialize.
+Events are indexed 0..n-1.  A dependency graph gives each event a few
+hashable conflict keys; two distinct events are adjacent exactly when
+their keys meet.  The engine blocks on keys, and the independence test
+and the stable-set-sequence check read them too, one pass per set.
+``KeyGraph`` reads keys off a function and stores nothing per pair, for
+application instances whose edge sets are far too large to materialize;
+``DependencyGraph`` is a ``KeyGraph`` that stores edges, its keys being
+the ids of an event's edges, and lists neighbors in O(degree).
 """
 
 from __future__ import annotations
@@ -23,83 +21,11 @@ from typing import Callable, Hashable, Iterable
 ENUMERATION_CAP = 25
 
 
-class _Graph:
-    """Set queries shared by both graph kinds, through neighbors and adjacent."""
-
-    __slots__ = ()
-
-    def closed_neighborhood(self, subset: Iterable[int]) -> frozenset[int]:
-        """Gamma^+ of a set: the set itself plus every neighbor."""
-        out: set[int] = set()
-        for i in subset:
-            out.add(i)
-            out.update(self.neighbors(i))
-        return frozenset(out)
-
-    def is_independent(self, subset: Iterable[int]) -> bool:
-        items = list(subset)
-        for a_pos, a in enumerate(items):
-            for b in items[a_pos + 1:]:
-                if a == b or self.adjacent(a, b):
-                    return False
-        return True
-
-    def adjacency_masks(self) -> list[int]:
-        """Per-vertex neighbor bitmasks (vertex itself excluded)."""
-        return [sum(1 << j for j in self.neighbors(i)) for i in range(self.n)]
-
-
-class DependencyGraph(_Graph):
-    """Undirected simple graph on event indices 0..n-1."""
-
-    __slots__ = ("n", "_adj")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        self.n = n
-        self._adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            self.add_edge(u, v)
-
-    def add_edge(self, u: int, v: int) -> None:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-        if u == v:
-            raise ValueError(f"self-loop at {u} not allowed")
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-
-    def neighbors(self, i: int) -> frozenset[int]:
-        return frozenset(self._adj[i])
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return j in self._adj[i]
-
-    def keys(self, i: int) -> list[tuple[int, int]]:
-        """Conflict keys: the (min, max) ids of the edges at i."""
-        return [(i, j) if i < j else (j, i) for j in self._adj[i]]
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "edges": [[u, v] for u, v in self.edges()]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DependencyGraph":
-        return cls(int(obj["n"]), [(int(u), int(v)) for u, v in obj.get("edges", [])])
-
-    def __repr__(self) -> str:
-        return f"DependencyGraph(n={self.n}, edges={self.edges()!r})"
-
-
-class KeyGraph(_Graph):
+class KeyGraph:
     """Dependency graph read off per-event conflict keys.
 
     keys(i) returns a small collection of hashable keys; two distinct
-    events are adjacent exactly when their keys meet.  Suits instances
-    whose edge sets are far too large to materialize: nothing is stored
+    events are adjacent exactly when their keys meet.  Nothing is stored
     per pair, and the engine blocks on keys without asking adjacent.
     """
 
@@ -116,10 +42,81 @@ class KeyGraph(_Graph):
         # Linear scan; acceptable only at verification scale.
         return frozenset(j for j in range(self.n) if self.adjacent(i, j))
 
+    def closed_neighborhood(self, subset: Iterable[int]) -> frozenset[int]:
+        """Gamma^+ of a set: the set itself plus every neighbor."""
+        out: set[int] = set()
+        for i in subset:
+            out.add(i)
+            out.update(self.neighbors(i))
+        return frozenset(out)
 
-def non_neighbors(graph, i: int) -> list[int]:
+    def _key_union(self, subset: Iterable[int]) -> set | None:
+        """The keys of a set's members together, or None when two members
+        are equal or adjacent: one pass, and no pair is tested."""
+        seen, taken = set(), set()
+        for i in subset:
+            keys = self.keys(i)
+            if i in seen or not taken.isdisjoint(keys):
+                return None
+            seen.add(i)
+            taken.update(keys)
+        return taken
+
+    def is_independent(self, subset: Iterable[int]) -> bool:
+        return self._key_union(subset) is not None
+
+    def adjacency_masks(self) -> list[int]:
+        """Per-vertex neighbor bitmasks (vertex itself excluded)."""
+        return [sum(1 << j for j in self.neighbors(i)) for i in range(self.n)]
+
+
+class DependencyGraph(KeyGraph):
+    """Undirected simple graph on event indices 0..n-1, stored as keys.
+
+    keys(i) is the stored set of ids (min, max) of the edges at i, so two
+    distinct events are adjacent exactly when an edge joins them.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        super().__init__(n, [set() for _ in range(n)].__getitem__)
+        for u, v in edges:
+            self.add_edge(u, v)
+
+    def add_edge(self, u: int, v: int) -> None:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+        if u == v:
+            raise ValueError(f"self-loop at {u} not allowed")
+        key = (u, v) if u < v else (v, u)
+        self.keys(u).add(key)
+        self.keys(v).add(key)
+
+    def neighbors(self, i: int) -> frozenset[int]:
+        # the other end of edge (u, v) at i is u + v - i
+        return frozenset(u + v - i for u, v in self.keys(i))
+
+    def edges(self) -> list[tuple[int, int]]:
+        return sorted({key for u in range(self.n) for key in self.keys(u)})
+
+    def to_json(self) -> dict:
+        return {"n": self.n, "edges": [[u, v] for u, v in self.edges()]}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "DependencyGraph":
+        return cls(int(obj["n"]), [(int(u), int(v)) for u, v in obj.get("edges", [])])
+
+    def __repr__(self) -> str:
+        return f"DependencyGraph(n={self.n}, edges={self.edges()!r})"
+
+
+def non_neighbors(graph: KeyGraph, i: int) -> list[int]:
     """The events other than i that are not adjacent to it, ascending."""
-    return [j for j in range(graph.n) if j != i and not graph.adjacent(i, j)]
+    mine, keys = set(graph.keys(i)), graph.keys
+    return [j for j in range(graph.n) if j != i and mine.isdisjoint(keys(j))]
 
 
 def independent_subset_masks(adj_masks: list[int], mask: int) -> list[int]:
@@ -206,18 +203,17 @@ def validate_sequence(graph, sequence) -> bool:
     sets = sequence.sets if isinstance(sequence, StableSetSequence) else [
         frozenset(s) for s in sequence
     ]
-    seen_empty = False
     prev: frozenset[int] | None = None
     for current in sets:
         if any(not (0 <= i < graph.n) for i in current):
             return False
-        if not graph.is_independent(current):
+        keys = graph._key_union(current)
+        if keys is None:
             return False
-        if current and seen_empty:
+        # I_{t+1} within Gamma^+(I_t): each member is in I_t or meets the
+        # keys of I_t, so no nonempty set follows an empty one
+        if prev is not None and any(
+                i not in prev and prev_keys.isdisjoint(graph.keys(i)) for i in current):
             return False
-        if not current:
-            seen_empty = True
-        if prev is not None and current and not current <= graph.closed_neighborhood(prev):
-            return False
-        prev = current
+        prev, prev_keys = current, keys
     return True

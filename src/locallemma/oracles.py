@@ -829,11 +829,12 @@ class MatchingBundle(_StructureBundle):
         family = PerfectMatchings(n)
         events = _edge_events(n, events)
         super().__init__(family, events, events)
-        # Events sharing an edge need not interfere, which meeting keys
-        # cannot say, so the exact relation is stored.  The union of two
-        # matchings fails to be one exactly when some vertex carries a
-        # different edge in each, so only events sharing a vertex are
-        # compared; an event that is no matching itself meets every other.
+        # Events sharing an edge need not interfere, which vertex keys
+        # cannot say, so the exact relation is stored, with edge ids as
+        # its keys.  The union of two matchings fails to be one exactly
+        # when some vertex carries a different edge in each, so only
+        # events sharing a vertex are compared; an event that is no
+        # matching itself meets every other.
         g = DependencyGraph(len(self.events))
         at_vertex: dict[int, list[tuple[tuple[int, int], int]]] = {}
         for i, ev in enumerate(self.events):

@@ -42,6 +42,15 @@ SYNTH_STATE_CAP = 4096
 LOPSIDEPENDENCY_CAP = 20
 
 
+def parse_probability(value) -> Fraction:
+    """A probability read from a JSON value: a number stands for its
+    decimal text, not its binary float, and a string is a decimal or a
+    rational "a/b".  Any other type, a boolean included, is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"expected a number or a string, got {type(value).__name__}")
+    return Fraction(repr(value) if isinstance(value, float) else value)
+
+
 @dataclass(frozen=True)
 class ExplicitSpace:
     """Finite probability space with events given by state lists."""
@@ -90,9 +99,7 @@ class ExplicitSpace:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExplicitSpace":
-        # a JSON number stands for its decimal text, not its binary float
-        probs = tuple(Fraction(repr(p)) if isinstance(p, float) else Fraction(p)
-                      for p in obj["prob"])
+        probs = tuple(map(parse_probability, obj["prob"]))
         if len(probs) != int(obj["states"]):
             raise ValueError("state count does not match probability list")
         events = tuple(frozenset(int(s) for s in ev) for ev in obj["events"])
@@ -319,20 +326,21 @@ def check_lopsidependency(space: ExplicitSpace, i: int) -> bool:
 class ExplicitBundle:
     """Engine-ready bundle over an explicit space with synthesized oracles.
 
-    States are plain integers.  Construction synthesizes every event's
-    kernel up front and raises with the certificate when one does not
-    exist.
+    States are plain integers.  Construction synthesizes the kernel of
+    each event of ``events`` (every event by default) up front and raises
+    with the certificate when one does not exist; the bundle resamples
+    only those events.
     """
 
     kind = "explicit-space"
     # the space's own event test, kept on the class so a subclass can replace it
     holds = property(lambda self: self.space.holds)
 
-    def __init__(self, space: ExplicitSpace) -> None:
+    def __init__(self, space: ExplicitSpace, events: Iterable[int] | None = None) -> None:
         self.space = space
         self.graph = space.graph
         self.kernels: list[SynthesizedOracle] = []
-        for i in range(space.n_events):
+        for i in range(space.n_events) if events is None else events:
             result = synthesize(space, i)
             if isinstance(result, HallCertificate):
                 raise ValueError(
@@ -345,8 +353,9 @@ class ExplicitBundle:
         last = max(s for s, p in enumerate(space.probs) if p > 0)
         self._cum = list(accumulate(map(float, space.probs[:last + 1])))
         self._row_cum: dict[tuple[int, int], tuple[list[float], list[int]]] = {
-            (i, u): (list(accumulate(float(f) for _, f in row)), [w for w, _ in row])
-            for i, kernel in enumerate(self.kernels)
+            (kernel.event, u): (list(accumulate(float(f) for _, f in row)),
+                                [w for w, _ in row])
+            for kernel in self.kernels
             for u, row in kernel.rows.items()
         }
 

@@ -91,11 +91,15 @@ def test_r1(bundle, event: int, samples: int, seed: int = 0,
     The states themselves are counted, so each must be hashable and equal
     to its key in the exact law.  Passing means the statistic stays below
     the upper quantile at the given significance and no output (a broken
-    structure included) fell outside the exact support.
+    structure included) fell outside the exact support.  An event that
+    holds on no state of positive probability is refused before any draw.
     """
     if samples < 1:
         raise ValueError("the distribution test needs at least one sample")
     exact = bundle.exact_distribution()
+    # rejection sampling would spend its whole budget on a null event
+    if not any(p > 0 and bundle.holds(event, s) for s, p in exact.items()):
+        raise ValueError(f"event {event} holds on no state of positive probability")
     rng = random.Random(seed)
     states = islice(_conditioned_states(bundle, event, rng, rejection_budget), samples)
     outs = map(bundle.resample, repeat(event), states, repeat(rng))

@@ -21,10 +21,10 @@ from hypothesis import given, settings, strategies as st
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT7
 
-from locallemma import cli
+from locallemma import cli, synth
 from locallemma.apps import distinct_color_matrix, rainbow_edge_coloring
 from locallemma.cli import _parse_params, main
-from locallemma.synth import ExplicitBundle
+from locallemma.synth import ExplicitBundle, parse_probability
 from locallemma.verify import derive_seed
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -317,6 +317,25 @@ def test_float_probabilities_read_as_their_decimal_text(tmp_path, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_custom_graph_p_reads_json_numbers_as_their_decimal_text(tmp_path, capsys):
+    # as binary floats, q0 of this path reads -0.02999999999999995
+    outputs = []
+    for name, p in (("float", [0.1, 0.3, 0.7]), ("decimal", ["0.1", "0.3", "0.7"])):
+        path = write_instance(tmp_path, {"kind": "custom-graph", "p": p,
+                                         "graph": {"n": 3, "edges": [[0, 1], [1, 2]]}},
+                              name=f"{name}.json")
+        outputs.append(run_cli(["criteria", path, "--exact"], capsys))
+    assert outputs[0] == outputs[1]
+    code, out, _ = outputs[0]
+    assert code == 0 and json.loads(out)["q0"] == -0.03
+
+
+@given(st.floats(0, 1e6) | st.integers(0, 10**6))
+def test_a_parsed_probability_keeps_its_float(value):
+    assert float(parse_probability(value)) == float(Fraction(value))
+    assert float(parse_probability(str(value))) == float(value)
+
+
 @pytest.mark.parametrize("argv", [
     ["run"], ["criteria"], ["verify-oracle", "synthesized", "--instance"],
 ], ids=["run", "criteria", "verify-oracle"])
@@ -495,6 +514,30 @@ def test_verify_oracle_synthesized_default_space(capsys):
     report = json.loads(out)
     schema_check(report, "verify-report.schema.json")
     assert report["passed"] is True
+
+
+def test_verify_oracle_synthesizes_the_tested_kernel_only(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(space, i):
+        calls.append(i)
+        return real(space, i)
+
+    real = synth.synthesize
+    monkeypatch.setattr(synth, "synthesize", counting)
+    # two fair states; event 0 meets both others, so it has an oracle,
+    # but events 1 and 2 are not adjacent and neither has one
+    path = write_instance(tmp_path, {"kind": "explicit-space", "space": {
+        "states": 2, "prob": ["1/2", "1/2"], "events": [[0], [0], [1]],
+        "graph": {"n": 3, "edges": [[0, 1], [0, 2]]}}})
+    code, out, _ = run_cli(["verify-oracle", "synthesized", "--instance", path,
+                            "--samples", "2000", "--trials", "200"], capsys)
+    assert code == 0 and json.loads(out)["passed"]
+    assert calls == [0]
+    code, out, err = run_cli(["run", path], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: event 1 admits no resampling oracle")
+    assert calls == [0, 0, 1]
 
 
 def test_verify_oracle_appendix_a(capsys):
@@ -1205,6 +1248,22 @@ def test_bad_file_values_exit_with_one_input_error_line(text, command, tmp_path,
     code, out, err = run_cli([str(path) if a == "FILE" else a for a in command], capsys)
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("obj", [
+    pytest.param(_space_file(states=4, prob=["1/2", False, "1/4", "1/4"]), id="space-prob"),
+    pytest.param(_graph_file(p=[False]), id="graph-p"),
+    pytest.param({**_space_file(), "params": {"kind": "cll", "y": [True]}}, id="params-y"),
+])
+def test_a_boolean_probability_is_refused(obj, tmp_path, capsys):
+    # the schema's "number" excludes booleans, and every reader agrees
+    path = write_instance(tmp_path, obj)
+    code, out, err = run_cli(["criteria", path], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: bad ") and err.endswith(
+        ": expected a number or a string, got bool\n")
+    if obj["kind"] == "explicit-space":
+        assert run_cli(["run", path], capsys)[0] == 3
 
 
 @pytest.mark.parametrize("command", [["criteria"], ["run", "--budget", "10"]])

@@ -23,6 +23,7 @@ from helpers import (
     tree_interferes,
     variable_interferes,
 )
+from locallemma import cli
 from locallemma.apps import (
     LatinBundle,
     RainbowMatchingBundle,
@@ -31,6 +32,7 @@ from locallemma.apps import (
     random_edge_coloring,
 )
 from locallemma.engine import maximal_set_resample
+from locallemma.graphs import KeyGraph
 from locallemma.oracles import (
     MatchingBundle,
     PatternEvent,
@@ -39,6 +41,7 @@ from locallemma.oracles import (
     VariableBundle,
     VariableEvent,
 )
+from locallemma.synth import ExplicitBundle
 from locallemma.verify import appendix_a_bundle, derive_seed
 
 
@@ -114,6 +117,17 @@ def test_keys_and_adjacency_match_the_pairwise_rule(make, interferes):
             assert graph.adjacent(i, j) == expected, (trial, i, j)
             assert (not keys[i].isdisjoint(keys[j])) == expected, (trial, i, j)
         assert not any(graph.adjacent(i, i) for i in range(bundle.n))
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda rng, f=family: cli._default_bundle(f, 0), id=f"cli-{family}")
+      for family in ("variable", "permutation", "matching", "tree")),
+    pytest.param(lambda rng: ExplicitBundle(cli._default_space()), id="cli-space"),
+    *(pytest.param(p.values[0], id=p.id) for p in FIXTURES
+      if p.id in ("appendix-a", "latin", "rainbow-tree", "rainbow-matching")),
+])
+def test_every_bundle_graph_is_a_key_graph(make):
+    assert isinstance(make(random.Random(0)).graph, KeyGraph)
 
 
 @pytest.mark.parametrize("make, interferes", FIXTURES)

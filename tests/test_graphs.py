@@ -5,6 +5,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from locallemma.apps import build_latin_instance, random_color_matrix
+from locallemma.engine import maximal_set_resample
 from locallemma.graphs import (
     DependencyGraph,
     KeyGraph,
@@ -13,6 +15,7 @@ from locallemma.graphs import (
     independent_set_masks,
     validate_sequence,
 )
+from locallemma.verify import derive_seed
 
 
 def path(n):
@@ -138,3 +141,82 @@ def test_independence_agrees_with_mask_list(n, edge_bits, subset_seed):
     mask = rng.randrange(1 << n) if n else 0
     subset = [i for i in range(n) if (mask >> i) & 1]
     assert (mask in masks) == g.is_independent(subset)
+
+
+# ---------------------------------------------------------------------------
+# the independence test and the sequence check read keys
+
+
+def pairwise_independent(graph, members):
+    """Reference: no member repeated and no two members adjacent."""
+    return all(a != b and not graph.adjacent(a, b)
+               for pos, a in enumerate(members) for b in members[pos + 1:])
+
+
+def pairwise_valid(graph, sequence):
+    """Reference: the stable-set-sequence conditions, read pair by pair."""
+    sets = [frozenset(s) for s in sequence]
+    for t, current in enumerate(sets):
+        if any(not 0 <= i < graph.n for i in current):
+            return False
+        if not pairwise_independent(graph, sorted(current)):
+            return False
+        if current and any(not s for s in sets[:t]):
+            return False
+        if t and not all(i in sets[t - 1] or any(graph.adjacent(i, j) for j in sets[t - 1])
+                         for i in current):
+            return False
+    return True
+
+
+def key_graphs():
+    # a small key alphabet, with events of no key and repeated keys
+    keys = st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=7)
+    return keys.map(lambda ks: KeyGraph(len(ks), ks.__getitem__))
+
+
+def dependency_graphs():
+    def build(n, edge_bits):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return DependencyGraph(n, [e for k, e in enumerate(pairs) if edge_bits >> k & 1])
+    return st.builds(build, st.integers(0, 7), st.integers(0, 2**21 - 1))
+
+
+@given(st.one_of(key_graphs(), dependency_graphs()), st.data())
+def test_key_checks_match_the_pairwise_reference(graph, data):
+    subset = data.draw(st.lists(st.integers(0, graph.n - 1), max_size=4)) if graph.n else []
+    assert graph.is_independent(subset) == pairwise_independent(graph, subset)
+    # each set drawn mostly from Gamma^+ of the one before, so that many
+    # sequences are valid; plus any index up to one past the end
+    sequence = []
+    near = list(range(graph.n))
+    for _ in range(data.draw(st.integers(1, 4))):
+        member = st.sampled_from(near) if near else st.integers(0, graph.n)
+        current = data.draw(st.lists(member | st.integers(0, graph.n), min_size=1, max_size=2)
+                            | st.just([]))
+        sequence.append(current)
+        near = [j for j in range(graph.n)
+                if j in current or any(graph.adjacent(i, j) for i in current if i < graph.n)]
+    assert validate_sequence(graph, sequence) == pairwise_valid(graph, sequence)
+
+
+def test_an_event_without_keys_follows_itself_only():
+    # Gamma^+({0}) is {0} when event 0 has no key at all
+    g = KeyGraph(2, [(), ("a",)].__getitem__)
+    assert validate_sequence(g, [{0}, {0}])
+    assert not validate_sequence(g, [{0}, {1}])
+
+
+def test_sequence_check_asks_no_neighbors(monkeypatch):
+    # the seed-7 Latin acceptance run: 487,482 events, where one scan of
+    # KeyGraph.neighbors reads the keys of every event
+    matrix = random_color_matrix(128, 6, random.Random(derive_seed(99, 7)))
+    bundle, _ = build_latin_instance(matrix, 6)
+    _, log = maximal_set_resample(bundle, derive_seed(100, 7))
+    assert log.terminated and len(log.iterations) > 2
+
+    def refuse(self, i):
+        raise AssertionError("the sequence check scanned the neighbors of an event")
+
+    monkeypatch.setattr(KeyGraph, "neighbors", refuse)
+    assert validate_sequence(bundle.graph, log.iterations)

@@ -265,6 +265,14 @@ def test_rejection_budget_is_one_budget_per_test():
         run_r2(coin_pair_bundle(), 0, trials=300, seed=2, rejection_budget=needed - 1)
 
 
+def test_r1_refuses_an_event_of_probability_zero():
+    # "the bit is 1" under a bit that is always 0: rejection would spend
+    # its whole budget, about 150 s at the default, and then fail
+    bundle = VariableBundle([((0, 1), (1.0, 0.0))], [VariableEvent((0,), lambda v: v == 1)])
+    with pytest.raises(ValueError, match="event 0"):
+        run_r1(bundle, 0, samples=10, rejection_budget=10**6)
+
+
 def test_r2_without_trials_takes_no_draws():
     counting = _CountingBundle(coin_pair_bundle())
     for trials in (0, -3):
