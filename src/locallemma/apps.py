@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import DEFAULT_MAX_RESAMPLES, RunLog, maximal_set_resample
-from .graphs import KeyGraph
+from .graphs import KeyGraph, read_int
 from .oracles import (
     _EdgeItems,
     _int32_array,
@@ -155,7 +155,7 @@ class ColoredCompleteGraph(_Coloring):
         if color and (min(color)[0] < 0 or max(v for _, v in color) >= n):
             raise ValueError(f"coloring has an edge outside K_{n}")
         ranks = _EdgeItems(n).rank(np.array(list(color), dtype=np.int64).reshape(-1, 2).T)
-        self._set_values(n, ranks, [int(c) for c in color.values()])
+        self._set_values(n, ranks, list(map(read_int, color.values())))
 
     @cached_property
     def _edges(self) -> _EdgeItems:
@@ -171,14 +171,15 @@ class ColoredCompleteGraph(_Coloring):
 
     @classmethod
     def from_json(cls, obj: dict) -> "ColoredCompleteGraph":
-        return cls(int(obj["n"]), {(int(u), int(v)): c for u, v, c in obj["colors"]})
+        return cls(read_int(obj["n"]),
+                   {(read_int(u), read_int(v)): c for u, v, c in obj["colors"]})
 
 
 class ColorMatrix(_Coloring):
     """Square matrix of color ids; the cell (u, v) has rank u*n + v."""
 
     def __init__(self, rows: Sequence[Sequence[int]]) -> None:
-        rows = [[int(c) for c in row] for row in rows]
+        rows = [list(map(read_int, row)) for row in rows]
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("color matrix must be square")

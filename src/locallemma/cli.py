@@ -37,7 +37,7 @@ from .apps import (
     solve,
 )
 from .engine import DEFAULT_MAX_RESAMPLES
-from .graphs import DependencyGraph, ENUMERATION_CAP
+from .graphs import DependencyGraph, ENUMERATION_CAP, read_int
 from .oracles import (
     MatchingBundle,
     PatternEvent,
@@ -215,7 +215,7 @@ def _parse_params(obj, n: int) -> CriterionParams:
         raise InputError("params must be an object with a 'kind' field")
     kind = obj["kind"]
     with _reading("params"):
-        eps = float(obj.get("epsilon", 0.0))
+        eps = float(parse_probability(obj.get("epsilon", 0)))
         if kind == "shearer":
             return CriterionParams(kind="shearer", epsilon=eps)
         if kind not in ("gll", "cll"):
@@ -241,13 +241,13 @@ def _build_app_instance(obj: dict):
     build = {"latin": build_latin_instance, "rainbow-tree": build_rainbow_tree_instance,
              "rainbow-matching": build_rainbow_matching_instance}[kind]
     with _reading(f"{kind} instance"):
-        rng = random.Random(int(obj.get("generator", {}).get("seed", 0)))
-        t = (int(obj["t"]),) if takes_t else ()
+        rng = random.Random(read_int(obj.get("generator", {}).get("seed", 0)))
+        t = (read_int(obj["t"]),) if takes_t else ()
         if field in obj:
             colours = load(obj[field])
         else:
             gen = obj["generator"]
-            colours = generate(int(gen["n"]), int(gen["multiplicity"]), rng)
+            colours = generate(read_int(gen["n"]), read_int(gen["multiplicity"]), rng)
         return build(colours, *t)
 
 
@@ -276,9 +276,9 @@ def _criteria_report(graph: DependencyGraph, probs, params, exact: bool) -> dict
         report["singleton_ratios"] = [
             singleton_ratio(float_table, i) for i in range(graph.n)
         ]
-        report["predicted_bounds"]["shearer"] = tail_bounds(
-            CriterionParams(kind="shearer"), float_table
-        )
+        shearer_params = (params if params is not None and params.kind == "shearer"
+                          else CriterionParams(kind="shearer"))
+        report["predicted_bounds"]["shearer"] = tail_bounds(shearer_params, float_table)
     if params is not None and params.kind == "gll":
         report["gll"] = check_gll(graph, p_float, params.x)
         if report["gll"]:
@@ -296,7 +296,7 @@ def cmd_criteria(args, out) -> int:
     if kind == "custom-graph":
         # the event count is checked before the graph's n vertex sets are built
         with _reading("graph object"):
-            n = int(obj.get("graph")["n"])
+            n = read_int(obj.get("graph")["n"])
         probs = obj.get("p", [])
         if not isinstance(probs, list):
             raise InputError("p must be a list of probabilities")

@@ -60,8 +60,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-from .graphs import StableSetSequence
+from typing import Collection, Sequence
 
 DEFAULT_MAX_RESAMPLES = 1_000_000
 
@@ -140,26 +139,21 @@ def maximal_set_resample(bundle, seed: int = 0,
             return state, RunLog(seed, iterations, total, True)
 
 
-def log_follows(log: RunLog, sequence) -> bool:
+def log_follows(log: RunLog, sets: Sequence[Collection[int]]) -> bool:
     """Did the run resample exactly this stable set sequence at its start?
 
-    True when iterations 1..t-1 of the log equal the first t-1 sets of
-    the sequence and the t-th set is a prefix of iteration t (picks are
-    in ascending index order, so prefix comparison is well defined).
-    The empty sequence is followed by every run.
+    sets is any sequence of index collections, such as another run's
+    iterations.  True when iterations 1..t-1 of the log hold the same
+    events as the first t-1 sets and the t-th set is a prefix of
+    iteration t (picks are in ascending index order, so prefix
+    comparison is well defined).  The empty sequence is followed by
+    every run.
     """
-    sets = sequence.sets if isinstance(sequence, StableSetSequence) else tuple(
-        frozenset(s) for s in sequence
-    )
     if not sets:
         return True
     if len(sets) > len(log.iterations):
         return False
-    for pos in range(len(sets) - 1):
-        if frozenset(log.iterations[pos]) != sets[pos]:
-            return False
-    last = sets[-1]
-    tail = log.iterations[len(sets) - 1]
-    if len(last) > len(tail):
-        return False
-    return frozenset(tail[: len(last)]) == last
+    *whole, last = map(set, sets)
+    picks = log.iterations
+    return (all(s == set(it) for s, it in zip(whole, picks))
+            and set(picks[len(whole)][: len(last)]) == last)

@@ -12,12 +12,12 @@ the ids of an event's edges, and lists neighbors in O(degree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+import operator
+from typing import Callable, Collection, Hashable, Iterable
 
 #: Most events of any exhaustive enumeration over subsets: the 2^n-entry
-#: polynomial table (256 MiB of float64 at 25 events), the list of all
-#: independent sets, and the independent subsets of a partition function.
+#: polynomial table (256 MiB of float64 at 25 events) and the independent
+#: subsets that a partition function sums over.
 ENUMERATION_CAP = 25
 
 
@@ -42,14 +42,6 @@ class KeyGraph:
         # Linear scan; acceptable only at verification scale.
         return frozenset(j for j in range(self.n) if self.adjacent(i, j))
 
-    def closed_neighborhood(self, subset: Iterable[int]) -> frozenset[int]:
-        """Gamma^+ of a set: the set itself plus every neighbor."""
-        out: set[int] = set()
-        for i in subset:
-            out.add(i)
-            out.update(self.neighbors(i))
-        return frozenset(out)
-
     def _key_union(self, subset: Iterable[int]) -> set | None:
         """The keys of a set's members together, or None when two members
         are equal or adjacent: one pass, and no pair is tested."""
@@ -68,6 +60,15 @@ class KeyGraph:
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighbor bitmasks (vertex itself excluded)."""
         return [sum(1 << j for j in self.neighbors(i)) for i in range(self.n)]
+
+
+def read_int(value) -> int:
+    """An integer read from a file value.  A boolean is refused, and so is
+    any value that is no integer (a float or a string); ``operator.index``
+    lets an integer of any type, a NumPy one included, through."""
+    if isinstance(value, bool):
+        raise TypeError("expected an integer, got bool")
+    return operator.index(value)
 
 
 class DependencyGraph(KeyGraph):
@@ -107,7 +108,8 @@ class DependencyGraph(KeyGraph):
 
     @classmethod
     def from_json(cls, obj: dict) -> "DependencyGraph":
-        return cls(int(obj["n"]), [(int(u), int(v)) for u, v in obj.get("edges", [])])
+        return cls(read_int(obj["n"]),
+                   [(read_int(u), read_int(v)) for u, v in obj.get("edges", [])])
 
     def __repr__(self) -> str:
         return f"DependencyGraph(n={self.n}, edges={self.edges()!r})"
@@ -141,70 +143,18 @@ def independent_subset_masks(adj_masks: list[int], mask: int) -> list[int]:
     return out
 
 
-def independent_set_masks(graph: DependencyGraph) -> list[int]:
-    """All independent sets as bitmasks, ascending by mask value.
+def validate_sequence(graph: KeyGraph, sets: Iterable[Collection[int]]) -> bool:
+    """Is sets (I_1, ..., I_t) a stable set sequence of graph?
 
-    Refuses graphs with more than ENUMERATION_CAP vertices; the output is
-    exponential in n.
+    sets is any sequence of index collections, such as a run log's
+    iterations, each read as a set.  It is one when every set is
+    independent, every set after the first lies in the closed
+    neighborhood of its predecessor, and no nonempty set follows an empty
+    one.  False on any violation, out-of-range indices included.
     """
-    n = graph.n
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"independent-set enumeration refused for n={n} > "
-                         f"ENUMERATION_CAP={ENUMERATION_CAP}")
-    return sorted(independent_subset_masks(graph.adjacency_masks(), (1 << n) - 1))
-
-
-def enumerate_independent_sets(graph: DependencyGraph) -> list[frozenset[int]]:
-    """All independent sets (including the empty set) in deterministic order.
-
-    Order is ascending bitmask value, i.e. sets containing only low
-    indices come first.
-    """
-    return [
-        frozenset(i for i in range(graph.n) if mask >> i & 1)
-        for mask in independent_set_masks(graph)
-    ]
-
-
-@dataclass(frozen=True)
-class StableSetSequence:
-    """A sequence of independent sets (I_1, ..., I_t).
-
-    The sequence is *valid* for a graph when every set is independent,
-    every set after the first is contained in the closed neighborhood of
-    its predecessor, and no nonempty set follows an empty one.  It is
-    *proper* when additionally every set is nonempty.
-    """
-
-    sets: tuple[frozenset[int], ...]
-
-    @classmethod
-    def of(cls, *sets: Iterable[int]) -> "StableSetSequence":
-        return cls(tuple(frozenset(s) for s in sets))
-
-    @property
-    def total_size(self) -> int:
-        return sum(len(s) for s in self.sets)
-
-    @property
-    def is_proper(self) -> bool:
-        return all(self.sets)
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-
-def validate_sequence(graph, sequence) -> bool:
-    """Check the stable-set-sequence conditions; False on any violation.
-
-    Accepts a StableSetSequence or any iterable of index collections.
-    Out-of-range indices also yield False.
-    """
-    sets = sequence.sets if isinstance(sequence, StableSetSequence) else [
-        frozenset(s) for s in sequence
-    ]
-    prev: frozenset[int] | None = None
-    for current in sets:
+    prev: set[int] | None = None
+    for members in sets:
+        current = set(members)
         if any(not (0 <= i < graph.n) for i in current):
             return False
         keys = graph._key_union(current)

@@ -10,7 +10,9 @@ a key of its bundle's exact_distribution():
     variable assignment   tuple values, values[v] is variable v's value
     permutation of [n]    tuple pi, pi[x] is the image of x
     perfect matching      tuple partner, partner[v] is v's partner
-    spanning tree of K_n  TreeState, a frozenset of (u, v) pairs with u < v
+    spanning tree of K_n  TreeState, as sampled or redrawn: a frozenset of
+                          (u, v) pairs with u < v, equal to the plain
+                          frozenset that keys the exact law
 
 The streak bundle of the verify layer (AppendixABundle) keeps its fair
 bits as bytes, one byte per bit.
@@ -130,19 +132,20 @@ class PatternEvent:
             raise ValueError("pattern pairs must have distinct domains and ranges")
 
 
-def permutation_resample(pi: Sequence[int], event, rng) -> tuple[int, ...]:
+def permutation_resample(pi: Sequence[int], pairs: Sequence[tuple[int, int]],
+                         rng) -> tuple[int, ...]:
     """Resample a permutation conditioned on containing the pattern.
 
-    event is a PatternEvent, or its pairs as one keeps them: sorted, with
-    distinct domains and ranges.  Walks the pattern's domain positions
-    x_1 < ... < x_t from last to first, swapping pi(x_i) with pi(z) for z
-    uniform over all positions except x_1..x_{i-1}.  With the full domain
-    as pattern this is exactly the textbook shuffle.  z is drawn as an
-    index into the pool x_i..x_t followed by the positions outside the
-    pattern in ascending order, and a pool index past x_t is mapped to
-    its position by stepping over the pattern positions below it.
+    pairs are a pattern's (x, y) pairs as ``PatternEvent`` keeps them:
+    sorted, with distinct domains and ranges.  Walks the pattern's domain
+    positions x_1 < ... < x_t from last to first, swapping pi(x_i) with
+    pi(z) for z uniform over all positions except x_1..x_{i-1}.  With the
+    full domain as pattern this is exactly the textbook shuffle.  z is
+    drawn as an index into the pool x_i..x_t followed by the positions
+    outside the pattern in ascending order, and a pool index past x_t is
+    mapped to its position by stepping over the pattern positions below
+    it.
     """
-    pairs = event.pairs if isinstance(event, PatternEvent) else event
     if not _pairs_hold(pi, pairs):
         raise OracleEventError(f"pattern {pairs} does not hold")
     out = list(pi)
@@ -456,40 +459,24 @@ class TreeState(frozenset):
     __slots__ = ("parent", "adj")
 
 
-def _kept(tree) -> tuple[list[int], list[list[int]], bool]:
-    """(parent, adjacency, shared) of a tree.  A TreeState gives its own
-    lists, its adjacency made from the parent array when it has none yet;
-    a plain edge set gives both made from its edges, ValueError when they
-    span no tree.  shared says whether the adjacency is kept by a tree:
-    a new one is the caller's to change."""
-    if type(tree) is TreeState:
-        parent, adj = tree.parent, tree.adj
-        if adj is not None:
-            return parent, adj, True
-        adj = [[p] for p in parent]
-        adj[0] = []
-        for v in range(1, len(parent)):
-            adj[parent[v]].append(v)
-        return parent, adj, False
-    n = len(tree) + 1
-    adj = [[] for _ in range(n)]
-    for u, v in tree:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent = [-1] * n
-    parent[0] = 0
-    reached = [0]
-    for x in reached:
-        for y in adj[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                reached.append(y)
-    if len(reached) < n:
-        raise ValueError(f"{n - 1} edges that span no tree of K_{n}")
+def _kept(tree: TreeState) -> tuple[list[int], list[list[int]], bool]:
+    """(parent, adjacency, shared) of a tree that ``SpanningTrees.sample``
+    or a redraw made, its adjacency made from the parent array when it has
+    none yet; TypeError for any other value.  shared says whether the
+    adjacency is kept by the tree: a new one is the caller's to change."""
+    if type(tree) is not TreeState:
+        raise TypeError(f"a tree to redraw is a TreeState, not {type(tree).__name__}")
+    parent, adj = tree.parent, tree.adj
+    if adj is not None:
+        return parent, adj, True
+    adj = [[p] for p in parent]
+    adj[0] = []
+    for v in range(1, len(parent)):
+        adj[parent[v]].append(v)
     return parent, adj, False
 
 
-def tree_resample(tree: frozenset, event_edges: Iterable, rng) -> frozenset:
+def tree_resample(tree: TreeState, event_edges: Iterable, rng) -> TreeState:
     """Resample a uniform spanning tree of K_n conditioned on given edges.
 
     Freezes the part of the tree untouched by the event's vertex set W,
@@ -622,9 +609,11 @@ def tree_resample(tree: frozenset, event_edges: Iterable, rng) -> frozenset:
 
 class SpanningTrees(_EdgeItems):
     """Uniform spanning trees of K_n as ``TreeState`` edge sets; edges on a
-    shared vertex may sit in one tree together.  Any frozenset of the
-    edges of a spanning tree is a state too: a redraw or a scan of one
-    makes its parent array and adjacency first."""
+    shared vertex may sit in one tree together.  A state is a tree that
+    ``sample`` or a redraw made: a redraw or a scan reads its parent array
+    and adjacency, and refuses a plain frozenset of edges with TypeError.
+    The exact law is keyed by plain frozensets, which a TreeState equals
+    and hashes as."""
 
     exclusive = False
     redraw = staticmethod(tree_resample)

@@ -387,7 +387,10 @@ def predicted_bounds(params: CriterionParams, ts: Sequence[float],
     elif table is None:
         raise ValueError("shearer bound requires the polynomial table")
     elif eps > 0:
-        scaled = build_table(table.graph, [float(pi) * (1 + eps) for pi in table.p])
+        scaled_p = [float(pi) * (1 + eps) for pi in table.p]
+        if not all(pi < 1 for pi in scaled_p):
+            raise ValueError("claimed slack pushes an event probability to 1 or above")
+        scaled = build_table(table.graph, scaled_p)
         if not in_shearer_region(scaled):
             raise ValueError("claimed slack leaves the region")
         log_q0 = math.log(1 / float(scaled.q0))

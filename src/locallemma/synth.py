@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
-from .graphs import DependencyGraph, non_neighbors
+from .graphs import DependencyGraph, non_neighbors, read_int
 from .oracles import OracleEventError
 
 #: Refuse transportation instances beyond this many states.
@@ -100,11 +100,11 @@ class ExplicitSpace:
     @classmethod
     def from_json(cls, obj: dict) -> "ExplicitSpace":
         probs = tuple(map(parse_probability, obj["prob"]))
-        if len(probs) != int(obj["states"]):
+        if len(probs) != read_int(obj["states"]):
             raise ValueError("state count does not match probability list")
-        events = tuple(frozenset(int(s) for s in ev) for ev in obj["events"])
+        events = tuple(frozenset(map(read_int, ev)) for ev in obj["events"])
         # checked before the graph's vertex sets are built
-        if int(obj["graph"]["n"]) != len(events):
+        if read_int(obj["graph"]["n"]) != len(events):
             raise ValueError("event count must match the dependency graph")
         return cls(probs, events, DependencyGraph.from_json(obj["graph"]))
 

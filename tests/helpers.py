@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from locallemma.apps import _AppBundle
-from locallemma.graphs import DependencyGraph, independent_set_masks
+from locallemma.graphs import DependencyGraph, independent_subset_masks
 from locallemma.oracles import (
     MatchingBundle,
     OracleEventError,
@@ -105,7 +105,7 @@ def brute_breve(graph, p, subset):
 
 def brute_q(graph, p, ind_set):
     """p^I times the alternating sum outside the closed neighborhood."""
-    closed = set(graph.closed_neighborhood(ind_set))
+    closed = set(ind_set).union(*map(graph.neighbors, ind_set))
     rest = [v for v in range(graph.n) if v not in closed]
     coeff = 1
     for i in ind_set:
@@ -423,7 +423,7 @@ def scalar_build_table(graph, p, exact=False):
 
     full = (1 << n) - 1
     q = {}
-    for mask in independent_set_masks(graph):
+    for mask in sorted(independent_subset_masks(adj, full)):
         weight = one
         gp = 0
         m = mask
@@ -438,7 +438,9 @@ def scalar_build_table(graph, p, exact=False):
 
 def q_by_mask(table):
     """A PolynomialTable's q over every independent set, by ascending mask."""
-    return {m: table.q_of(m) for m in independent_set_masks(table.graph)}
+    graph = table.graph
+    masks = independent_subset_masks(graph.adjacency_masks(), (1 << graph.n) - 1)
+    return {m: table.q_of(m) for m in sorted(masks)}
 
 
 class _FractionFlowNetwork:

@@ -1202,9 +1202,10 @@ def _graph_file(**fields):
     return {"kind": "custom-graph", "graph": {"n": 1, "edges": []}, "p": ["1/2"], **fields}
 
 
-#: Instance files whose reading once ended in a traceback (or, for the
-#: last two, in a run that exited 0), as (id, JSON text). Infinity and
-#: 1e400 both read as math.inf; 10**400 is an int that no float holds.
+#: Instance files whose reading once ended in a traceback (or, for
+#: params-x-one, params-y-zero and the integer reads from t-float on, in a
+#: run that exited 0 or spent its budget), as (id, JSON text). Infinity
+#: and 1e400 both read as math.inf; 10**400 is an int that no float holds.
 BAD_FILES = [
     ("prob-zero-denominator", json.dumps(_space_file(prob=["1/0", "1/2"]))),
     ("p-infinite", json.dumps(_graph_file(p=[math.inf]))),
@@ -1225,6 +1226,21 @@ BAD_FILES = [
     ("params-epsilon-nan", json.dumps(
         {**_space_file(), "params": {"kind": "cll", "y": [1], "epsilon": "nan"}})),
     ("params-y-zero", json.dumps({**_space_file(), "params": {"kind": "cll", "y": [0]}})),
+    *((f"t-{name}", json.dumps(
+        {"kind": "latin", "t": t, "generator": {"n": 6, "multiplicity": 1, "seed": 1}}))
+      for name, t in (("float", 2.7), ("bool", True), ("string", "2"))),
+    ("generator-seed-float", json.dumps(
+        {"kind": "rainbow-matching", "generator": {"n": 4, "multiplicity": 1, "seed": 1.5}})),
+    ("edge-end-float", json.dumps(
+        _graph_file(graph={"n": 2, "edges": [[0, 1.5]]}, p=["1/2", "1/2"]))),
+    ("graph-n-string", json.dumps(_graph_file(graph={"n": "1", "edges": []}))),
+    ("states-float", json.dumps(_space_file(states=2.0))),
+    ("event-state-bool", json.dumps(_space_file(events=[[True]]))),
+    ("params-epsilon-bool", json.dumps(
+        {**_space_file(), "params": {"kind": "cll", "y": [1], "epsilon": True}})),
+    ("colour-float", json.dumps({"kind": "latin", "t": 1, "matrix": [[0, 1.5], [1.7, 0]]})),
+    ("coloring-colour-float", json.dumps(
+        {"kind": "rainbow-matching", "coloring": {"n": 2, "colors": [[0, 1, 0.5]]}})),
 ]
 
 
@@ -1248,6 +1264,34 @@ def test_bad_file_values_exit_with_one_input_error_line(text, command, tmp_path,
     code, out, err = run_cli([str(path) if a == "FILE" else a for a in command], capsys)
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+#: A path of three events inside Shearer's region.
+SHEARER_PATH = {"kind": "custom-graph", "graph": {"n": 3, "edges": [[0, 1], [1, 2]]},
+                "p": ["0.1", "0.2", "0.2"]}
+
+
+def test_criteria_reports_the_shearer_bound_at_the_claimed_slack(tmp_path, capsys):
+    bounds = {}
+    for epsilon in (None, 0.1):
+        obj = SHEARER_PATH if epsilon is None else {
+            **SHEARER_PATH, "params": {"kind": "shearer", "epsilon": epsilon}}
+        code, out, _ = run_cli(["criteria", write_instance(tmp_path, obj)], capsys)
+        assert code == 0
+        bounds[epsilon] = json.loads(out)["predicted_bounds"]["shearer"]["t=1"]
+    # (2 / eps) * (ln 1/q0' + 1), q0' the table's q0 at 1.1 p
+    q0 = 1 - 0.11 - 0.22 - 0.22 + 0.11 * 0.22
+    assert bounds[0.1] == pytest.approx(2 / 0.1 * (math.log(1 / q0) + 1), rel=1e-12)
+    assert round(bounds[0.1], 2) == 34.92 and round(bounds[None], 2) == 9.79
+
+
+@pytest.mark.parametrize("epsilon", [50, 2], ids=["p-past-one", "leaves-region"])
+def test_a_shearer_slack_the_instance_lacks_is_an_input_error(epsilon, tmp_path, capsys):
+    # at 1 + 50 every p passes 1; at 3p the path has q0 < 0
+    obj = {**SHEARER_PATH, "params": {"kind": "shearer", "epsilon": epsilon}}
+    code, out, err = run_cli(["criteria", write_instance(tmp_path, obj)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: claimed slack ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("obj", [

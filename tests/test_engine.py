@@ -6,7 +6,6 @@ import pytest
 
 from helpers import reference_resample_run
 from locallemma.engine import RunLog, log_follows, maximal_set_resample
-from locallemma.graphs import StableSetSequence
 from locallemma.oracles import (
     MatchingBundle,
     PatternEvent,
@@ -121,18 +120,18 @@ def test_runlog_json_round_trip():
 def test_log_follows_prefix_semantics():
     log = RunLog(seed=0, iterations=[[0, 2], [1], []], total_resamples=3,
                  terminated=True)
-    assert log_follows(log, StableSetSequence.of())
-    assert log_follows(log, StableSetSequence.of({0}))
-    assert log_follows(log, StableSetSequence.of({0, 2}))
-    assert log_follows(log, StableSetSequence.of({0, 2}, {1}))
+    assert log_follows(log, [])
+    assert log_follows(log, [[0]])
+    assert log_follows(log, [[0, 2]])
+    assert log_follows(log, [[0, 2], [1]])
     # picks are consumed in ascending order, so {2} is not a valid prefix
-    assert not log_follows(log, StableSetSequence.of({2}))
-    assert not log_follows(log, StableSetSequence.of({1}))
-    assert not log_follows(log, StableSetSequence.of({0, 2}, {1}, {1}))
+    assert not log_follows(log, [[2]])
+    assert not log_follows(log, [[1]])
+    assert not log_follows(log, [[0, 2], [1], [1]])
 
 
 def test_log_follows_requires_full_earlier_sets():
     log = RunLog(seed=0, iterations=[[0, 2], [1], []], total_resamples=3,
                  terminated=True)
     # the first sequence set must match the whole first iteration
-    assert not log_follows(log, StableSetSequence.of({0}, {1}))
+    assert not log_follows(log, [[0], [1]])

@@ -10,9 +10,7 @@ from locallemma.engine import maximal_set_resample
 from locallemma.graphs import (
     DependencyGraph,
     KeyGraph,
-    StableSetSequence,
-    enumerate_independent_sets,
-    independent_set_masks,
+    independent_subset_masks,
     validate_sequence,
 )
 from locallemma.verify import derive_seed
@@ -25,12 +23,22 @@ def path(n):
     return g
 
 
+def independent_masks(graph):
+    """Every independent set of graph, as a mask."""
+    return independent_subset_masks(graph.adjacency_masks(), (1 << graph.n) - 1)
+
+
+def closed_neighborhood(graph, subset):
+    """Gamma^+ of a set: the set itself plus every neighbor."""
+    return set(subset).union(*map(graph.neighbors, subset))
+
+
 def test_basic_adjacency():
     g = path(3)
     assert g.adjacent(0, 1) and g.adjacent(1, 2)
     assert not g.adjacent(0, 2)
     assert g.neighbors(1) == frozenset({0, 2})
-    assert g.closed_neighborhood([0]) == frozenset({0, 1})
+    assert closed_neighborhood(g, [0]) == {0, 1}
 
 
 def test_no_self_loops_and_range_checks():
@@ -43,10 +51,10 @@ def test_no_self_loops_and_range_checks():
 
 def test_path3_independent_sets():
     # {} {0} {1} {2} {0,2}: five sets, by hand
-    sets = enumerate_independent_sets(path(3))
-    assert len(sets) == 5
-    assert frozenset({0, 2}) in sets
-    assert frozenset({0, 1}) not in sets
+    masks = independent_masks(path(3))
+    assert len(masks) == 5
+    assert 0b101 in masks
+    assert 0b011 not in masks
 
 
 def test_cycle5_independent_set_count():
@@ -54,18 +62,18 @@ def test_cycle5_independent_set_count():
     for i in range(5):
         g.add_edge(i, (i + 1) % 5)
     # empty set + 5 singletons + 5 non-adjacent pairs
-    assert len(enumerate_independent_sets(g)) == 11
+    assert len(independent_masks(g)) == 11
 
 
-def test_masks_sorted_ascending():
-    masks = independent_set_masks(path(4))
-    assert masks == sorted(masks)
-    assert masks[0] == 0
+def test_masks_come_depth_first():
+    # each set, then its extensions by one higher member, in increasing order
+    masks = independent_masks(path(4))
+    assert masks == [0b0000, 0b0001, 0b0101, 0b1001, 0b0010, 0b1010, 0b0100, 0b1000]
 
 
 def test_empty_graph_all_subsets_independent():
     g = DependencyGraph(3)
-    assert len(enumerate_independent_sets(g)) == 8
+    assert sorted(independent_masks(g)) == list(range(8))
 
 
 def test_key_graph_matches_explicit():
@@ -86,7 +94,7 @@ def test_key_graph_matches_explicit():
         for _ in range(10):
             s = [v for v in range(n) if rng.random() < 0.5]
             assert kg.is_independent(s) == g.is_independent(s)
-            assert kg.closed_neighborhood(s) == g.closed_neighborhood(s)
+            assert closed_neighborhood(kg, s) == closed_neighborhood(g, s)
 
 
 def test_key_graph_never_self_adjacent():
@@ -105,28 +113,21 @@ def test_json_round_trip():
 
 def test_sequence_validation():
     g = path(3)
-    ok = StableSetSequence.of({0, 2}, {1})
-    assert validate_sequence(g, ok)
-    assert ok.is_proper and ok.total_size == 3
+    assert validate_sequence(g, [[0, 2], [1]])
 
     # second set must sit inside the closed neighborhood of the first
-    bad = StableSetSequence.of({0}, {2})
-    assert not validate_sequence(g, bad)
+    assert not validate_sequence(g, [[0], [2]])
 
     # dependent sets are rejected
-    assert not validate_sequence(g, StableSetSequence.of({0, 1}))
+    assert not validate_sequence(g, [[0, 1]])
 
     # a nonempty set after an empty one is malformed
-    assert not validate_sequence(g, StableSetSequence.of({0}, set(), {0}))
-    assert validate_sequence(g, StableSetSequence.of({0}, set()))
-    assert not StableSetSequence.of({0}, set()).is_proper
+    assert not validate_sequence(g, [[0], [], [0]])
+    assert validate_sequence(g, [[0], []])
 
 
-def test_empty_sequence_is_valid_and_proper():
-    seq = StableSetSequence.of()
-    assert validate_sequence(path(2), seq)
-    assert seq.is_proper
-    assert seq.total_size == 0
+def test_empty_sequence_is_valid():
+    assert validate_sequence(path(2), [])
 
 
 @given(st.integers(0, 6), st.integers(0, 2**15 - 1), st.integers(0, 10**6))
@@ -136,7 +137,7 @@ def test_independence_agrees_with_mask_list(n, edge_bits, subset_seed):
     for k, (u, v) in enumerate(pairs):
         if (edge_bits >> k) & 1:
             g.add_edge(u, v)
-    masks = set(independent_set_masks(g))
+    masks = set(independent_masks(g))
     rng = random.Random(subset_seed)
     mask = rng.randrange(1 << n) if n else 0
     subset = [i for i in range(n) if (mask >> i) & 1]

@@ -54,7 +54,7 @@ def test_pattern_event_rejects_duplicates():
 
 def test_permutation_resample_needs_occurring_event():
     with pytest.raises(OracleEventError):
-        permutation_resample((1, 0, 2), PatternEvent(((0, 0),)), random.Random(0))
+        permutation_resample((1, 0, 2), PatternEvent(((0, 0),)).pairs, random.Random(0))
 
 
 def test_permutation_resample_exactly_uniform_one_pair():
@@ -65,7 +65,7 @@ def test_permutation_resample_exactly_uniform_one_pair():
     weight = Fraction(1, len(conditioned))
     for pi in conditioned:
         for out, pr in exact_outcomes(
-            lambda rng, pi=pi: permutation_resample(pi, event, rng)
+            lambda rng, pi=pi: permutation_resample(pi, event.pairs, rng)
         ).items():
             mixture[out] = mixture.get(out, Fraction(0)) + weight * pr
     assert len(mixture) == 24
@@ -82,7 +82,7 @@ def test_permutation_resample_exactly_uniform_two_pairs():
     weight = Fraction(1, len(conditioned))
     for pi in conditioned:
         for out, pr in exact_outcomes(
-            lambda rng, pi=pi: permutation_resample(pi, event, rng)
+            lambda rng, pi=pi: permutation_resample(pi, event.pairs, rng)
         ).items():
             mixture[out] = mixture.get(out, Fraction(0)) + weight * pr
     assert mixture == {
@@ -93,7 +93,7 @@ def test_permutation_resample_exactly_uniform_two_pairs():
 def test_permutation_resample_full_domain_is_shuffle():
     event = PatternEvent(((0, 0), (1, 1), (2, 2)))
     outcomes = exact_outcomes(
-        lambda rng: permutation_resample((0, 1, 2), event, rng)
+        lambda rng: permutation_resample((0, 1, 2), event.pairs, rng)
     )
     assert outcomes == {
         p: Fraction(1, 6) for p in itertools.permutations(range(3))
@@ -221,6 +221,18 @@ def test_tree_resample_needs_occurring_event():
     tree = frozenset({(0, 1), (1, 2), (2, 3)})
     with pytest.raises(OracleEventError):
         tree_resample(tree, [(0, 3)], random.Random(0))
+
+
+def test_a_plain_edge_set_is_refused():
+    # a tree to redraw is one that a sample or a redraw made
+    tree = SpanningTrees(6).sample(random.Random(4))
+    event = [min(tree)]
+    with pytest.raises(TypeError):
+        tree_resample(frozenset(tree), event, random.Random(0))
+    with pytest.raises(TypeError):
+        TreeBundle(6, [event]).resample(0, frozenset(tree), random.Random(0))
+    # the TreeState itself still redraws
+    assert is_spanning_tree(6, tree_resample(tree, event, random.Random(0)))
 
 
 def test_tree_resample_outputs_spanning_trees():
