@@ -33,7 +33,7 @@ from bisect import bisect_left
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -210,38 +210,9 @@ def random_edge_coloring(n: int, multiplicity: int, rng) -> ColoredCompleteGraph
     return ColoredCompleteGraph._random(n, n * (n - 1) // 2, multiplicity, rng)
 
 
-def rainbow_edge_coloring(n: int) -> ColoredCompleteGraph:
-    """Every edge its own color."""
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return ColoredCompleteGraph(n, {e: k for k, e in enumerate(edges)})
-
-
-def round_robin_coloring(n: int) -> ColoredCompleteGraph:
-    """Proper coloring of K_n (n even): each color class a perfect matching.
-
-    Classic circle construction: one vertex stays fixed while the others
-    rotate, giving n-1 rounds that partition the edges.
-    """
-    if n % 2:
-        raise ValueError("round-robin coloring needs even n")
-    color: dict[tuple[int, int], int] = {}
-    m = n - 1
-    for r in range(m):
-        color[normalize_edge((r, n - 1))] = r
-        for k in range(1, n // 2):
-            a = (r + k) % m
-            b = (r - k) % m
-            color[normalize_edge((a, b))] = r
-    return ColoredCompleteGraph(n, color)
-
-
 def random_color_matrix(n: int, multiplicity: int, rng) -> ColorMatrix:
     """Random n x n matrix with every color in at most `multiplicity` cells."""
     return ColorMatrix._random(n, n * n, multiplicity, rng)
-
-
-def distinct_color_matrix(n: int) -> ColorMatrix:
-    return ColorMatrix([[u * n + v for v in range(n)] for u in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +220,24 @@ def distinct_color_matrix(n: int) -> ColorMatrix:
 # structure family and coloring alone, as it reads nothing else
 
 
+def _rank_rows(family, structures) -> np.ndarray:
+    """The ranks of each structure's items, one row per structure (one
+    empty row for no structure): the structures of a family that pass
+    ``valid`` or that it draws all hold the same number of items."""
+    return np.array([family.ranks(structure) for structure in structures],
+                    dtype=np.int64, ndmin=2)
+
+
 def _valid_solution(family, ids: np.ndarray, structures) -> bool:
     """Is every structure valid in ``family``, with no two of its items of
     one color (``ids`` gives each item's color id in rank order) and no
     item in two structures?"""
-    seen: set[int] = set()
-    for structure in structures:
-        if not family.valid(structure):
-            return False
-        ranks = family.ranks(structure)
-        if len(set(ids[ranks].tolist())) < len(ranks) or not seen.isdisjoint(ranks):
-            return False
-        seen.update(ranks)
-    return True
+    if not all(map(family.valid, structures)):
+        return False
+    ranks = _rank_rows(family, structures)
+    colors = np.sort(ids[ranks], axis=1)
+    ranks = np.sort(ranks, axis=None)
+    return not ((colors[:, 1:] == colors[:, :-1]).any() or (ranks[1:] == ranks[:-1]).any())
 
 
 def validate_rainbow_matching(coloring: ColoredCompleteGraph, partner) -> bool:
@@ -282,6 +258,19 @@ def validate_disjoint_transversals(matrix: ColorMatrix, perms: Sequence) -> bool
 
 # ---------------------------------------------------------------------------
 # application bundles
+
+
+def _equal_runs(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (a, b), a < b, of every two equal entries of ``groups``,
+    sorted so that equal entries stand next to each other: a run of k
+    gives its k(k-1)/2 pairs."""
+    firsts, seconds = [], []
+    d = 1
+    while len(a := np.flatnonzero(groups[d:] == groups[:-d])):
+        firsts.append(a)
+        seconds.append(a + d)
+        d += 1
+    return (np.concatenate(firsts), np.concatenate(seconds)) if firsts else (a, a)
 
 
 def _pair_keys(family, color: np.ndarray) -> tuple[array, array, array]:
@@ -409,7 +398,8 @@ class _AppBundle:
         return copies + items
 
     def _type2(self, i: int, j: int, r: int) -> int:
-        """Index of the event that copies i < j both hold the item of rank r."""
+        """Index of the event that copies i < j both hold the item of rank r;
+        also elementwise, for arrays i, j and r."""
         c = i * (2 * self.t - i - 1) // 2 + j - i - 1
         return self.n_type1 + c * self.n_items + r
 
@@ -470,28 +460,34 @@ class _AppBundle:
         """The occurring events, as a list; with ``near``, a set of
         conflict keys, only those whose keys meet it, as a set.
 
+        The full scan sorts the ranks of all copies twice.  Keyed by (copy,
+        color, rank), the same-colored items of one copy stand next to each
+        other, and each two of them are a type-1 event, numbered by one
+        bisection of the pair keys; keyed by (rank, copy), the copies that
+        hold one item do, and each two of them are a type-2 event.
+
         An event that occurs and has the key (i, v) holds an item of copy
-        i at vertex v, so the scan near keys starts from those items: each
-        one's same-colored partners present in copy i give the type-1
-        events, and the other copies holding it the type-2 events.
+        i at vertex v, so the scan near keys starts from those items: the
+        members of each one's color class present in copy i give the
+        type-1 events, and the items present in another copy the type-2
+        events.
         """
-        family, n_pairs, color = self.family, self.n_pairs, self._color
+        family, n_pairs, n_items, t = self.family, self.n_pairs, self.n_items, self.t
         if near is None:
-            out: list[int] = []
-            present = [family.ranks(structure) for structure in state]
-            for i, ranks in enumerate(present):
-                by_color: dict[int, list[int]] = {}
-                for r in ranks:
-                    by_color.setdefault(color[r], []).append(r)
-                for group in by_color.values():
-                    if len(group) > 1:
-                        out.extend(i * n_pairs + self._pair_index(e, f)
-                                   for e, f in combinations(sorted(group), 2))
-            for c, (i, j) in enumerate(self.copy_pairs):
-                base = self.n_type1 + c * self.n_items
-                out.extend(base + r for r in set(present[i]).intersection(present[j]))
-            return out
-        has, order, starts = family.has, self._order, self._starts
+            ranks = _rank_rows(family, state)
+            copy = np.arange(t, dtype=np.int64)[:, None]
+            n_colors = len(self._starts) - 1
+            keys = (copy * n_colors + self.coloring.ids[ranks]) * n_items + ranks
+            groups, items = np.divmod(np.sort(keys, axis=None), n_items)
+            a, b = _equal_runs(groups)
+            pairs = np.frombuffer(self._pairs, dtype=np.int64)
+            type1 = groups[a] // n_colors * n_pairs + np.searchsorted(
+                pairs, items[a] * n_items + items[b])
+            items, copies = np.divmod(np.sort(ranks * t + copy, axis=None), t)
+            a, b = _equal_runs(items)
+            return np.concatenate((type1, self._type2(copies[a], copies[b], items[a]))).tolist()
+        present, color, order, starts = family.present, self._color, self._order, self._starts
+        pair_index, type2 = self._pair_index, self._type2
         touched: dict[int, list[int]] = {}
         for i, v in near:
             touched.setdefault(i, []).append(v)
@@ -499,14 +495,17 @@ class _AppBundle:
         for i, vertices in touched.items():
             structure = state[i]
             base = i * n_pairs
-            for r in family.ranks_at(structure, vertices):
+            ranks = family.ranks_at(structure, vertices)
+            for r in ranks:
                 c = color[r]
-                for s in order[starts[c]:starts[c + 1]]:
-                    if s != r and has(structure, s):
-                        out.add(base + (self._pair_index(r, s) if r < s else self._pair_index(s, r)))
-                for j in range(self.t):
-                    if j != i and has(state[j], r):
-                        out.add(self._type2(i, j, r) if i < j else self._type2(j, i, r))
+                for s in present(structure, order[starts[c]:starts[c + 1]]):
+                    if s != r:
+                        out.add(base + (pair_index(r, s) if r < s else pair_index(s, r)))
+            for j in range(t):
+                if j != i:
+                    first = type2(i, j, 0) if i < j else type2(j, i, 0)
+                    for r in present(state[j], ranks):
+                        out.add(first + r)
         return out
 
 
@@ -541,7 +540,10 @@ class RainbowTreeBundle(_AppBundle):
         return {"cross-space": (n - 1) * (t - 1), "same-space": (n - 1) * (q - 1)}
 
     def solution_json(self, state) -> dict:
-        return {"trees": [[list(e) for e in sorted(tree)] for tree in state]}
+        """Each tree's edges [u, v], u < v, in sorted order, which is rank order."""
+        ranks = np.sort(_rank_rows(self.family, state), axis=1)
+        low, high = self.family.vertex_arrays()
+        return {"trees": np.stack((low[ranks], high[ranks]), axis=-1).tolist()}
 
 
 class RainbowMatchingBundle(_AppBundle):

@@ -59,6 +59,7 @@ from .polynomials import (
 )
 from .synth import ExplicitBundle, ExplicitSpace, parse_probability
 from .verify import (
+    RejectionBudgetError,
     appendix_a_bundle,
     derive_seed,
     measure_consecutive_runs,
@@ -454,8 +455,10 @@ def cmd_verify_oracle(args, out) -> int:
     if args.family == "synthesized":
         # R1 and R2 resample no other event, so no other kernel is built
         bundle = ExplicitBundle(space, [event])
-    r1 = test_r1(bundle, event, samples=args.samples, seed=args.seed)
-    violations = test_r2(bundle, event, trials=args.trials, seed=args.seed + 1)
+    # enumerated once for both tests
+    exact = bundle.exact_distribution()
+    r1 = test_r1(bundle, event, samples=args.samples, seed=args.seed, exact=exact)
+    violations = test_r2(bundle, event, trials=args.trials, seed=args.seed + 1, exact=exact)
     payload = {
         "family": args.family,
         "r1": r1.to_json(),
@@ -594,9 +597,10 @@ def main(argv=None) -> int:
         if args.command in APP_KINDS:
             return cmd_app(args.command, args, out)
         raise InputError(f"unknown command {args.command!r}")
-    except (InputError, ValueError, MemoryError) as exc:
-        # a library ValueError is a bad input or flag value, and a
-        # MemoryError an input too large to hold; neither is a crash
+    except (InputError, ValueError, MemoryError, RejectionBudgetError) as exc:
+        # a library ValueError is a bad input or flag value, a MemoryError
+        # an input too large to hold, and a spent rejection budget an
+        # event too rare for the test's counts; none is a crash
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
 

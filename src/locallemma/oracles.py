@@ -100,17 +100,13 @@ class _Family:
     ``redraw(s, items, rng)`` resamples s conditioned on that.  The
     ``n_items`` items rank in sorted order: ``rank(item)``, ``item(rank)``
     and ``ranks(s)`` of those in s, ``ranks_at(s, vertices)`` of those in s
-    that touch one of the vertices; ``has(s, rank)`` tests one item.
-    ``vertices(item)`` are what an item touches; ``vertex_arrays()`` lists
-    them by rank."""
+    that touch one of the vertices; ``present(s, ranks)`` lists, in their
+    order, the given ranks whose items s holds.  ``vertices(item)`` are what
+    an item touches; ``vertex_arrays()`` lists them by rank."""
 
     #: Two items on a shared vertex never sit in one structure together.
     exclusive = True
     holds = staticmethod(_pairs_hold)
-
-    def has(self, structure, rank: int) -> bool:
-        u, v = self.item(rank)
-        return structure[u] == v
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +193,10 @@ class Permutations(_Family):
     def ranks(self, pi) -> list[int]:
         n = self.n
         return [u * n + v for u, v in enumerate(pi)]
+
+    def present(self, pi, ranks) -> list[int]:
+        n = self.n
+        return [r for r in ranks if pi[r // n] == r % n]
 
     def ranks_at(self, pi, vertices) -> set[int]:
         """Ranks of the cells of pi on the rows x < n and columns n + y given."""
@@ -348,9 +348,9 @@ class PerfectMatchings(_EdgeItems):
             partner[v] = u
         return tuple(partner)
 
-    def has(self, partner, rank: int) -> bool:
+    def present(self, partner, ranks) -> list[int]:
         low, high = self._ends
-        return partner[low[rank]] == high[rank]
+        return [r for r in ranks if partner[low[r]] == high[r]]
 
     def ranks(self, partner) -> list[int]:
         offset = self._offset
@@ -662,9 +662,9 @@ class SpanningTrees(_EdgeItems):
         offset = self._offset
         return [offset[u] + v for u, v in tree]
 
-    def has(self, tree, rank: int) -> bool:
+    def present(self, tree, ranks) -> list[int]:
         low, high = self._ends
-        return (low[rank], high[rank]) in tree
+        return [r for r in ranks if (low[r], high[r]) in tree]
 
     def ranks_at(self, tree, vertices) -> set[int]:
         """Ranks of the tree edges on the given vertices, from the adjacency."""

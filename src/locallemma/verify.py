@@ -31,8 +31,15 @@ from .oracles import OracleEventError
 
 DEFAULT_SIGNIFICANCE = 1e-6
 DEFAULT_REJECTION_BUDGET = 10**8
+#: A test whose expected rejection draws, count / P(event), pass its
+#: budget this many times over is refused before it draws.
+REJECTION_MARGIN = 10
 #: Cap on the k + k*l + 1 events of an AppendixABundle, about 63 bytes each.
 MAX_STREAK_EVENTS = 1 << 20
+
+
+class RejectionBudgetError(RuntimeError):
+    """A test's rejection draws ran out before it had all its conditioned states."""
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -65,24 +72,46 @@ def _conditioned_states(bundle, event: int, rng, budget: int):
     """States from the measure conditioned on the event, by rejection.
 
     One generator serves a whole test, so its budget caps the draws of
-    all the states it yields together; it raises RuntimeError when the
-    budget runs out before the next state is found.  It draws only when
-    asked for a state, so the caller's resamples interleave on the same
-    stream.
+    all the states it yields together; it raises RejectionBudgetError, a
+    RuntimeError, when the budget runs out before the next state is found.
+    It draws only when asked for a state, so the caller's resamples
+    interleave on the same stream.
     """
     sample, holds = bundle.sample, bundle.holds
     for _ in range(budget):
         state = sample(rng)
         if holds(event, state):
             yield state
-    raise RuntimeError(
+    raise RejectionBudgetError(
         f"rejection sampling ran out of its draw budget on event {event}"
+    )
+
+
+def _refuse_hopeless(exact, holds, event: int, count: int, budget: int) -> None:
+    """ValueError unless ``count`` states conditioned on the event stand a
+    chance within ``budget`` rejection draws: the event needs positive
+    probability under the exact law, and count / P(event) may pass the
+    budget by at most REJECTION_MARGIN times."""
+    # summed only until the event is likely enough, so a likely event
+    # reads a few states of a large law
+    mass = 0.0
+    for state, p in exact.items():
+        if p > 0 and holds(event, state):
+            mass += p
+            if mass * REJECTION_MARGIN * budget >= count:
+                return
+    if mass == 0:
+        raise ValueError(f"event {event} holds on no state of positive probability")
+    raise ValueError(
+        f"event {event} has probability {mass:.3g}: {count} conditioned states need about "
+        f"{count / mass:.3g} rejection draws, past the budget of {budget}"
     )
 
 
 def test_r1(bundle, event: int, samples: int, seed: int = 0,
             significance: float = DEFAULT_SIGNIFICANCE,
-            rejection_budget: int = DEFAULT_REJECTION_BUDGET) -> DistributionTestReport:
+            rejection_budget: int = DEFAULT_REJECTION_BUDGET,
+            exact: dict | None = None) -> DistributionTestReport:
     """Measure-restoration check for one event.
 
     Draws `samples` states from the conditioned measure (rejection, at
@@ -91,15 +120,15 @@ def test_r1(bundle, event: int, samples: int, seed: int = 0,
     The states themselves are counted, so each must be hashable and equal
     to its key in the exact law.  Passing means the statistic stays below
     the upper quantile at the given significance and no output (a broken
-    structure included) fell outside the exact support.  An event that
-    holds on no state of positive probability is refused before any draw.
+    structure included) fell outside the exact support.  ``exact`` is
+    that law when the caller holds it already.  An event too unlikely for
+    the budget (see ``_refuse_hopeless``) is refused before any draw.
     """
     if samples < 1:
         raise ValueError("the distribution test needs at least one sample")
-    exact = bundle.exact_distribution()
-    # rejection sampling would spend its whole budget on a null event
-    if not any(p > 0 and bundle.holds(event, s) for s, p in exact.items()):
-        raise ValueError(f"event {event} holds on no state of positive probability")
+    if exact is None:
+        exact = bundle.exact_distribution()
+    _refuse_hopeless(exact, bundle.holds, event, samples, rejection_budget)
     rng = random.Random(seed)
     states = islice(_conditioned_states(bundle, event, rng, rejection_budget), samples)
     outs = map(bundle.resample, repeat(event), states, repeat(rng))
@@ -136,7 +165,8 @@ def test_r1(bundle, event: int, samples: int, seed: int = 0,
 
 
 def test_r2(bundle, event: int, trials: int, seed: int = 0,
-            rejection_budget: int = DEFAULT_REJECTION_BUDGET) -> int:
+            rejection_budget: int = DEFAULT_REJECTION_BUDGET,
+            exact: dict | None = None) -> int:
     """Containment check: count violations over conditioned trials.
 
     Each trial draws a state satisfying the event (rejection, at most
@@ -144,10 +174,20 @@ def test_r2(bundle, event: int, trials: int, seed: int = 0,
     fail, resamples, and counts any of those that now hold.  An output
     the bundle's ``valid_state`` rejects (a tree or matching oracle that
     broke its structure) counts as one violation.  A correct oracle
-    yields exactly zero.
+    yields exactly zero.  When the bundle has an exact law (``exact``,
+    or its ``exact_distribution()``), an event too unlikely for the
+    budget is refused before any draw, as in ``test_r1``.
     """
     if trials < 1:
         raise ValueError("the containment test needs at least one trial")
+    law = getattr(bundle, "exact_distribution", None)
+    if exact is None and law is not None:
+        try:
+            exact = law()
+        except ValueError:
+            pass  # a law too large to enumerate: the budget alone decides
+    if exact is not None:
+        _refuse_hopeless(exact, bundle.holds, event, trials, rejection_budget)
     others = non_neighbors(bundle.graph, event)
     holds, resample = bundle.holds, bundle.resample
     valid = getattr(bundle, "valid_state", None)

@@ -12,7 +12,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from locallemma.apps import _AppBundle
+from locallemma.apps import ColoredCompleteGraph, ColorMatrix, _AppBundle
 from locallemma.graphs import DependencyGraph, independent_subset_masks
 from locallemma.oracles import (
     MatchingBundle,
@@ -22,9 +22,44 @@ from locallemma.oracles import (
     TreeBundle,
     VariableBundle,
     VariableEvent,
+    normalize_edge,
 )
 from locallemma.synth import ExplicitBundle, ExplicitSpace
 from locallemma.verify import AppendixABundle
+
+
+# ---------------------------------------------------------------------------
+# fixture colourings
+
+
+def rainbow_edge_coloring(n: int) -> ColoredCompleteGraph:
+    """Every edge its own color."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return ColoredCompleteGraph(n, {e: k for k, e in enumerate(edges)})
+
+
+def round_robin_coloring(n: int) -> ColoredCompleteGraph:
+    """Proper coloring of K_n (n even): each color class a perfect matching.
+
+    Classic circle construction: one vertex stays fixed while the others
+    rotate, giving n-1 rounds that partition the edges.
+    """
+    if n % 2:
+        raise ValueError("round-robin coloring needs even n")
+    color: dict[tuple[int, int], int] = {}
+    m = n - 1
+    for r in range(m):
+        color[normalize_edge((r, n - 1))] = r
+        for k in range(1, n // 2):
+            a = (r + k) % m
+            b = (r - k) % m
+            color[normalize_edge((a, b))] = r
+    return ColoredCompleteGraph(n, color)
+
+
+def distinct_color_matrix(n: int) -> ColorMatrix:
+    """Every cell its own color."""
+    return ColorMatrix([[u * n + v for v in range(n)] for u in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -268,3 +268,22 @@ def test_acceptance_size_output_is_pinned(argv, digest, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+#: sha256 of the JSON ``main`` prints for each PINNED_RUNS command with
+#: ``--jobs 8``: eight runs per app, at seeds derived from the pinned one.
+PINNED_JOB_DIGESTS = {
+    "latin": "e92efe953e444c6b94d744c595993799bdf68c24551245a97a8ac5bf589ebcbd",
+    "tree": "bce8de5cea9c4964fe0df8150ec83f9ce99744015b29150ffc29c4c80f244d04",
+    "matching": "8d42b50e965e40a2d007a55fbb9dd4d6ce5fa9897a8be5b2f1f6add4dfcdf84e",
+}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    pytest.param([*p.values[0], "--jobs", "8"], PINNED_JOB_DIGESTS[p.id], id=p.id)
+    for p in PINNED_RUNS
+])
+def test_acceptance_size_job_runs_are_pinned(argv, digest, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -25,11 +25,8 @@ from locallemma.apps import (
     build_latin_instance,
     build_rainbow_matching_instance,
     build_rainbow_tree_instance,
-    distinct_color_matrix,
-    rainbow_edge_coloring,
     random_color_matrix,
     random_edge_coloring,
-    round_robin_coloring,
     solve,
     validate_disjoint_transversals,
     validate_rainbow_matching,
@@ -41,6 +38,9 @@ from helpers import (
     brute_rainbow_matching,
     brute_rainbow_trees,
     color_classes,
+    distinct_color_matrix,
+    rainbow_edge_coloring,
+    round_robin_coloring,
 )
 from locallemma import apps, oracles
 from locallemma.engine import maximal_set_resample
@@ -725,6 +725,7 @@ def test_validate_disjoint_transversals():
     a = (0, 1, 2, 3)
     b = (1, 2, 3, 0)
     assert validate_disjoint_transversals(m, [a, b])
+    assert validate_disjoint_transversals(m, [])  # no structure breaks no rule
     assert not validate_disjoint_transversals(m, [a, a])  # shared cells
     assert not validate_disjoint_transversals(m, [(0, 0, 2, 3)])
     constant = ColorMatrix([[0] * 4] * 4)

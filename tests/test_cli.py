@@ -22,10 +22,11 @@ from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT7
 
 from locallemma import cli, synth
-from locallemma.apps import distinct_color_matrix, rainbow_edge_coloring
 from locallemma.cli import _parse_params, main
 from locallemma.synth import ExplicitBundle, parse_probability
 from locallemma.verify import derive_seed
+
+from helpers import distinct_color_matrix, rainbow_edge_coloring
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -667,6 +668,19 @@ def test_variable_laws_past_the_product_cap_are_refused_at_once(size, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "PRODUCT_LAW_CAP" in err
 
 
+def test_an_event_too_rare_for_the_rejection_budget_is_refused_at_once(tmp_path, capsys):
+    # P(event 0) = 1e-12: 10 samples need about 10^13 draws, and the
+    # rejection sampler used to spend its 10^8 before a traceback
+    path = write_instance(tmp_path, _space_file(prob=["1/1000000000000",
+                                                      "999999999999/1000000000000"]))
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify-oracle", "synthesized", "--instance", path,
+                              "--event", "0", "--samples", "10", "--trials", "10"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "rejection draws" in err
+
+
 def test_matching_on_two_vertices_solves_with_zero_bounds(tmp_path, capsys):
     # One event-free matching; its y = beta * p is negative at K_2.
     code, out, _ = run_cli(["rainbow-matching", "--n", "2", "--multiplicity", "1"], capsys)
@@ -1094,6 +1108,20 @@ PARAMS = maybe(st.fixed_dictionaries({
 
 
 @st.composite
+def rare_event_spaces(draw):
+    """Valid explicit spaces whose states, and so events, weigh as little as 1e-12."""
+    masses = [Fraction(1, 10**draw(st.sampled_from([1, 2, 3, 9, 12])))
+              for _ in range(draw(st.integers(1, 4)))]
+    prob = [str(m) for m in masses] + [str(1 - sum(masses))]
+    n = draw(st.integers(1, 3))
+    events = [draw(st.lists(st.integers(0, len(prob) - 1), min_size=1, max_size=2, unique=True))
+              for _ in range(n)]
+    edges = [[i, j] for i in range(n) for j in range(i + 1, n)] if draw(st.booleans()) else []
+    return {"states": len(prob), "prob": prob, "events": events,
+            "graph": {"n": n, "edges": edges}}
+
+
+@st.composite
 def instances(draw):
     """Instance objects of every kind, each field valid or junk."""
     kind = draw(st.sampled_from(["custom-graph", "explicit-space", "latin",
@@ -1103,13 +1131,13 @@ def instances(draw):
         obj["graph"] = draw(maybe(GRAPHS))
         obj["p"] = draw(maybe(st.lists(NUMBER, max_size=5)))
     elif kind == "explicit-space":
-        obj["space"] = draw(maybe(st.fixed_dictionaries({
+        obj["space"] = draw(st.one_of(rare_event_spaces(), maybe(st.fixed_dictionaries({
             "states": maybe(st.integers(-1, 6)),
             "prob": maybe(st.lists(NUMBER, max_size=6)),
             "events": maybe(st.lists(maybe(st.lists(st.integers(-1, 6), max_size=4)),
                                      max_size=3)),
             "graph": maybe(GRAPHS),
-        })))
+        }))))
     elif kind == "latin":
         obj["t"] = draw(maybe(st.integers(-1, 3)))
         if draw(st.booleans()):
@@ -1184,13 +1212,15 @@ def test_fuzzed_flags_end_in_an_exit_code(flags):
 
 
 @settings(max_examples=150, deadline=None)
-@given(instances(), st.sampled_from([["criteria"], ["criteria", "--exact"],
-                                     ["run", "--budget", "40"],
-                                     ["run", "--budget", "40", "--jobs", "2"]]))
+@given(instances(), st.sampled_from([
+    ["criteria", "FILE"], ["criteria", "FILE", "--exact"],
+    ["run", "FILE", "--budget", "40"], ["run", "FILE", "--budget", "40", "--jobs", "2"],
+    ["verify-oracle", "synthesized", "--instance", "FILE", "--samples", "10", "--trials", "10"],
+]))
 def test_fuzzed_instances_end_in_an_exit_code(obj, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_instance(Path(tmp), obj)
-        assert exit_code([command[0], path, *command[1:]]) in (0, 1, 2, 3)
+        assert exit_code([path if arg == "FILE" else arg for arg in command]) in (0, 1, 2, 3)
 
 
 def _space_file(**fields):
@@ -1337,12 +1367,14 @@ def test_event_count_is_checked_before_the_graph_is_built(obj, command, tmp_path
 
 
 #: (function, exception) of every except clause in cli.py: the reading
-#: boundary, the open of a file, and main's report of an input error.
+#: boundary, the open of a file, and main's report of an input error or
+#: of a spent rejection budget.
 CLI_EXCEPTS = {
     *(("_reading", name) for name in ("KeyError", "TypeError", "ValueError",
                                       "AttributeError", "ArithmeticError", "RecursionError")),
     ("_load_json", "OSError"),
     ("main", "InputError"), ("main", "ValueError"), ("main", "MemoryError"),
+    ("main", "RejectionBudgetError"),
 }
 
 

@@ -39,4 +39,4 @@ def test_the_optional_bundle_hooks_are_the_known_ones():
                     and node.func.id == "getattr" and len(node.args) == 3
                     and isinstance(node.args[0], ast.Name) and node.args[0].id == "bundle"):
                 probed.add(ast.literal_eval(node.args[1]))
-    assert probed == {"occurring", "valid_state", "kernels"}
+    assert probed == {"occurring", "valid_state", "kernels", "exact_distribution"}

@@ -273,6 +273,22 @@ def test_r1_refuses_an_event_of_probability_zero():
         run_r1(bundle, 0, samples=10, rejection_budget=10**6)
 
 
+def test_an_event_too_rare_for_the_budget_is_refused_before_any_draw():
+    # P(event) = 1/1000 and 10 states: about 10^4 draws, past a budget of
+    # 100 by far more than REJECTION_MARGIN times
+    bundle = VariableBundle([((0, 1), (999, 1))], [VariableEvent((0,), lambda v: v == 1)])
+    for test in (run_r1, run_r2):
+        counting = _CountingBundle(bundle)
+        with pytest.raises(ValueError, match="rejection draws"):
+            test(counting, 0, 10, 1, rejection_budget=100)
+        assert counting.draws == 0
+    # near the budget the test draws, and the budget decides
+    counting = _CountingBundle(bundle)
+    with pytest.raises(RuntimeError):
+        run_r2(counting, 0, 10, 1, rejection_budget=2000)
+    assert counting.draws == 2000
+
+
 def test_r2_without_trials_takes_no_draws():
     counting = _CountingBundle(coin_pair_bundle())
     for trials in (0, -3):
