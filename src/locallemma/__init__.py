@@ -20,9 +20,6 @@ from .apps import (
     random_color_matrix,
     random_edge_coloring,
     solve,
-    validate_disjoint_transversals,
-    validate_rainbow_matching,
-    validate_rainbow_trees,
 )
 from .engine import RunLog, log_follows, maximal_set_resample
 from .graphs import DependencyGraph, KeyGraph, validate_sequence
@@ -125,8 +122,5 @@ __all__ = [
     "synthesize",
     "test_r1",
     "test_r2",
-    "validate_disjoint_transversals",
-    "validate_rainbow_matching",
-    "validate_rainbow_trees",
     "validate_sequence",
 ]

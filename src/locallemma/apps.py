@@ -42,7 +42,6 @@ from .engine import DEFAULT_MAX_RESAMPLES, RunLog, maximal_set_resample
 from .graphs import KeyGraph, read_int
 from .oracles import (
     _EdgeItems,
-    _int32_array,
     PerfectMatchings,
     Permutations,
     SpanningTrees,
@@ -216,8 +215,7 @@ def random_color_matrix(n: int, multiplicity: int, rng) -> ColorMatrix:
 
 
 # ---------------------------------------------------------------------------
-# standalone validators: the solution check of the app bundles, run on the
-# structure family and coloring alone, as it reads nothing else
+# application bundles
 
 
 def _rank_rows(family, structures) -> np.ndarray:
@@ -240,26 +238,6 @@ def _valid_solution(family, ids: np.ndarray, structures) -> bool:
     return not ((colors[:, 1:] == colors[:, :-1]).any() or (ranks[1:] == ranks[:-1]).any())
 
 
-def validate_rainbow_matching(coloring: ColoredCompleteGraph, partner) -> bool:
-    # K_n with n odd has no perfect matching, so no PerfectMatchings family
-    return coloring.n % 2 == 0 and _valid_solution(
-        PerfectMatchings(coloring.n), coloring.ids, [partner])
-
-
-def validate_rainbow_trees(coloring: ColoredCompleteGraph, trees: Sequence) -> bool:
-    # edges normalized first: a degenerate one raises ValueError
-    return _valid_solution(SpanningTrees(coloring.n), coloring.ids,
-                           [[normalize_edge(e) for e in tree] for tree in trees])
-
-
-def validate_disjoint_transversals(matrix: ColorMatrix, perms: Sequence) -> bool:
-    return _valid_solution(Permutations(matrix.n), matrix.ids, perms)
-
-
-# ---------------------------------------------------------------------------
-# application bundles
-
-
 def _equal_runs(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions (a, b), a < b, of every two equal entries of ``groups``,
     sorted so that equal entries stand next to each other: a run of k
@@ -273,10 +251,9 @@ def _equal_runs(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (np.concatenate(firsts), np.concatenate(seconds)) if firsts else (a, a)
 
 
-def _pair_keys(family, color: np.ndarray) -> tuple[array, array, array]:
+def _pair_keys(family, color: np.ndarray) -> array:
     """Sorted keys e*N + f of the same-colored rank pairs e < f that fit in
-    one structure of ``family``, refused past MAX_PAIRS candidates, and the
-    color classes: the ranks in class order and where each class starts."""
+    one structure of ``family``, refused past MAX_PAIRS candidates."""
     sizes = np.bincount(color)
     candidates = int((sizes * (sizes - 1) // 2).sum())
     if candidates > MAX_PAIRS:
@@ -292,8 +269,7 @@ def _pair_keys(family, color: np.ndarray) -> tuple[array, array, array]:
     order = np.multiply(color, n_items, dtype=np.int64)
     order += np.arange(n_items, dtype=np.int64)
     order.sort()
-    classes = _int32_array(np.remainder(order, n_items, out=order))
-    order = np.frombuffer(classes, dtype=np.int32)
+    order = np.remainder(order, n_items, out=order).astype(np.int32)
     later = np.repeat(np.cumsum(sizes), sizes) - np.arange(1, n_items + 1)
     shift = (np.cumsum(later) - later - np.arange(1, n_items + 1)).astype(np.int32)
     e = np.repeat(order, later)
@@ -311,7 +287,7 @@ def _pair_keys(family, color: np.ndarray) -> tuple[array, array, array]:
     view = np.multiply(e, n_items, out=np.frombuffer(keys, dtype=np.int64), dtype=np.int64)
     view += f
     view.sort()
-    return keys, classes, _int32_array(np.concatenate(([0], np.cumsum(sizes))))
+    return keys
 
 
 class _AppBundle:
@@ -336,11 +312,9 @@ class _AppBundle:
     structure are numbered in sorted order and shared by all copies.  A
     build stores the sorted pair keys e*N + f as int64, so pair k is
     divmod(key[k], N) and a pair's number is one bisection; the numbering
-    is what run logs record.  Three int32 arrays hold each rank's color,
-    the ranks in color-class order and where each class starts, so a scan
-    near keys lists an item's same-colored partners as one slice.
-    Two events interfere when they involve a common copy and their vertex
-    supports meet, that is when their (copy, vertex) conflict keys meet.
+    is what run logs record.  Two events interfere when they involve a
+    common copy and their vertex supports meet, that is when their (copy,
+    vertex) conflict keys meet.
 
     A subclass passes its coloring, whose ``ids`` give each item's dense
     color id in rank order, and for the cluster criterion gives beta, its
@@ -353,11 +327,9 @@ class _AppBundle:
     def __init__(self, family, t: int, coloring: _Coloring) -> None:
         _check_caps(family.n_items, t)
         self.family, self.t, self.size = family, t, family.n
-        self.coloring, color = coloring, coloring.ids
-        # dense ids stay below MAX_ITEMS, so int32 holds them
-        self._color = _int32_array(color)
-        self._pairs, self._order, self._starts = _pair_keys(family, color)
-        self.n_items = len(color)
+        self.coloring = coloring
+        self._pairs = _pair_keys(family, coloring.ids)
+        self.n_items = len(coloring.ids)
         self.n_pairs = len(self._pairs)
         self.copy_pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
         self.n_type1 = t * self.n_pairs
@@ -456,64 +428,33 @@ class _AppBundle:
         event model, so it checks the engine's output independently."""
         return _valid_solution(self.family, self.coloring.ids, state)
 
-    def occurring(self, state, near=None):
-        """The occurring events, as a list; with ``near``, a set of
-        conflict keys, only those whose keys meet it, as a set.
-
-        The full scan sorts the ranks of all copies twice.  Keyed by (copy,
-        color, rank), the same-colored items of one copy stand next to each
-        other, and each two of them are a type-1 event, numbered by one
-        bisection of the pair keys; keyed by (rank, copy), the copies that
-        hold one item do, and each two of them are a type-2 event.
-
-        An event that occurs and has the key (i, v) holds an item of copy
-        i at vertex v, so the scan near keys starts from those items: the
-        members of each one's color class present in copy i give the
-        type-1 events, and the items present in another copy the type-2
-        events.
-        """
-        family, n_pairs, n_items, t = self.family, self.n_pairs, self.n_items, self.t
-        if near is None:
-            ranks = _rank_rows(family, state)
-            copy = np.arange(t, dtype=np.int64)[:, None]
-            n_colors = len(self._starts) - 1
-            keys = (copy * n_colors + self.coloring.ids[ranks]) * n_items + ranks
-            groups, items = np.divmod(np.sort(keys, axis=None), n_items)
-            a, b = _equal_runs(groups)
-            pairs = np.frombuffer(self._pairs, dtype=np.int64)
-            type1 = groups[a] // n_colors * n_pairs + np.searchsorted(
-                pairs, items[a] * n_items + items[b])
-            items, copies = np.divmod(np.sort(ranks * t + copy, axis=None), t)
-            a, b = _equal_runs(items)
-            return np.concatenate((type1, self._type2(copies[a], copies[b], items[a]))).tolist()
-        present, color, order, starts = family.present, self._color, self._order, self._starts
-        pair_index, type2 = self._pair_index, self._type2
-        touched: dict[int, list[int]] = {}
-        for i, v in near:
-            touched.setdefault(i, []).append(v)
-        out = set()
-        for i, vertices in touched.items():
-            structure = state[i]
-            base = i * n_pairs
-            ranks = family.ranks_at(structure, vertices)
-            for r in ranks:
-                c = color[r]
-                for s in present(structure, order[starts[c]:starts[c + 1]]):
-                    if s != r:
-                        out.add(base + (pair_index(r, s) if r < s else pair_index(s, r)))
-            for j in range(t):
-                if j != i:
-                    first = type2(i, j, 0) if i < j else type2(j, i, 0)
-                    for r in present(state[j], ranks):
-                        out.add(first + r)
-        return out
+    def occurring(self, state) -> list[int]:
+        """The occurring events.  The scan sorts the ranks of all copies
+        twice.  Keyed by (copy, color, rank), the same-colored items of one
+        copy stand next to each other, and each two of them are a type-1
+        event, numbered by one bisection of the pair keys; keyed by (rank,
+        copy), the copies that hold one item do, and each two of them are a
+        type-2 event."""
+        n_pairs, n_items, t = self.n_pairs, self.n_items, self.t
+        ranks = _rank_rows(self.family, state)
+        copy = np.arange(t, dtype=np.int64)[:, None]
+        n_colors = len(self.coloring.labels)
+        keys = (copy * n_colors + self.coloring.ids[ranks]) * n_items + ranks
+        groups, items = np.divmod(np.sort(keys, axis=None), n_items)
+        a, b = _equal_runs(groups)
+        pairs = np.frombuffer(self._pairs, dtype=np.int64)
+        type1 = groups[a] // n_colors * n_pairs + np.searchsorted(
+            pairs, items[a] * n_items + items[b])
+        items, copies = np.divmod(np.sort(ranks * t + copy, axis=None), t)
+        a, b = _equal_runs(items)
+        return np.concatenate((type1, self._type2(copies[a], copies[b], items[a]))).tolist()
 
 
 class RainbowTreeBundle(_AppBundle):
     """t independent uniform spanning trees of K_n with collision events.
 
     Type-1 events: two same-colored edges inside one tree (edges may
-    share a vertex).  Type-2 events: one edge present in two trees; an
+    share a vertex).  Type-2 events: one edge held by two trees; an
     edge's position is its rank among the sorted edges of K_n.
     """
 

@@ -19,12 +19,8 @@ The engine works against any object satisfying the bundle interface::
     bundle.sample(rng)             fresh state from the product measure
     bundle.holds(i, state)         does event i occur in state
     bundle.resample(i, state, rng) resampling oracle for event i
-    bundle.occurring(state, near)  optional: indices of the occurring
-                                   events.  ``near`` is None on the first
-                                   iteration and the keys blocked in the
-                                   previous one after that; a bundle may
-                                   list only the events whose keys meet
-                                   it, or ignore it (see below)
+    bundle.occurring(state)        optional: indices of the occurring
+                                   events, in any order
 
 Blocking is by keys: the keys of every pick join one set, and a
 candidate whose keys meet it is skipped, so each candidate is looked at
@@ -37,23 +33,13 @@ occurs now has occurred at every state of the iteration so far, so one
 re-testing every remaining candidate after every resample would pick,
 with the same random stream.
 
-The same property lets every iteration after the first scan only near
-the previous one.  Let B be the keys of the previous iteration's picks.
-An event with keys outside B is adjacent to none of those picks, so if
-it occurs now it occurred throughout that iteration: it was a
-candidate, was never blocked and held when the walk reached it, so it
-was picked and its keys lie in B after all.  Every event that occurs at
-the top of an iteration therefore has a key in B, and ``near`` is B.
-So ``occurring`` may list only the events whose keys meet ``near`` (the
-app bundles do; every event then needs at least one key), or ignore it
-and list them all: the candidate lists, picks and run log are those of
-full scans either way.  No final full scan is made: by the same
-argument, the last, empty iteration shows that no event occurs.
-Checks that do not rely on it stay outside the engine: ``apps.solve``
+The scan reads the whole state at the top of every iteration, so the
+last, empty iteration shows that no event occurs, whatever the oracles
+do.  Checks of the final state stay outside the engine: ``apps.solve``
 serves any bundle with ``kind``, ``validate_solution`` and
-``solution_json``, and checks the final state with ``validate_solution``,
-which the app bundles and ``ExplicitBundle`` answer without the event
-model.
+``solution_json``, and checks the final state with
+``validate_solution``, which the app bundles and ``ExplicitBundle``
+answer without the event model.
 """
 
 from __future__ import annotations
@@ -118,9 +104,8 @@ def maximal_set_resample(bundle, seed: int = 0,
     state = bundle.sample(rng)
     iterations: list[list[int]] = []
     total = 0
-    blocked = None
     while True:
-        candidates = range(bundle.n) if occurring is None else sorted(occurring(state, blocked))
+        candidates = range(bundle.n) if occurring is None else sorted(occurring(state))
         picked: list[int] = []
         blocked = set()
         for i in candidates:

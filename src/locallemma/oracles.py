@@ -99,10 +99,8 @@ class _Family:
     items)`` tests that s contains every item (a cell or an edge of K_n) and
     ``redraw(s, items, rng)`` resamples s conditioned on that.  The
     ``n_items`` items rank in sorted order: ``rank(item)``, ``item(rank)``
-    and ``ranks(s)`` of those in s, ``ranks_at(s, vertices)`` of those in s
-    that touch one of the vertices; ``present(s, ranks)`` lists, in their
-    order, the given ranks whose items s holds.  ``vertices(item)`` are what
-    an item touches; ``vertex_arrays()`` lists them by rank."""
+    and ``ranks(s)`` of those in s.  ``vertices(item)`` are what an item
+    touches; ``vertex_arrays()`` lists them by rank."""
 
     #: Two items on a shared vertex never sit in one structure together.
     exclusive = True
@@ -190,18 +188,8 @@ class Permutations(_Family):
     def item(self, rank: int) -> tuple[int, int]:
         return divmod(rank, self.n)
 
-    def ranks(self, pi) -> list[int]:
-        n = self.n
-        return [u * n + v for u, v in enumerate(pi)]
-
-    def present(self, pi, ranks) -> list[int]:
-        n = self.n
-        return [r for r in ranks if pi[r // n] == r % n]
-
-    def ranks_at(self, pi, vertices) -> set[int]:
-        """Ranks of the cells of pi on the rows x < n and columns n + y given."""
-        n = self.n
-        return {v * n + pi[v] if v < n else pi.index(v - n) * n + v - n for v in vertices}
+    def ranks(self, pi) -> np.ndarray:
+        return np.arange(0, self.n_items, self.n) + pi
 
     def valid(self, pi) -> bool:
         return len(pi) == self.n and sorted(pi) == list(range(self.n))
@@ -299,7 +287,7 @@ class _EdgeItems(_Family):
     def __init__(self, n: int) -> None:
         self.n = n
         self.n_items = n * (n - 1) // 2
-        # rank(u, v) = _offset[u] + v, for the scans of whole structures
+        # rank(u, v) = _offset[u] + v, for ``ranks``
         self._offset = [self.rank((u, 0)) for u in range(n)]
 
     @cached_property
@@ -329,7 +317,7 @@ class _EdgeItems(_Family):
 
 class PerfectMatchings(_EdgeItems):
     """Uniform perfect matchings of K_n, n even, as partner tuples; the
-    edge (u, v) is present when partner[u] == v."""
+    edge (u, v) is in the matching when partner[u] == v."""
 
     redraw = staticmethod(matching_resample)
 
@@ -348,17 +336,9 @@ class PerfectMatchings(_EdgeItems):
             partner[v] = u
         return tuple(partner)
 
-    def present(self, partner, ranks) -> list[int]:
-        low, high = self._ends
-        return [r for r in ranks if partner[low[r]] == high[r]]
-
     def ranks(self, partner) -> list[int]:
         offset = self._offset
         return [offset[u] + v for u, v in enumerate(partner) if u < v]
-
-    def ranks_at(self, partner, vertices) -> set[int]:
-        """Ranks of the matching edges on the given vertices."""
-        return {self.rank(normalize_edge((v, partner[v]))) for v in vertices}
 
     def valid(self, partner) -> bool:
         return len(partner) == self.n and is_perfect_matching(partner)
@@ -449,7 +429,7 @@ def _wilson(nw: int, sizes: Sequence[int], rng) -> list[int]:
 class TreeState(frozenset):
     """A spanning tree of K_n: the frozenset of its edges (u, v), u < v,
     which is all that ``holds``, ``ranks``, ``valid`` and the solution
-    checks read, plus what a redraw reads near its event.  ``parent[v]``
+    checks read, plus what a redraw reads around its event.  ``parent[v]``
     is v's neighbour toward vertex 0 (``parent[0]`` is 0) and ``adj[v]``
     lists v's neighbours: None in a sampled tree, whose first redraw makes
     it from the parent array.  Trees of one chain of redraws share these
@@ -491,7 +471,7 @@ def tree_resample(tree: TreeState, event_edges: Iterable, rng) -> TreeState:
     order of their smallest members, and a landing is the member of
     that rank in sorted order.
 
-    The Python work stays near W (``TreeState``).  Rooted at vertex 0,
+    The Python work stays close to W (``TreeState``).  Rooted at vertex 0,
     every component but the one holding vertex 0 hangs below W and is
     found by a search down from its top, a child of a W-vertex.  Vertex
     0's component, when 0 is not in W, is all the other vertices: its
@@ -610,8 +590,8 @@ def tree_resample(tree: TreeState, event_edges: Iterable, rng) -> TreeState:
 class SpanningTrees(_EdgeItems):
     """Uniform spanning trees of K_n as ``TreeState`` edge sets; edges on a
     shared vertex may sit in one tree together.  A state is a tree that
-    ``sample`` or a redraw made: a redraw or a scan reads its parent array
-    and adjacency, and refuses a plain frozenset of edges with TypeError.
+    ``sample`` or a redraw made: a redraw reads its parent array and
+    adjacency, and refuses a plain frozenset of edges with TypeError.
     The exact law is keyed by plain frozensets, which a TreeState equals
     and hashes as."""
 
@@ -661,15 +641,6 @@ class SpanningTrees(_EdgeItems):
     def ranks(self, tree) -> list[int]:
         offset = self._offset
         return [offset[u] + v for u, v in tree]
-
-    def present(self, tree, ranks) -> list[int]:
-        low, high = self._ends
-        return [r for r in ranks if (low[r], high[r]) in tree]
-
-    def ranks_at(self, tree, vertices) -> set[int]:
-        """Ranks of the tree edges on the given vertices, from the adjacency."""
-        adj, offset = _kept(tree)[1], self._offset
-        return {offset[u] + v if u < v else offset[v] + u for u in vertices for v in adj[u]}
 
     def valid(self, tree) -> bool:
         """A spanning tree of edges (u, v) with u < v, which ``ranks`` reads."""

@@ -284,10 +284,9 @@ class AppendixABundle:
             return state[i] == 0
         return state[self.w_slot] == 1
 
-    def occurring(self, state, near=None) -> list[int]:
+    def occurring(self, state) -> list[int]:
         # The X | Y prefix holds one slot per event before E', so the
-        # occurring ones are exactly its zero bytes; a scan of them all
-        # costs no more than one near the keys, so ``near`` is ignored.
+        # occurring ones are exactly its zero bytes.
         find = bytes(state).find
         end = self.eprime
         out = []

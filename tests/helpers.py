@@ -379,8 +379,8 @@ def color_classes(coloring):
 
 
 # Brute-force solution checks of the three applications, read through the
-# colorings' public accessors.  Tree edges may come in either orientation;
-# a degenerate edge anywhere raises ValueError, as the package's does.
+# colorings' public accessors.  A tree edge is (u, v) with u < v, the
+# form ``SpanningTrees`` reads.
 
 
 def brute_rainbow_matching(coloring, partner):
@@ -396,12 +396,9 @@ def brute_rainbow_matching(coloring, partner):
 
 def brute_rainbow_trees(coloring, trees):
     n = coloring.n
-    trees = [[tuple(e) for e in tree] for tree in trees]
-    if any(u == v for tree in trees for u, v in tree):
-        raise ValueError("degenerate edge")
     used = []
     for tree in trees:
-        edges = [(min(e), max(e)) for e in tree]
+        edges = [tuple(e) for e in tree]
         if len(edges) != n - 1 or len(set(edges)) != len(edges):
             return False
         if any(not 0 <= u < v < n for u, v in edges):
@@ -767,7 +764,7 @@ class TupleAppendixABundle(AppendixABundle):
             return state[self.y_offset + (i - self.k)] == 0
         return state[self.w_slot] == 1
 
-    def occurring(self, state, near=None):
+    def occurring(self, state):
         k, l = self.k, self.l
         out = [i for i in range(k) if state[i] == 0]
         yo = self.y_offset

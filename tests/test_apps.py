@@ -28,9 +28,6 @@ from locallemma.apps import (
     random_color_matrix,
     random_edge_coloring,
     solve,
-    validate_disjoint_transversals,
-    validate_rainbow_matching,
-    validate_rainbow_trees,
 )
 from helpers import (
     app_event_parts,
@@ -45,6 +42,9 @@ from helpers import (
 from locallemma import apps, oracles
 from locallemma.engine import maximal_set_resample
 from locallemma.oracles import (
+    PerfectMatchings,
+    Permutations,
+    SpanningTrees,
     TreeState,
     is_spanning_tree,
     matching_pairs,
@@ -161,8 +161,8 @@ def assert_same_coloring(a, b):
         assert a.rows == b.rows
     else:
         assert a.color == b.color and color_classes(a) == color_classes(b)
+    assert _partition(a.ids) == _partition(b.ids)
     for x, y in zip(_bundles(a), _bundles(b), strict=True):
-        assert _partition(x._color) == _partition(y._color)
         assert x._pairs == y._pairs
 
 
@@ -646,7 +646,8 @@ def test_app_oracles_respect_declared_dependencies():
 
 
 # ---------------------------------------------------------------------------
-# validators
+# solution checks: ``apps._valid_solution``, which ``validate_solution``
+# runs on the bundle's family and coloring
 
 
 def test_validate_rainbow_matching():
@@ -655,24 +656,26 @@ def test_validate_rainbow_matching():
     partner = [0] * 6
     for u, v in edges:
         partner[u], partner[v] = v, u
+    family = PerfectMatchings(6)
     # a whole color class is monochromatic, not rainbow
-    assert not validate_rainbow_matching(g, partner)
-    assert validate_rainbow_matching(rainbow_edge_coloring(6), partner)
-    assert not validate_rainbow_matching(g, partner[:-1])
+    assert not apps._valid_solution(family, g.ids, [partner])
+    assert apps._valid_solution(family, rainbow_edge_coloring(6).ids, [partner])
+    assert not apps._valid_solution(family, g.ids, [partner[:-1]])
     broken = list(partner)
     broken[0] = 0
-    assert not validate_rainbow_matching(g, broken)
+    assert not apps._valid_solution(family, g.ids, [broken])
 
 
 def test_validate_rainbow_trees():
     g = rainbow_edge_coloring(5)
+    family = SpanningTrees(5)
     star = frozenset((0, v) for v in range(1, 5))
     path = frozenset([(1, 2), (2, 3), (3, 4), (1, 4)])
-    assert validate_rainbow_trees(g, [star])
-    assert not validate_rainbow_trees(g, [path])  # contains a cycle
-    assert not validate_rainbow_trees(g, [star, star])  # shared edges
+    assert apps._valid_solution(family, g.ids, [star])
+    assert not apps._valid_solution(family, g.ids, [path])  # contains a cycle
+    assert not apps._valid_solution(family, g.ids, [star, star])  # shared edges
     mono = coloring_with_pair(5, (0, 1), (0, 2))
-    assert not validate_rainbow_trees(mono, [star])  # repeated color
+    assert not apps._valid_solution(family, mono.ids, [star])  # repeated color
 
 
 def test_tree_solutions_are_checked_on_their_edge_sets_alone():
@@ -691,7 +694,6 @@ def test_tree_solutions_are_checked_on_their_edge_sets_alone():
             bad.parent, bad.adj = [0] * 12, [[]] * 12
             corrupted.append(bad)
         assert bundle.validate_solution(corrupted) == verdict
-        assert validate_rainbow_trees(coloring, corrupted) == verdict
     assert bundle.validate_solution(state)
 
 
@@ -721,15 +723,16 @@ def test_validate_solution_flags_broken_oracle_output(monkeypatch):
 
 
 def test_validate_disjoint_transversals():
-    m = distinct_color_matrix(4)
+    ids = distinct_color_matrix(4).ids
+    family = Permutations(4)
     a = (0, 1, 2, 3)
     b = (1, 2, 3, 0)
-    assert validate_disjoint_transversals(m, [a, b])
-    assert validate_disjoint_transversals(m, [])  # no structure breaks no rule
-    assert not validate_disjoint_transversals(m, [a, a])  # shared cells
-    assert not validate_disjoint_transversals(m, [(0, 0, 2, 3)])
+    assert apps._valid_solution(family, ids, [a, b])
+    assert apps._valid_solution(family, ids, [])  # no structure breaks no rule
+    assert not apps._valid_solution(family, ids, [a, a])  # shared cells
+    assert not apps._valid_solution(family, ids, [(0, 0, 2, 3)])
     constant = ColorMatrix([[0] * 4] * 4)
-    assert not validate_disjoint_transversals(constant, [a])
+    assert not apps._valid_solution(family, constant.ids, [a])
 
 
 @pytest.mark.parametrize("make, seed", [
@@ -764,14 +767,6 @@ def test_validate_solution_reads_no_event_model(make, seed, monkeypatch):
     assert not bundle.validate_solution(state)
 
 
-def _outcome(check, *args):
-    """check(*args), or ValueError when it raises one."""
-    try:
-        return check(*args)
-    except ValueError:
-        return ValueError
-
-
 def _shuffled(n, rng):
     order = list(range(n))
     rng.shuffle(order)
@@ -787,10 +782,9 @@ MUTATIONS = {
 
 @st.composite
 def validator_cases(draw):
-    """(validator, reference, coloring, structures, mutation): a small
-    random coloring and random structures of one application, spoilt by
-    one mutation or none.  Tree edges come in random orientation, and
-    matchings on an odd vertex count leave one vertex matched to itself."""
+    """(family, reference, coloring, structures, mutation): a small random
+    coloring and random structures of one application, spoilt by one
+    mutation or none."""
     kind = draw(st.sampled_from(sorted(MUTATIONS)))
     mutation = draw(st.sampled_from(MUTATIONS[kind]))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -807,15 +801,16 @@ def validator_cases(draw):
         elif mutation == "color" and n > 1:
             pi = perms[0]
             colors[1][pi[1]] = colors[0][pi[0]]
-        return (validate_disjoint_transversals, brute_disjoint_transversals,
+        return (Permutations(n), brute_disjoint_transversals,
                 ColorMatrix(colors), [tuple(pi) for pi in perms], mutation)
-    n = rng.randint(0, 7) if kind == "matching" else rng.randint(1, 6)
+    n = rng.randrange(0, 8, 2) if kind == "matching" else rng.randint(1, 6)
     if kind == "tree":
         structures = []
         for _ in range(rng.randint(1, 3)):
             order = _shuffled(n, rng)
-            structures.append([(order[k], order[rng.randrange(k)]) for k in range(1, n)])
-        edges = [tuple(sorted(e)) for e in structures[0]]
+            structures.append([tuple(sorted((order[k], order[rng.randrange(k)])))
+                               for k in range(1, n)])
+        edges = structures[0]
     else:
         order, partner = _shuffled(n, rng), list(range(n))
         for u, v in zip(order[::2], order[1::2]):
@@ -836,7 +831,7 @@ def validator_cases(draw):
     elif mutation == "lists":
         structures = [[list(e) for e in tree] for tree in structures]
     elif mutation == "cycle" and n > 2:
-        structures[0][0] = tuple(rng.sample(range(n), 2))
+        structures[0][0] = tuple(sorted(rng.sample(range(n), 2)))
     elif mutation == "shared":
         structures.append(list(structures[0]))
     elif mutation == "degenerate":
@@ -844,18 +839,20 @@ def validator_cases(draw):
         structures[-1][:1] = [(v, v)]
     elif mutation == "length":
         structures[0] = structures[0][:-1] if structures[0] else [(0, 1)]
-    validators = {"tree": (validate_rainbow_trees, brute_rainbow_trees),
-                  "matching": (validate_rainbow_matching, brute_rainbow_matching)}
-    return (*validators[kind], ColoredCompleteGraph(n, color), structures, mutation)
+    if kind == "tree":
+        return (SpanningTrees(n), brute_rainbow_trees, ColoredCompleteGraph(n, color),
+                structures, mutation)
+    return (PerfectMatchings(n), lambda coloring, s: brute_rainbow_matching(coloring, *s),
+            ColoredCompleteGraph(n, color), [structures], mutation)
 
 
 @settings(max_examples=300, deadline=None)
 @given(validator_cases())
 def test_validators_agree_with_brute_force(case):
-    validator, reference, coloring, structures, mutation = case
-    expected = _outcome(reference, coloring, structures)
-    assert _outcome(validator, coloring, structures) == expected
-    assert (expected is ValueError) == (mutation == "degenerate")
+    family, reference, coloring, structures, mutation = case
+    expected = reference(coloring, structures)
+    assert apps._valid_solution(family, coloring.ids, structures) == expected
+    assert not (expected and mutation == "degenerate")
 
 
 # ---------------------------------------------------------------------------
@@ -893,7 +890,7 @@ def test_solve_rainbow_matching_small():
     assert report.terminated
     assert report.validated
     partner = _partner_from_pairs(report.solution["matching"], 8)
-    assert validate_rainbow_matching(bundle.coloring, partner)
+    assert bundle.validate_solution([partner])
 
 
 def test_solve_rainbow_trees_small():
@@ -902,7 +899,7 @@ def test_solve_rainbow_trees_small():
     report = solve(bundle, params, seed=1, budget=100_000)
     assert report.terminated and report.validated
     trees = [[tuple(e) for e in tree] for tree in report.solution["trees"]]
-    assert validate_rainbow_trees(g, trees)
+    assert bundle.validate_solution(trees)
 
 
 def test_solve_latin_small():
@@ -910,9 +907,7 @@ def test_solve_latin_small():
     bundle, params = build_latin_instance(m, 2)
     report = solve(bundle, params, seed=2, budget=100_000)
     assert report.terminated and report.validated
-    assert validate_disjoint_transversals(
-        m, [tuple(p) for p in report.solution["transversals"]]
-    )
+    assert bundle.validate_solution([tuple(p) for p in report.solution["transversals"]])
 
 
 def test_solve_reports_budget_exhaustion():

@@ -444,7 +444,6 @@ def test_family_states_list_exactly_their_items(family, contains, items):
         assert family.valid(state)
         present = [r for r, item in enumerate(items) if contains(state, item)]
         assert [r for r, item in enumerate(items) if family.holds(state, (item,))] == present
-        assert family.present(state, range(len(items))) == present
         assert sorted(family.ranks(state)) == present
         assert family.holds(state, [items[r] for r in present])
         touched = [v for r in present for v in family.vertices(items[r])]

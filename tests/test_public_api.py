@@ -40,3 +40,22 @@ def test_the_optional_bundle_hooks_are_the_known_ones():
                     and isinstance(node.args[0], ast.Name) and node.args[0].id == "bundle"):
                 probed.add(ast.literal_eval(node.args[1]))
     assert probed == {"occurring", "valid_state", "kernels", "exact_distribution"}
+
+
+def test_the_occurrence_hook_takes_the_state_alone():
+    # every bundle's scan reads the whole state, and the engine passes it
+    # nothing else
+    package = Path(locallemma.__file__).parent
+    signatures = []
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "occurring":
+                args = node.args
+                signatures.append((path.name, [a.arg for a in args.posonlyargs + args.args],
+                                   args.vararg, args.kwonlyargs, args.kwarg))
+    assert len(signatures) >= 2
+    assert all(sig[1:] == (["self", "state"], None, [], None) for sig in signatures), signatures
+    calls = [node for node in ast.walk(ast.parse((package / "engine.py").read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "occurring"]
+    assert calls and all(len(c.args) == 1 and not c.keywords for c in calls)
