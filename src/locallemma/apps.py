@@ -29,7 +29,6 @@ explicit spaces of ``synth``.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -311,10 +310,10 @@ class _AppBundle:
     The P same-colored pairs of ranks (e, f), e < f, that fit in one
     structure are numbered in sorted order and shared by all copies.  A
     build stores the sorted pair keys e*N + f as int64, so pair k is
-    divmod(key[k], N) and a pair's number is one bisection; the numbering
-    is what run logs record.  Two events interfere when they involve a
-    common copy and their vertex supports meet, that is when their (copy,
-    vertex) conflict keys meet.
+    divmod(key[k], N).  The numbering is what run logs record, and
+    ``payload`` decodes it; nothing encodes a payload back.  Two events
+    interfere when they involve a common copy and their vertex supports
+    meet, that is when their (copy, vertex) conflict keys meet.
 
     A subclass passes its coloring, whose ``ids`` give each item's dense
     color id in rank order, and for the cluster criterion gives beta, its
@@ -346,14 +345,6 @@ class _AppBundle:
         """Ranks (e, f) of same-colored pair k."""
         return divmod(self._pairs[k], self.n_items)
 
-    def _pair_index(self, e: int, f: int) -> int:
-        """Inverse of _pair; KeyError when ranks (e, f) form no pair."""
-        key = e * self.n_items + f
-        k = bisect_left(self._pairs, key)
-        if 0 <= f < self.n_items and k < self.n_pairs and self._pairs[k] == key:
-            return k
-        raise KeyError((e, f))
-
     def _parts(self, idx: int) -> tuple[tuple, tuple]:
         """(copies, items) of an event: every copy holds every item."""
         item = self.family.item
@@ -365,28 +356,17 @@ class _AppBundle:
         return self.copy_pairs[c], (item(r),)
 
     def payload(self, idx: int) -> tuple:
-        """(i, e, f) for a type-1 event, (i, j, item) for a type-2 event."""
+        """(i, e, f) for a type-1 event, (i, j, item) for a type-2 event;
+        the one form for every bundle, the one-copy matching's (0, e, f)
+        included."""
         copies, items = self._parts(idx)
         return copies + items
 
     def _type2(self, i: int, j: int, r: int) -> int:
-        """Index of the event that copies i < j both hold the item of rank r;
-        also elementwise, for arrays i, j and r."""
+        """Indices of the events that copies i < j both hold the item of
+        rank r, elementwise over arrays i, j and r."""
         c = i * (2 * self.t - i - 1) // 2 + j - i - 1
         return self.n_type1 + c * self.n_items + r
-
-    def index(self, payload: tuple) -> int:
-        """Inverse of payload; KeyError when the payload names no event."""
-        rank = self.family.rank
-        if isinstance(payload[1], int):
-            i, j, item = payload
-            idx = self._type2(i, j, rank(item))
-        else:
-            i, e, f = payload
-            idx = i * self.n_pairs + self._pair_index(rank(e), rank(f))
-        if not 0 <= idx < self.n or _AppBundle.payload(self, idx) != payload:
-            raise KeyError(payload)
-        return idx
 
     def _keys(self, idx: int) -> list[tuple[int, int]]:
         """(copy, vertex) for every copy and vertex of the event."""
@@ -493,7 +473,7 @@ class RainbowMatchingBundle(_AppBundle):
     The one-copy case: no type-2 events, and the state is a 1-tuple
     holding the partner tuple, unwrapped only for the solution.  One
     event per same-colored pair of vertex-disjoint edges, with payload
-    (e, f); pairs sharing a vertex can never sit in a matching together
+    (0, e, f); pairs sharing a vertex can never sit in a matching together
     and carry no event.  Events interfere whenever their vertex supports
     meet.
     """
@@ -505,12 +485,6 @@ class RainbowMatchingBundle(_AppBundle):
         family = PerfectMatchings(coloring.n)
         self.p_den = (coloring.n - 1) * (coloring.n - 3)
         super().__init__(family, 1, coloring)
-
-    def payload(self, idx: int) -> tuple:
-        return super().payload(idx)[1:]
-
-    def index(self, payload: tuple) -> int:
-        return super().index((0, *payload))
 
     def event_prob(self, idx: int) -> float:
         return self.p_num / self.p_den

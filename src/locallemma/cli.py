@@ -440,7 +440,6 @@ def cmd_verify_oracle(args, out) -> int:
     for flag, count in (("--samples", args.samples), ("--trials", args.trials)):
         if count < 1:
             raise InputError(f"{flag} must be at least 1, got {count}")
-    event = args.event if args.event is not None else 0
     if args.family == "synthesized":
         if args.instance:
             space, _ = _space_from_json(_load_json(args.instance))
@@ -450,15 +449,15 @@ def cmd_verify_oracle(args, out) -> int:
     else:
         bundle = _default_bundle(args.family, args.size)
         n = bundle.n
-    if not 0 <= event < n:
-        raise InputError(f"event index {event} out of range for {n} events")
+    if not 0 <= args.event < n:
+        raise InputError(f"event index {args.event} out of range for {n} events")
     if args.family == "synthesized":
         # R1 and R2 resample no other event, so no other kernel is built
-        bundle = ExplicitBundle(space, [event])
+        bundle = ExplicitBundle(space, [args.event])
     # enumerated once for both tests
     exact = bundle.exact_distribution()
-    r1 = test_r1(bundle, event, samples=args.samples, seed=args.seed, exact=exact)
-    violations = test_r2(bundle, event, trials=args.trials, seed=args.seed + 1, exact=exact)
+    r1 = test_r1(bundle, args.event, samples=args.samples, seed=args.seed, exact=exact)
+    violations = test_r2(bundle, args.event, trials=args.trials, seed=args.seed + 1, exact=exact)
     payload = {
         "family": args.family,
         "r1": r1.to_json(),
@@ -552,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "synthesized", "appendix-a"))
     v.add_argument("--size", type=int, default=0,
                    help="space size (family-specific default)")
-    v.add_argument("--event", type=int, default=None, help="event index (default 0)")
+    v.add_argument("--event", type=int, default=0, help="event index (default 0)")
     v.add_argument("--samples", type=int, default=100_000,
                    help="conditioned samples for the distribution test")
     v.add_argument("--trials", type=int, default=10_000,

@@ -122,8 +122,8 @@ class PolynomialTable:
     Built by :func:`build_table`.  breve is a numpy array indexed by
     subset bitmask (float64, or object holding Fractions when exact).
     q(I) = p^I * breve_q([n] minus Gamma^+(I)) is computed by
-    :meth:`q_of` when asked for, one set at a time.  The helpers accept
-    either a bitmask or an iterable of indices.
+    :meth:`q_of` when asked for, one set at a time.  A set is a bitmask:
+    bit i stands for event i.
     """
 
     def __init__(self, graph, p, breve, exact, gamma_plus):
@@ -141,24 +141,15 @@ class PolynomialTable:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def _as_mask(self, subset) -> int:
-        if isinstance(subset, int):
-            return subset
-        mask = 0
-        for i in subset:
-            mask |= 1 << i
-        return mask
+    def breve_q(self, mask: int):
+        return self.breve[mask]
 
-    def breve_q(self, subset):
-        return self.breve[self._as_mask(subset)]
-
-    def q_of(self, subset):
+    def q_of(self, mask: int):
         """q(I) for independent I; a zero of the table's type for any other set.
 
         The p_i are multiplied in lowest bit first, as a scalar loop over
         I's bits does.  A Python float, or a Fraction when exact.
         """
-        mask = self._as_mask(subset)
         zero = Fraction(0) if self.exact else 0.0
         if mask & ~self.full_mask:
             return zero
@@ -280,9 +271,9 @@ def check_gll(graph: DependencyGraph, p: Sequence[float], x: Sequence[float]) ->
     return True
 
 
-def partition_function(graph, y: Sequence[float], subset: Iterable[int] | int) -> float:
-    """Y_S = sum of y^I over independent subsets I of S."""
-    mask = subset if isinstance(subset, int) else sum(1 << i for i in subset)
+def partition_function(graph, y: Sequence[float], mask: int) -> float:
+    """Y_S = sum of y^I over independent subsets I of S, the set of the
+    bits of mask."""
     return _partition_sum(graph.adjacency_masks(), y, mask)
 
 

@@ -328,8 +328,8 @@ class ExplicitBundle:
 
     States are plain integers.  Construction synthesizes the kernel of
     each event of ``events`` (every event by default) up front and raises
-    with the certificate when one does not exist; the bundle resamples
-    only those events.
+    with the certificate when one does not exist.  ``kernels`` maps each
+    such event to its kernel, and the bundle resamples only those events.
     """
 
     kind = "explicit-space"
@@ -339,7 +339,7 @@ class ExplicitBundle:
     def __init__(self, space: ExplicitSpace, events: Iterable[int] | None = None) -> None:
         self.space = space
         self.graph = space.graph
-        self.kernels: list[SynthesizedOracle] = []
+        self.kernels: dict[int, SynthesizedOracle] = {}
         for i in range(space.n_events) if events is None else events:
             result = synthesize(space, i)
             if isinstance(result, HallCertificate):
@@ -347,7 +347,7 @@ class ExplicitBundle:
                     f"event {i} admits no resampling oracle: states {result.states} "
                     f"carry mass {result.source_mass} but reach only {result.reachable_mass}"
                 )
-            self.kernels.append(result)
+            self.kernels[i] = result
         # cut after the last state of positive probability, so a draw
         # past a float total below 1 clamps to a state of the law
         last = max(s for s, p in enumerate(space.probs) if p > 0)
@@ -355,7 +355,7 @@ class ExplicitBundle:
         self._row_cum: dict[tuple[int, int], tuple[list[float], list[int]]] = {
             (kernel.event, u): (list(accumulate(float(f) for _, f in row)),
                                 [w for w, _ in row])
-            for kernel in self.kernels
+            for kernel in self.kernels.values()
             for u, row in kernel.rows.items()
         }
 
@@ -369,6 +369,8 @@ class ExplicitBundle:
     def resample(self, i: int, state: int, rng) -> int:
         row = self._row_cum.get((i, state))
         if row is None:
+            if i not in self.kernels:
+                raise ValueError(f"no kernel was synthesized for event {i}")
             raise OracleEventError(f"event {i} does not hold in state {state}")
         cum, states = row
         return states[min(bisect_right(cum, rng.random()), len(cum) - 1)]

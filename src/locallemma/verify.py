@@ -209,13 +209,14 @@ def test_r2(bundle, event: int, trials: int, seed: int = 0,
 def exhaustive_r2(bundle, event: int) -> int:
     """Zero-randomness containment check over every kernel support edge.
 
-    Only for bundles exposing synthesized kernels (explicit spaces):
-    walks each source state and each target in its kernel row and
-    counts support edges that switch on an off non-neighbor event.
+    Only for bundles whose ``kernels`` map events to synthesized kernels
+    (explicit spaces), and a ValueError when the event has none: walks
+    each source state and each target in its kernel row and counts
+    support edges that switch on an off non-neighbor event.
     """
-    kernels = getattr(bundle, "kernels", None)
-    if kernels is None:
-        raise ValueError("exhaustive check needs a bundle with explicit kernels")
+    kernels = getattr(bundle, "kernels", {})
+    if event not in kernels:
+        raise ValueError(f"no kernel was synthesized for event {event}")
     others = non_neighbors(bundle.graph, event)
     violations = 0
     for u, row in kernels[event].rows.items():

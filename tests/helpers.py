@@ -12,7 +12,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from locallemma.apps import ColoredCompleteGraph, ColorMatrix, _AppBundle
+from locallemma.apps import ColoredCompleteGraph, ColorMatrix
 from locallemma.graphs import DependencyGraph, independent_subset_masks
 from locallemma.oracles import (
     MatchingBundle,
@@ -353,11 +353,16 @@ def appendix_a_interferes(bundle, a, b):
     return ca == cb
 
 
+def event_of(bundle, payload):
+    """The index of the app event that ``payload`` names, found by a scan
+    of the events' payloads: the bundles decode an index, never encode."""
+    return next(idx for idx in range(bundle.n) if bundle.payload(idx) == payload)
+
+
 def app_event_parts(bundle, idx):
     """(copies, vertices) of an app event: every copy and every vertex of
-    the event's items, decoded from its payload, never from its keys.  The
-    payload is read with its copy indices, which the matching drops."""
-    payload = _AppBundle.payload(bundle, idx)
+    the event's items, decoded from its payload, never from its keys."""
+    payload = bundle.payload(idx)
     k = 1 if idx < bundle.n_type1 else 2
     vertices = bundle.family.vertices
     return (frozenset(payload[:k]),

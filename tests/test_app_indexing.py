@@ -81,7 +81,7 @@ def tree_events(coloring, t):
 def matching_events(coloring):
     m = coloring.n
     pairs = _same_color_pairs(color_classes(coloring), lambda e, f: not (set(e) & set(f)))
-    return [((e, f), frozenset((0,)), frozenset(e) | frozenset(f), 1 / ((m - 1) * (m - 3)))
+    return [((0, e, f), frozenset((0,)), frozenset(e) | frozenset(f), 1 / ((m - 1) * (m - 3)))
             for e, f in pairs]
 
 
@@ -101,7 +101,6 @@ def assert_accessors_match(bundle, events):
     assert bundle.n_type1 == sum(1 for _, spaces, _, _ in events if len(spaces) == 1)
     for idx, (payload, _, _, prob) in enumerate(events):
         assert bundle.payload(idx) == payload, idx
-        assert bundle.index(payload) == idx, payload
         assert bundle.event_prob(idx) == prob, idx
     assert len(bundle.params().y) == len(events)
 
@@ -171,20 +170,6 @@ def test_rule_graph_matches_explicit_rule(bundle, events):
         _, spaces_b, support_b, _ = events[b]
         expected = bool(spaces_a & spaces_b) and bool(support_a & support_b)
         assert bundle.graph.adjacent(a, b) == expected, (a, b)
-
-
-@pytest.mark.parametrize("bundle, payload", [
-    (LatinBundle(random_color_matrix(4, 2, random.Random(0)), 2), (0, 2, (0, 0))),
-    (LatinBundle(random_color_matrix(4, 2, random.Random(0)), 2), (0, 1, (0, 4))),
-    (RainbowTreeBundle(random_edge_coloring(5, 2, random.Random(0)), 2), (0, 1, (1, 0))),
-    (RainbowTreeBundle(random_edge_coloring(5, 2, random.Random(0)), 2),
-     (2, (0, 1), (0, 2))),
-    (RainbowMatchingBundle(random_edge_coloring(6, 2, random.Random(0))),
-     ((0, 1), (0, 2))),
-])
-def test_index_rejects_payloads_that_are_no_event(bundle, payload):
-    with pytest.raises(KeyError):
-        bundle.index(payload)
 
 
 #: sha256 of the JSON ``locallemma.cli.main`` prints for the first acceptance

@@ -36,6 +36,7 @@ from helpers import (
     brute_rainbow_trees,
     color_classes,
     distinct_color_matrix,
+    event_of,
     rainbow_edge_coloring,
     round_robin_coloring,
 )
@@ -287,7 +288,7 @@ def test_tree_edge_collision_probability():
     # e lands in both independent trees with probability (2/n)^2
     g = rainbow_edge_coloring(5)
     bundle = RainbowTreeBundle(g, 2)
-    idx = bundle.index((0, 1, (0, 1)))
+    idx = event_of(bundle, (0, 1, (0, 1)))
     hits = sum(
         1
         for ta in K5_TREES
@@ -329,7 +330,7 @@ def test_latin_cell_pair_probability():
 
 def test_latin_shared_cell_probability():
     bundle = LatinBundle(distinct_color_matrix(4), 2)
-    idx = bundle.index((0, 1, (2, 3)))
+    idx = event_of(bundle, (0, 1, (2, 3)))
     perms = list(itertools.permutations(range(4)))
     hits = sum(
         1 for pa in perms for pb in perms if bundle.holds(idx, (pa, pb))
@@ -380,16 +381,16 @@ def test_latin_event_order():
 def test_tree_dependency_rules():
     g = coloring_with_pair(6, (0, 1), (2, 3))
     bundle = RainbowTreeBundle(g, 3)
-    a = bundle.index((0, (0, 1), (2, 3)))
-    b = bundle.index((1, (0, 1), (2, 3)))
-    t2_01 = bundle.index((0, 1, (0, 4)))
-    t2_12 = bundle.index((1, 2, (3, 5)))
+    a = event_of(bundle, (0, (0, 1), (2, 3)))
+    b = event_of(bundle, (1, (0, 1), (2, 3)))
+    t2_01 = event_of(bundle, (0, 1, (0, 4)))
+    t2_12 = event_of(bundle, (1, 2, (3, 5)))
     g_ = bundle.graph
     assert not g_.adjacent(a, b)        # same pair, different trees
     assert g_.adjacent(a, t2_01)        # tree 0 shared, vertex 0 shared
     assert not g_.adjacent(a, t2_12)    # no shared tree
     assert not g_.adjacent(t2_01, t2_12)  # share tree 1, no shared vertex
-    assert g_.adjacent(t2_01, bundle.index((1, 2, (0, 5))))
+    assert g_.adjacent(t2_01, event_of(bundle, (1, 2, (0, 5))))
 
 
 def test_matching_dependency_unless_four_disjoint_edges():
@@ -399,9 +400,9 @@ def test_matching_dependency_unless_four_disjoint_edges():
     color[(0, 5)] = color[(1, 4)]
     g = ColoredCompleteGraph(8, color)
     bundle = RainbowMatchingBundle(g)
-    a = bundle.index(((0, 1), (2, 3)))
-    b = bundle.index(((4, 5), (6, 7)))
-    c = bundle.index(((0, 5), (1, 4)))
+    a = event_of(bundle, (0, (0, 1), (2, 3)))
+    b = event_of(bundle, (0, (4, 5), (6, 7)))
+    c = event_of(bundle, (0, (0, 5), (1, 4)))
     assert not bundle.graph.adjacent(a, b)  # four disjoint edges
     assert bundle.graph.adjacent(a, c)      # vertices 0 and 1 shared
     assert bundle.graph.adjacent(b, c)      # vertices 4 and 5 shared
@@ -409,9 +410,9 @@ def test_matching_dependency_unless_four_disjoint_edges():
 
 def test_latin_dependency_by_row_and_column():
     bundle = LatinBundle(distinct_color_matrix(4), 2)
-    same_row = (bundle.index((0, 1, (1, 0))), bundle.index((0, 1, (1, 3))))
-    same_col = (bundle.index((0, 1, (0, 2))), bundle.index((0, 1, (3, 2))))
-    apart = (bundle.index((0, 1, (0, 0))), bundle.index((0, 1, (1, 1))))
+    same_row = (event_of(bundle, (0, 1, (1, 0))), event_of(bundle, (0, 1, (1, 3))))
+    same_col = (event_of(bundle, (0, 1, (0, 2))), event_of(bundle, (0, 1, (3, 2))))
+    apart = (event_of(bundle, (0, 1, (0, 0))), event_of(bundle, (0, 1, (1, 1))))
     assert bundle.graph.adjacent(*same_row)
     assert bundle.graph.adjacent(*same_col)
     assert not bundle.graph.adjacent(*apart)
@@ -751,7 +752,7 @@ def test_validate_solution_reads_no_event_model(make, seed, monkeypatch):
     def refuse(*args):
         raise AssertionError("validation read the event model")
 
-    for name in ("_parts", "_pair_index", "occurring"):
+    for name in ("_parts", "occurring"):
         monkeypatch.setattr(apps._AppBundle, name, refuse)
     assert bundle.validate_solution(state)
     # the first structure's items also in a second one, each structure

@@ -64,13 +64,18 @@ def test_exact_tables_stop_at_their_cap():
         build_table(path, [Fraction(1, 100)] * (EXACT_CAP + 1), exact=True)
 
 
+def mask_of(items):
+    """The bitmask of a set of event indices, the one form a table takes."""
+    return sum(1 << i for i in items)
+
+
 def test_single_event_closed_forms():
     g = DependencyGraph(1)
     table = build_table(g, [0.2])
     assert table.q0 == pytest.approx(0.8, abs=1e-15)
-    assert table.breve_q([0]) == pytest.approx(0.8)
-    assert table.q_of([0]) == pytest.approx(0.2)
-    assert table.breve_q([]) == 1.0
+    assert table.breve_q(0b1) == pytest.approx(0.8)
+    assert table.q_of(0b1) == pytest.approx(0.2)
+    assert table.breve_q(0) == 1.0
 
 
 def test_path3_uniform_point_two():
@@ -78,16 +83,16 @@ def test_path3_uniform_point_two():
     table = build_table(g, [0.2] * 3)
     # 1 - 3p + p^2 with the single independent pair {0,2}
     assert table.q0 == pytest.approx(0.44, abs=1e-15)
-    assert table.q_of([0]) == pytest.approx(0.16)
-    assert table.q_of([1]) == pytest.approx(0.2)
-    assert table.q_of([0, 2]) == pytest.approx(0.04)
-    assert table.q_of([0, 1]) == 0.0
+    assert table.q_of(0b001) == pytest.approx(0.16)
+    assert table.q_of(0b010) == pytest.approx(0.2)
+    assert table.q_of(0b101) == pytest.approx(0.04)
+    assert table.q_of(0b011) == 0.0
 
 
 def test_boundary_edge_graph():
     g = make_graph(2, [(0, 1)])
     table = build_table(g, [0.5, 0.5])
-    assert table.breve_q([0, 1]) == pytest.approx(0.0, abs=1e-15)
+    assert table.breve_q(0b11) == pytest.approx(0.0, abs=1e-15)
     assert not in_shearer_region(table)
     report = shearer_report(table)
     assert report["boundary"] and not report["in_region"]
@@ -102,12 +107,12 @@ def test_brute_force_agreement_fixed_seeds():
         table = build_table(g, p)
         for _ in range(8):
             sub = [i for i in range(n) if rng.random() < 0.5]
-            assert table.breve_q(sub) == pytest.approx(
+            assert table.breve_q(mask_of(sub)) == pytest.approx(
                 brute_breve(g, p, sub), abs=1e-12
             )
         for combo in subsets(range(n)):
             if g.is_independent(combo):
-                assert table.q_of(combo) == pytest.approx(
+                assert table.q_of(mask_of(combo)) == pytest.approx(
                     brute_q(g, p, combo), abs=1e-12
                 )
 
@@ -124,10 +129,10 @@ def test_brute_force_agreement_exact(n, edge_bits, pseed):
     p = [Fraction(rng.randrange(0, 50), 100) for _ in range(n)]
     table = build_table(g, p, exact=True)
     full = list(range(n))
-    assert table.breve_q(full) == brute_breve(g, p, full)
+    assert table.breve_q(mask_of(full)) == brute_breve(g, p, full)
     for combo in subsets(range(n)):
         if g.is_independent(combo):
-            assert table.q_of(combo) == brute_q(g, p, combo)
+            assert table.q_of(mask_of(combo)) == brute_q(g, p, combo)
 
 
 def witness_instance(n, rng):
@@ -272,7 +277,7 @@ def test_complement_sum_and_q_sum():
             assert table.breve_q(mask) == pytest.approx(total, abs=1e-12)
         # S = empty gives the probability normalization
         total = sum(
-            table.q_of(c) for c in subsets(range(n)) if g.is_independent(c)
+            table.q_of(mask_of(c)) for c in subsets(range(n)) if g.is_independent(c)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -285,9 +290,9 @@ def test_q_expansion():
             if not g.is_independent(combo):
                 continue
             closed = set(combo).union(*map(g.neighbors, combo))
-            total = sum(table.q_of(s) for s in subsets(closed))
+            total = sum(table.q_of(mask_of(s)) for s in subsets(closed))
             coeff = math.prod(p[i] for i in combo)
-            assert table.q_of(combo) == pytest.approx(coeff * total, abs=1e-12)
+            assert table.q_of(mask_of(combo)) == pytest.approx(coeff * total, abs=1e-12)
 
 
 def test_monotone_in_p():
@@ -350,10 +355,10 @@ def test_cll_single_and_edge():
 
 def test_partition_function_counts_independent_sets():
     g = make_graph(3, [(0, 1), (1, 2)])
-    assert partition_function(g, [1.0] * 3, range(3)) == pytest.approx(
+    assert partition_function(g, [1.0] * 3, 0b111) == pytest.approx(
         len(independent_subset_masks(g.adjacency_masks(), 0b111))
     )
-    assert partition_function(g, [1.0] * 3, [0, 2]) == pytest.approx(4.0)
+    assert partition_function(g, [1.0] * 3, 0b101) == pytest.approx(4.0)
 
 
 def test_implication_chain_small():
@@ -587,6 +592,6 @@ def test_sequence_mass_monotone_and_bounded():
                 mass = sequence_mass(g, p, combo, budget)
                 assert mass >= prev - 1e-15
                 prev = mass
-            limit = table.q_of(combo) / table.q0
+            limit = table.q_of(mask_of(combo)) / table.q0
             assert prev <= limit + 1e-12
             assert prev >= limit * 0.99

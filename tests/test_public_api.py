@@ -1,5 +1,6 @@
 """The package's public names: ``__all__`` and what ``__init__`` binds
-agree, and the optional bundle hooks the package probes for."""
+agree, the optional bundle hooks the package probes for, and the places
+where it dispatches on a value's type."""
 
 import ast
 import types
@@ -40,6 +41,36 @@ def test_the_optional_bundle_hooks_are_the_known_ones():
                     and isinstance(node.args[0], ast.Name) and node.args[0].id == "bundle"):
                 probed.add(ast.literal_eval(node.args[1]))
     assert probed == {"occurring", "valid_state", "kernels", "exact_distribution"}
+
+
+def _isinstance_scopes(node, scope, found):
+    """Add the dotted name of the def or class around every isinstance
+    call under node to found."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            _isinstance_scopes(child, f"{scope}.{child.name}", found)
+            continue
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "isinstance"):
+            found.add(scope)
+        _isinstance_scopes(child, scope, found)
+
+
+def test_type_dispatch_is_in_the_known_places():
+    # a value has one form, so the package tests types only where it reads
+    # input or walks JSON, where a sum takes its closed form, where a table
+    # turns to Fractions, and where synthesis tells a kernel from a Hall
+    # certificate; a new isinstance widens the forms a value may take
+    found = set()
+    for path in Path(locallemma.__file__).parent.glob("*.py"):
+        _isinstance_scopes(ast.parse(path.read_text()), path.stem, found)
+    assert found == {
+        "cli._json_parts", "cli._text_lines",
+        "cli._load_json", "cli._parse_params", "cli._space_from_json", "cli.cmd_criteria",
+        "graphs.read_int", "synth.parse_probability",
+        "polynomials._sum_of", "polynomials.build_table", "streams.repeated_sum",
+        "synth.ExplicitBundle.__init__",
+    }
 
 
 def test_the_occurrence_hook_takes_the_state_alone():

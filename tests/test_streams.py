@@ -306,7 +306,6 @@ def test_pinned_output_does_not_depend_on_the_builtin_sum(kind, argv, digest, tm
 EXACT_SUMS = {
     ("cli.py", 'sum(1 for r in runs if r["validated"])'),
     ("graphs.py", "sum(1 << j for j in self.neighbors(i))"),
-    ("polynomials.py", "sum(1 << i for i in subset)"),
     ("synth.py", "sum(probs)"),
     ("synth.py", "sum((self.probs[s] for s in self.events[i]), Fraction(0))"),
     ("synth.py", "sum((space.probs[u] for u in blocked), Fraction(0))"),

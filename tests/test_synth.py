@@ -514,6 +514,17 @@ def test_bundle_resample_requires_occurring_event():
         bundle.resample(0, 1, rng)  # state 1 has bit 0 set
 
 
+def test_bundle_resample_names_an_event_it_built_no_kernel_for():
+    # event 0 holds in state 0, but only event 1's kernel was built
+    bundle = ExplicitBundle(three_bit_space(), [1])
+    assert bundle.holds(0, 0)
+    with pytest.raises(ValueError, match="no kernel was synthesized for event 0") as info:
+        bundle.resample(0, 0, random.Random(0))
+    assert not isinstance(info.value, OracleEventError)
+    with pytest.raises(OracleEventError):
+        bundle.resample(1, 2, random.Random(0))  # state 2 has bit 1 set
+
+
 def test_bundle_exact_distribution_and_keys():
     bundle = ExplicitBundle(three_bit_space())
     dist = bundle.exact_distribution()
@@ -591,7 +602,7 @@ def test_bundle_draws_match_a_linear_scan():
         cum = list(itertools.accumulate(float(p) for p in bundle.space.probs))
         for r in draws_around(cum) + [rng.random() for _ in range(2000)]:
             assert bundle.sample(FixedDraw(r)) == linear_scan(cum, r)
-        for kernel in bundle.kernels:
+        for kernel in bundle.kernels.values():
             for u, row in kernel.rows.items():
                 cum = list(itertools.accumulate(float(f) for _, f in row))
                 for r in draws_around(cum) + [rng.random() for _ in range(50)]:

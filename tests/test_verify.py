@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from locallemma.cli import _default_space
 from locallemma.engine import maximal_set_resample
 from locallemma.graphs import DependencyGraph
 from locallemma.oracles import (
@@ -17,6 +18,7 @@ from locallemma.oracles import (
     VariableBundle,
     VariableEvent,
 )
+from locallemma.synth import ExplicitBundle
 from locallemma.verify import (
     AppendixABundle,
     StreakReport,
@@ -326,6 +328,19 @@ def test_r1_and_r2_flag_outputs_that_are_no_structure(bundle):
 def test_exhaustive_r2_needs_kernels():
     with pytest.raises(ValueError):
         exhaustive_r2(coin_pair_bundle(), 0)
+
+
+def test_exhaustive_r2_reads_the_kernel_of_its_event():
+    # a bundle built for some events checks each against its own kernel
+    space = _default_space()
+    assert exhaustive_r2(ExplicitBundle(space), 1) == 0
+    assert exhaustive_r2(ExplicitBundle(space, [1]), 1) == 0
+    assert exhaustive_r2(ExplicitBundle(space, [2]), 2) == 0
+
+
+def test_exhaustive_r2_refuses_an_event_without_a_kernel():
+    with pytest.raises(ValueError, match="event 0"):
+        exhaustive_r2(ExplicitBundle(_default_space(), [1]), 0)
 
 
 # ---------------------------------------------------------------------------
