@@ -1,15 +1,13 @@
 """The maximal-set resampling engine.
 
 Each iteration greedily builds an independent set of occurring events:
-walk the events that occur at the top of the iteration (every event,
-when the bundle has no occurrence scan) in ascending index order, and
-resample each one that still occurs and is not adjacent to an event
-already picked this iteration.  The run ends when
+walk the events that occur at the top of the iteration in ascending
+index order, and resample each one that still occurs and is not
+adjacent to an event already picked this iteration.  The run ends when
 an iteration picks nothing.
 
 The engine works against any object satisfying the bundle interface::
 
-    bundle.n                       number of events
     bundle.graph.keys(i)           conflict keys of event i: two distinct
                                    events are adjacent exactly when their
                                    keys meet (the graph is a
@@ -19,8 +17,8 @@ The engine works against any object satisfying the bundle interface::
     bundle.sample(rng)             fresh state from the product measure
     bundle.holds(i, state)         does event i occur in state
     bundle.resample(i, state, rng) resampling oracle for event i
-    bundle.occurring(state)        optional: indices of the occurring
-                                   events, in any order
+    bundle.occurring(state)        indices of the occurring events, in
+                                   any order
 
 Blocking is by keys: the keys of every pick join one set, and a
 candidate whose keys meet it is skipped, so each candidate is looked at
@@ -75,15 +73,6 @@ class RunLog:
             "terminated": self.terminated,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "RunLog":
-        return cls(
-            seed=int(obj["seed"]),
-            iterations=[[int(i) for i in it] for it in obj["iterations"]],
-            total_resamples=int(obj["total_resamples"]),
-            terminated=bool(obj["terminated"]),
-        )
-
 
 def maximal_set_resample(bundle, seed: int = 0,
                          max_resamples: int = DEFAULT_MAX_RESAMPLES):
@@ -99,16 +88,15 @@ def maximal_set_resample(bundle, seed: int = 0,
     holds = bundle.holds
     resample = bundle.resample
     keys = bundle.graph.keys
-    occurring = getattr(bundle, "occurring", None)
+    occurring = bundle.occurring
 
     state = bundle.sample(rng)
     iterations: list[list[int]] = []
     total = 0
     while True:
-        candidates = range(bundle.n) if occurring is None else sorted(occurring(state))
         picked: list[int] = []
         blocked = set()
-        for i in candidates:
+        for i in sorted(occurring(state)):
             conflict = keys(i)
             if not blocked.isdisjoint(conflict) or not holds(i, state):
                 continue

@@ -19,8 +19,8 @@ bits as bytes, one byte per bit.
 
 The last three are the structure families Permutations(n),
 PerfectMatchings(n) and SpanningTrees(n) (see ``_Family``), through which
-the single-space bundles here and the application bundles of ``apps``
-draw, test and redraw their structures.
+the bundles here and in ``apps`` draw, test and redraw their structures.
+Each bundle here scans (``occurring``) by testing every event as ``holds`` does.
 
 Oracles raise OracleEventError when asked to resample an event that
 does not hold; the engine never does this.
@@ -690,6 +690,9 @@ class VariableBundle:
     def holds(self, i: int, state) -> bool:
         return self.events[i].holds(state)
 
+    def occurring(self, state) -> list[int]:
+        return [i for i, event in enumerate(self.events) if event.holds(state)]
+
     def resample(self, i: int, state, rng) -> tuple:
         """Redraw the event's variables from their own laws in increasing
         order; the others are untouched."""
@@ -741,6 +744,9 @@ class _StructureBundle:
 
     def holds(self, i: int, state) -> bool:
         return self._holds(state, self._items[i])
+
+    def occurring(self, state) -> list[int]:
+        return [i for i, items in enumerate(self._items) if self._holds(state, items)]
 
     def resample(self, i: int, state, rng):
         return self._redraw(state, self._items[i], rng)

@@ -142,6 +142,8 @@ class PolynomialTable:
         return (1 << self.n) - 1
 
     def breve_q(self, mask: int):
+        if not 0 <= mask <= self.full_mask:
+            raise ValueError(f"mask {mask} is outside the table of {self.n} events")
         return self.breve[mask]
 
     def q_of(self, mask: int):

@@ -328,8 +328,8 @@ class ExplicitBundle:
 
     States are plain integers.  Construction synthesizes the kernel of
     each event of ``events`` (every event by default) up front and raises
-    with the certificate when one does not exist.  ``kernels`` maps each
-    such event to its kernel, and the bundle resamples only those events.
+    with the certificate when one does not exist.  ``kernels`` maps each such
+    event to its kernel; only those events resample, but every event is scanned.
     """
 
     kind = "explicit-space"
@@ -365,6 +365,9 @@ class ExplicitBundle:
 
     def sample(self, rng) -> int:
         return min(bisect_right(self._cum, rng.random()), len(self._cum) - 1)
+
+    def occurring(self, state: int) -> list[int]:
+        return [i for i in range(self.space.n_events) if self.holds(i, state)]
 
     def resample(self, i: int, state: int, rng) -> int:
         row = self._row_cum.get((i, state))

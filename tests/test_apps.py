@@ -605,34 +605,7 @@ def test_cluster_criterion_fails_when_colors_pile_up():
 
 
 # ---------------------------------------------------------------------------
-# occurrence scans and oracle containment
-
-
-def scan_matches_holds(bundle, states):
-    for state in states:
-        assert sorted(bundle.occurring(state)) == [
-            i for i in range(bundle.n) if bundle.holds(i, state)
-        ]
-
-
-def test_tree_occurrence_scan():
-    g = random_edge_coloring(6, 2, random.Random(8))
-    bundle = RainbowTreeBundle(g, 2)
-    rng = random.Random(0)
-    scan_matches_holds(bundle, [bundle.sample(rng) for _ in range(25)])
-
-
-def test_matching_occurrence_scan():
-    g = random_edge_coloring(8, 2, random.Random(8))
-    bundle = RainbowMatchingBundle(g)
-    rng = random.Random(0)
-    scan_matches_holds(bundle, [bundle.sample(rng) for _ in range(25)])
-
-
-def test_latin_occurrence_scan():
-    bundle = LatinBundle(random_color_matrix(5, 2, random.Random(8)), 2)
-    rng = random.Random(0)
-    scan_matches_holds(bundle, [bundle.sample(rng) for _ in range(25)])
+# oracle containment
 
 
 def test_app_oracles_respect_declared_dependencies():

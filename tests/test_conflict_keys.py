@@ -1,10 +1,12 @@
-"""Conflict keys against the pairwise rules they replace, and log replay.
+"""Conflict keys against the pairwise rules they replace, occurrence
+scans against ``holds``, and log replay.
 
 Every bundle's dependency relation used to be evaluated pair by pair;
 the engine now blocks on conflict keys instead.  Both the keys and
 ``graph.adjacent`` must give exactly the old relation on every ordered
-pair, and the engine must reproduce the run logs recorded before it
-walked its candidates once per iteration.
+pair, every bundle's scan must list exactly the events that hold, and
+the engine must reproduce the run logs recorded before it walked its
+candidates once per iteration.
 """
 
 import hashlib
@@ -42,7 +44,7 @@ from locallemma.oracles import (
     VariableEvent,
 )
 from locallemma.synth import ExplicitBundle
-from locallemma.verify import appendix_a_bundle, derive_seed
+from locallemma.verify import AppendixABundle, appendix_a_bundle, derive_seed
 
 
 def _all_zero(*bits):
@@ -119,15 +121,54 @@ def test_keys_and_adjacency_match_the_pairwise_rule(make, interferes):
         assert not any(graph.adjacent(i, i) for i in range(bundle.n))
 
 
-@pytest.mark.parametrize("make", [
+#: The bundles the CLI builds: the four default oracle families and the
+#: explicit default space.
+CLI_BUNDLES = [
     *(pytest.param(lambda rng, f=family: cli._default_bundle(f, 0), id=f"cli-{family}")
       for family in ("variable", "permutation", "matching", "tree")),
     pytest.param(lambda rng: ExplicitBundle(cli._default_space()), id="cli-space"),
+]
+
+
+@pytest.mark.parametrize("make", [
+    *CLI_BUNDLES,
     *(pytest.param(p.values[0], id=p.id) for p in FIXTURES
       if p.id in ("appendix-a", "latin", "rainbow-tree", "rainbow-matching")),
 ])
 def test_every_bundle_graph_is_a_key_graph(make):
     assert isinstance(make(random.Random(0)).graph, KeyGraph)
+
+
+@pytest.mark.parametrize("make", [
+    *CLI_BUNDLES,
+    # a kernel for event 1 alone; the scan still lists every event of the space
+    pytest.param(lambda rng: ExplicitBundle(cli._default_space(), [1]), id="cli-space-event-1"),
+    *(pytest.param(p.values[0], id=p.id) for p in FIXTURES + DEGENERATE),
+    pytest.param(lambda rng: AppendixABundle(2, 1), id="appendix-a-2-1"),
+    pytest.param(lambda rng: RainbowTreeBundle(random_edge_coloring(6, 2, random.Random(8)), 2),
+                 id="rainbow-tree-6-2"),
+    pytest.param(lambda rng: RainbowMatchingBundle(random_edge_coloring(8, 2, random.Random(8))),
+                 id="rainbow-matching-8-2"),
+    pytest.param(lambda rng: LatinBundle(random_color_matrix(5, 2, random.Random(8)), 2),
+                 id="latin-5-2"),
+])
+def test_every_scan_lists_the_events_that_hold(make):
+    # the engine's one candidate source, on drawn states and on each one's
+    # state after one resample
+    bundle = make(random.Random(0))
+    resamplable = getattr(bundle, "kernels", range(bundle.n))
+    rng = random.Random(1)
+
+    def check(state):
+        scan = sorted(bundle.occurring(state))
+        assert scan == [i for i in range(bundle.n) if bundle.holds(i, state)]
+        return [i for i in scan if i in resamplable]
+
+    for _ in range(25):
+        state = bundle.sample(rng)
+        holding = check(state)
+        if holding:
+            check(bundle.resample(rng.choice(holding), state, rng))
 
 
 @pytest.mark.parametrize("make, interferes", FIXTURES)

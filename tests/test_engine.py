@@ -98,7 +98,8 @@ def bundles_for_cross_check():
 
 
 def test_agrees_with_naive_rescan_loop():
-    # the shrinking-candidate optimization must not change the schedule
+    # one walk over the scanned events per iteration picks what rescanning
+    # every event before every pick picks, with the same random stream
     for bundle in bundles_for_cross_check():
         for seed in range(6):
             state, log = maximal_set_resample(bundle, seed=seed)
@@ -109,12 +110,6 @@ def test_agrees_with_naive_rescan_loop():
             assert log.total_resamples == ref_total
             assert log.terminated == ref_term
             assert state == ref_state
-
-
-def test_runlog_json_round_trip():
-    log = RunLog(seed=7, iterations=[[0, 2], [1], []], total_resamples=3,
-                 terminated=True)
-    assert RunLog.from_json(log.to_json()) == log
 
 
 def test_log_follows_prefix_semantics():

@@ -78,6 +78,16 @@ def test_single_event_closed_forms():
     assert table.breve_q(0) == 1.0
 
 
+def test_breve_q_refuses_a_mask_outside_the_table():
+    table = build_table(DependencyGraph(2, [(0, 1)]), [0.2, 0.3])
+    for mask in (-1, 4, 1 << 70):
+        with pytest.raises(ValueError, match=f"mask {mask}"):
+            table.breve_q(mask)
+    assert table.breve_q(3) == table.q0
+    # q keeps its zero for a set outside the table
+    assert table.q_of(-1) == table.q_of(4) == 0.0
+
+
 def test_path3_uniform_point_two():
     g = make_graph(3, [(0, 1), (1, 2)])
     table = build_table(g, [0.2] * 3)

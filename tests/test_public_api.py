@@ -1,6 +1,7 @@
 """The package's public names: ``__all__`` and what ``__init__`` binds
-agree, the optional bundle hooks the package probes for, and the places
-where it dispatches on a value's type."""
+agree, the optional bundle hooks the package probes for, the occurrence
+scan every bundle has, and the places where the package dispatches on a
+value's type."""
 
 import ast
 import types
@@ -40,7 +41,7 @@ def test_the_optional_bundle_hooks_are_the_known_ones():
                     and node.func.id == "getattr" and len(node.args) == 3
                     and isinstance(node.args[0], ast.Name) and node.args[0].id == "bundle"):
                 probed.add(ast.literal_eval(node.args[1]))
-    assert probed == {"occurring", "valid_state", "kernels", "exact_distribution"}
+    assert probed == {"valid_state", "kernels", "exact_distribution"}
 
 
 def _isinstance_scopes(node, scope, found):
@@ -90,3 +91,18 @@ def test_the_occurrence_hook_takes_the_state_alone():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "occurring"]
     assert calls and all(len(c.args) == 1 and not c.keywords for c in calls)
+    # the scan is the engine's one candidate source: it probes for no hook
+    # and never walks all the events
+    engine = ast.walk(ast.parse((package / "engine.py").read_text()))
+    assert not [node for node in engine
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "getattr")
+                or (isinstance(node, ast.Attribute) and node.attr == "n"
+                    and isinstance(node.value, ast.Name) and node.value.id == "bundle")]
+    # so every bundle class with an oracle has a scan
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+                if "resample" in methods:
+                    assert "occurring" in methods, (path.name, node.name)

@@ -381,14 +381,6 @@ def all_states(n_vars):
         yield tuple(code >> t & 1 for t in range(n_vars))
 
 
-def test_streak_bundle_occurrence_scan_matches_holds():
-    b = AppendixABundle(2, 1)
-    rng = random.Random(4)
-    for _ in range(50):
-        state = b.sample(rng)
-        assert b.occurring(state) == [i for i in range(b.n) if b.holds(i, state)]
-
-
 def test_streak_bundle_events_are_fair_bits():
     b = AppendixABundle(2, 1)
     states = list(all_states(b.n_vars))
